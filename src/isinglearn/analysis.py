@@ -58,20 +58,7 @@ def population_hessian(dist: ExactDistribution, r: int) -> PopulationHessian:
     p = dist.graph.p
     if not 1 <= r <= p:
         raise ValueError(f"root {r} out of range")
-    theta_row = dist.field.theta_row(r)
-
-    s_mat = np.zeros((p, p))
-    t_vec = np.zeros(p)
-    z = 0.0
-    for X, w in dist._blocks():
-        h = X @ theta_row  # X_r never enters: theta_row[r-1] = 0
-        sech2 = 1.0 / np.cosh(h) ** 2
-        ws = w * sech2
-        s_mat += (X * ws[:, None]).T @ X
-        t_vec += X.T @ (w * np.tanh(h))
-        z += float(w.sum())
-    s_mat /= z
-    t_vec /= z
+    s_mat, t_vec = dist.field_moments(dist.field.theta_row(r))
 
     grad = t_vec - dist.corr[:, r - 1]
     keep = [v for v in range(p) if v != r - 1]

@@ -259,10 +259,6 @@ def build_graph(spec: GraphFamilySpec, seed: int | None = None) -> Graph:
     raise AssertionError(f)
 
 
-def is_random_family(spec: GraphFamilySpec) -> bool:
-    return spec.family in ("diluted-grid", "random-regular", "regular-plus-edge")
-
-
 def write_graph(g: Graph, path) -> None:
     """Write `p <count>` then one `e <i> <j>` line per edge, 0-based, sorted."""
     with open(path, "w") as fh:

@@ -17,9 +17,15 @@ import numpy as np
 
 from .graphs import Graph
 
-# 2^26 states keeps a full enumeration in the sub-minute range.
+# At 2^26 states the moments take about a second on one core; memory is
+# bounded by the slab size, not by p.
 ENUMERATION_MAX_P = 26
-_BLOCK_BITS = 18
+# Vertices in the lo half of the split enumeration: at the largest p the
+# two halves are equal, and below 14 vertices the hi half is empty.
+_LO_BITS = ENUMERATION_MAX_P // 2
+# States per slab, hi rows times every lo column: 2^18 ran as fast as 2^20
+# at p = 22..26 with a quarter of the memory.
+_SLAB_STATES = 1 << 18
 
 
 class EnumerationTooLarge(ValueError):
@@ -76,9 +82,6 @@ class CouplingField:
             return vals.pop()
         return None
 
-    def abs_total(self) -> float:
-        return sum(abs(th) for _, _, th in self.couplings)
-
     def neighbor_data(self):
         """Per-site 0-based neighbor index lists and coupling lists."""
         nbrs = [[] for _ in range(self.p)]
@@ -111,66 +114,147 @@ def _as_field(g: Graph, theta) -> CouplingField:
     return CouplingField.homogeneous(g, float(theta))
 
 
-def _spin_block(start: int, count: int, p: int) -> np.ndarray:
-    """Block of spin configurations for state indices start..start+count-1.
-
-    Bit b of the index gives the spin of vertex b+1 (+1 for bit 0).
-    """
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    bits = (idx[:, None] >> np.arange(p, dtype=np.uint64)) & np.uint64(1)
-    return 1.0 - 2.0 * bits.astype(np.float64)
+def _spin_table(n: int) -> np.ndarray:
+    """(2^n, n) spins of every n-bit index: bit k of the index gives
+    column k, +1 for bit 0."""
+    idx = np.arange(1 << n)
+    return 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)
 
 
 @dataclass
 class ExactDistribution:
     """Moment oracle over the full 2^p state space.
 
-    corr[i-1, j-1] holds E{X_i X_j}. Expectations of arbitrary bounded
-    functions are evaluated by re-streaming the state space in blocks,
-    so instances stay small regardless of p.
+    corr[i-1, j-1] holds E{X_i X_j}. Other expectations re-stream the
+    state space by split enumeration: vertices 1..b form the lo half and
+    b+1..p the hi half, so a state is a (hi, lo) pair with energy
+    H_hi[hi] + H_lo[lo] + x_hi J x_lo^T. Slabs of hi rows against every lo
+    column are reduced by matrix products, which costs O(p 2^p) and keeps
+    memory bounded by the slab size whatever p is.
     """
 
     graph: Graph
     field: CouplingField
     log_z: float
     corr: np.ndarray
-    _h_max: float = dc_field(repr=False, default=0.0)
-    _z_shifted: float = dc_field(repr=False, default=0.0)
+    _x_lo: np.ndarray = dc_field(init=False, repr=False)
+    _x_hi: np.ndarray = dc_field(init=False, repr=False)
+    _h_lo: np.ndarray = dc_field(init=False, repr=False)
+    _h_hi: np.ndarray = dc_field(init=False, repr=False)
+    _cross: np.ndarray = dc_field(init=False, repr=False)
 
-    def _blocks(self):
-        """Yield (spins, weights) with weights = exp(H - H_max) per state."""
+    def __post_init__(self):
         p = self.graph.p
-        nstates = 1 << p
-        bs = min(nstates, 1 << _BLOCK_BITS)
-        cps = [(i - 1, j - 1, th) for i, j, th in self.field.couplings]
-        for start in range(0, nstates, bs):
-            X = _spin_block(start, min(bs, nstates - start), p)
-            H = np.zeros(len(X))
-            for i, j, th in cps:
-                H += th * (X[:, i] * X[:, j])
-            yield X, np.exp(H - self._h_max)
+        b = min(p, _LO_BITS)
+        j_up = np.zeros((p, p))
+        for i, j, th in self.field.couplings:
+            j_up[i - 1, j - 1] = th
+        self._x_lo = _spin_table(b)
+        self._x_hi = _spin_table(p - b)
+        self._h_lo = np.einsum("si,ij,sj->s", self._x_lo, j_up[:b, :b], self._x_lo)
+        self._h_hi = np.einsum("si,ij,sj->s", self._x_hi, j_up[b:, b:], self._x_hi)
+        # every lo vertex precedes every hi vertex, so the cross couplings
+        # sit in the upper-right block; row k is hi vertex k's field per lo
+        self._cross = j_up[:b, b:].T @ self._x_lo.T
 
-    def expectation(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
-        """E{fn(X)} for a vectorized fn mapping a (B, p) block to (B,)."""
-        acc = 0.0
-        for X, w in self._blocks():
-            acc += float(np.dot(fn(X), w))
-        return acc / self._z_shifted
+    def _slabs(self):
+        """Yield (rows, E): a slice of hi indices and the energies of those
+        rows against every lo index, shape (rows, 2^b). The one reduction
+        that every expectation streams through."""
+        rows_per_slab = max(1, _SLAB_STATES // len(self._x_lo))
+        for start in range(0, len(self._x_hi), rows_per_slab):
+            rows = slice(start, start + rows_per_slab)
+            e = self._x_hi[rows] @ self._cross
+            e += self._h_hi[rows, None]
+            e += self._h_lo
+            yield rows, e
+
+    def _weights(self):
+        """Yield (rows, W) with W the slab's state probabilities."""
+        for rows, e in self._slabs():
+            e -= self.log_z
+            yield rows, np.exp(e, out=e)
+
+    def _pair_sums(self, rows, w: np.ndarray) -> np.ndarray:
+        """sum over the slab of w[hi, lo] x x^T, as a (p, p) array."""
+        x_lo, x_hi = self._x_lo, self._x_hi[rows]
+        b = x_lo.shape[1]
+        p = self.graph.p
+        s = np.empty((p, p))
+        s[:b, :b] = x_lo.T @ (x_lo * w.sum(axis=0)[:, None])
+        s[b:, b:] = x_hi.T @ (x_hi * w.sum(axis=1)[:, None])
+        s[b:, :b] = x_hi.T @ (w @ x_lo)
+        s[:b, b:] = s[b:, :b].T
+        return s
+
+    def _first_sums(self, rows, w: np.ndarray) -> np.ndarray:
+        """sum over the slab of w[hi, lo] x, as a length-p array."""
+        return np.concatenate(
+            (self._x_lo.T @ w.sum(axis=0), self._x_hi[rows].T @ w.sum(axis=1))
+        )
 
     def expectation_vector(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """E{X_v fn(X)} for every vertex, as a length-p array."""
-        acc = np.zeros(self.graph.p)
-        for X, w in self._blocks():
-            acc += X.T @ (fn(X) * w)
-        return acc / self._z_shifted
+        """E{X_v fn(X)} for every vertex, as a length-p array; fn maps a
+        (B, p) block of spins to (B,)."""
+        p = self.graph.p
+        n_lo, b = self._x_lo.shape
+        acc = np.zeros(p)
+        # the lo columns are the same in every slab: fill them once and
+        # hand fn a read-only view, so it cannot corrupt the next slab
+        block = np.empty((0, n_lo, p))
+        for rows, w in self._weights():
+            if len(block) < len(w):
+                block = np.empty((len(w), n_lo, p))
+                block[:, :, :b] = self._x_lo
+            block[: len(w), :, b:] = self._x_hi[rows, None, :]
+            X = block[: len(w)].reshape(-1, p)
+            X.flags.writeable = False
+            acc += self._first_sums(rows, w * fn(X).reshape(w.shape))
+        return acc
 
-    def expectation_matrix(self, weight_fn: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
-        """E{X X^T w(X)} as a (p, p) array; w defaults to 1."""
-        acc = np.zeros((self.graph.p, self.graph.p))
-        for X, w in self._blocks():
-            ww = w if weight_fn is None else w * weight_fn(X)
-            acc += (X * ww[:, None]).T @ X
-        return acc / self._z_shifted
+    def field_moments(self, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """E{X X^T sech^2(h)} and E{X tanh(h)} for the local field h = X . row.
+
+        With row the couplings of vertex r (row[r-1] = 0) these are the
+        Hessian and the model term of the gradient of r's conditional
+        log-likelihood at the true couplings."""
+        row = np.asarray(row, dtype=np.float64)
+        b = self._x_lo.shape[1]
+        h_hi, h_lo = self._x_hi @ row[b:], self._x_lo @ row[:b]
+        p = self.graph.p
+        s = np.zeros((p, p))
+        t = np.zeros(p)
+        for rows, w in self._weights():
+            h = np.add.outer(h_hi[rows], h_lo)
+            t += self._first_sums(rows, w * np.tanh(h))
+            np.cosh(h, out=h)
+            w /= h
+            w /= h
+            s += self._pair_sums(rows, w)
+        return s, t
+
+    def down_count_pmf(self, coef) -> np.ndarray:
+        """pmf of T(X) = sum_v coef[v-1] [X_v = -1] for non-negative integer
+        coefficients, indexed by T = 0..sum(coef)."""
+        coef = np.asarray(coef, dtype=np.int64)
+        if coef.shape != (self.graph.p,) or coef.min(initial=0) < 0:
+            raise ValueError("coef must hold p non-negative integers")
+        b = self._x_lo.shape[1]
+        # Sum each side by its own value of T first (an indicator product
+        # done as two bincounts), so no bin adds more than 2^b states in a
+        # row and the index arrays stay the size of a slab.
+        v_lo, i_lo = np.unique((self._x_lo < 0) @ coef[:b], return_inverse=True)
+        v_hi, i_hi = np.unique((self._x_hi < 0) @ coef[b:], return_inverse=True)
+        n_lo = len(v_lo)
+        table = np.zeros(len(v_hi) * n_lo)
+        for rows, w in self._weights():
+            by_lo = (np.arange(len(w))[:, None] * n_lo + i_lo).ravel()
+            g = np.bincount(by_lo, w.ravel(), minlength=len(w) * n_lo)
+            by_hi = (i_hi[rows, None] * n_lo + np.arange(n_lo)).ravel()
+            table += np.bincount(by_hi, g, minlength=table.size)
+        return np.bincount(
+            (v_hi[:, None] + v_lo).ravel(), table, minlength=int(coef.sum()) + 1
+        )
 
     def marginal(self, vertices: Sequence[int]) -> np.ndarray:
         """Joint pmf over the given vertices, shape (2,)*len(vertices).
@@ -180,36 +264,42 @@ class ExactDistribution:
         m = len(vertices)
         if m > 20:
             raise ValueError("marginal table over more than 20 vertices")
-        table = np.zeros(1 << m)
-        for X, w in self._blocks():
-            code = np.zeros(len(X), dtype=np.int64)
-            for k, v in enumerate(vertices):
-                bit = ((1.0 - X[:, v - 1]) * 0.5).astype(np.int64)
-                code |= bit << (m - 1 - k)
-            table += np.bincount(code, weights=w, minlength=1 << m)
-        return (table / self._z_shifted).reshape((2,) * m)
+        if not all(1 <= v <= self.graph.p for v in vertices):
+            raise ValueError(f"marginal vertices outside 1..{self.graph.p}")
+        coef = np.zeros(self.graph.p, dtype=np.int64)
+        for k, v in enumerate(vertices):
+            coef[v - 1] += 1 << (m - 1 - k)
+        return self.down_count_pmf(coef).reshape((2,) * m)
 
 
 def exact_moments(g: Graph, theta) -> ExactDistribution:
     """Exact partition function and pair correlations by full enumeration.
 
-    Stable for arbitrary couplings: weights are computed relative to the
-    maximum attainable energy, so nothing overflows.
+    Stable for arbitrary couplings: weights are taken relative to the
+    running maximum energy (a streaming log-sum-exp over slabs), so none
+    overflows and the largest is 1.
     """
     if g.p > ENUMERATION_MAX_P:
         raise EnumerationTooLarge(
             f"p={g.p} exceeds the enumeration budget of {ENUMERATION_MAX_P}"
         )
     fld = _as_field(g, theta)
-    h_max = fld.abs_total()
-    dist = ExactDistribution(g, fld, log_z=0.0, corr=np.empty(0), _h_max=h_max)
+    dist = ExactDistribution(g, fld, log_z=math.nan, corr=np.empty(0))
+    shift = -math.inf
     z = 0.0
     s = np.zeros((g.p, g.p))
-    for X, w in dist._blocks():
+    for rows, e in dist._slabs():
+        top = float(e.max())
+        if top > shift:
+            scale = math.exp(shift - top)
+            z *= scale
+            s *= scale
+            shift = top
+        e -= shift
+        w = np.exp(e, out=e)
         z += float(w.sum())
-        s += (X * w[:, None]).T @ X
-    dist._z_shifted = z
-    dist.log_z = h_max + math.log(z)
+        s += dist._pair_sums(rows, w)
+    dist.log_z = shift + math.log(z)
     corr = s / z
     np.fill_diagonal(corr, 1.0)
     dist.corr = corr

@@ -432,7 +432,8 @@ def _rlr_all_roots(
     vertices, with the self-coefficient pinned to zero; the dynamics are
     the same safeguarded accelerated proximal scheme as the single-root
     solver, applied columnwise. Returns (Theta, objective, residual,
-    iterations) with per-column diagnostics.
+    iterations), each per column; a column's iteration count is the one at
+    which it left the active set, so the largest is the batch count.
     """
     n, p = X.shape
     # Collapse duplicate sample rows into weights: every objective below is
@@ -472,6 +473,7 @@ def _rlr_all_roots(
     np.fill_diagonal(theta_full, 0.0)
     f_full = np.empty(p)
     res_full = np.empty(p)
+    iters = np.zeros(p, dtype=np.int64)
 
     # roots whose residual still exceeds tol; frozen columns are final
     cols = np.arange(p)
@@ -488,6 +490,7 @@ def _rlr_all_roots(
             theta_full[:, idx] = theta[:, done]
             f_full[idx] = f_cur[done]
             res_full[idx] = res[done]
+            iters[idx] = it
             keep = ~done
             cols = cols[keep]
             if cols.size == 0:
@@ -517,7 +520,8 @@ def _rlr_all_roots(
         theta_full[:, cols] = theta
         f_full[cols] = f_cur
         res_full[cols] = residuals(theta, G, cols)
-    return theta_full, f_full, res_full, it
+        iters[cols] = it
+    return theta_full, f_full, res_full, iters
 
 
 def rlr_graph(
@@ -533,7 +537,7 @@ def rlr_graph(
     rule. `warm` is a (p, p) matrix of starting coefficients (column r-1
     for root r), e.g. the solution at a nearby regularization level."""
     X = s.spins.astype(np.float64)
-    theta, f_cur, res, it = _rlr_all_roots(X, lam, tol, max_iter, warm)
+    theta, f_cur, res, iters = _rlr_all_roots(X, lam, tol, max_iter, warm)
     estimates = {}
     hoods = {}
     for r in range(1, s.p + 1):
@@ -547,7 +551,7 @@ def rlr_graph(
             theta=coef,
             neighbors=nb,
             converged=bool(res[r - 1] < tol),
-            iterations=it,
+            iterations=int(iters[r - 1]),
             objective=float(f_cur[r - 1]),
             residual=float(res[r - 1]),
         )
@@ -626,14 +630,11 @@ def _gp_population_tables(theta: float, p: int):
     g = make_toy_gp(p)
     dist = exact_moments(g, theta)
     k = p - 2
-    tbl = np.zeros((2, 2, k + 1))
-    for X, w in dist._blocks():
-        i1 = ((1.0 - X[:, 0]) * 0.5).astype(np.int64)
-        i2 = ((1.0 - X[:, 1]) * 0.5).astype(np.int64)
-        msum = X[:, 2:].sum(axis=1)
-        km = ((msum + k) * 0.5).astype(np.int64)
-        np.add.at(tbl, (i1, i2, km), w)
-    tbl /= dist._z_shifted
+    # T = (k+1)(2[X_1 = -1] + [X_2 = -1]) + #{v >= 3: X_v = -1}; the last
+    # axis is reversed to count up spins, so that M = 2*index - k
+    coef = np.ones(p, dtype=np.int64)
+    coef[:2] = (2 * (k + 1), k + 1)
+    tbl = dist.down_count_pmf(coef).reshape(2, 2, k + 1)[:, :, ::-1]
     x1 = np.array([1.0, -1.0])[:, None, None]
     x2 = np.array([1.0, -1.0])[None, :, None]
     m = (2.0 * np.arange(k + 1) - k)[None, None, :]

@@ -38,6 +38,31 @@ def naive_marginal(g, couplings, vertices):
     return {k: v / z for k, v in table.items()}
 
 
+def naive_hessian(g, couplings, r):
+    """E{x_i x_j / cosh^2(h_r)} with h_r = sum_j theta_rj x_j, the local
+    field at root r, by direct summation. Returns a dict over ordered pairs
+    (i, j) of vertices other than r, diagonal included."""
+    p = g.p
+    z = 0.0
+    sums = {}
+    others = [v for v in range(1, p + 1) if v != r]
+    for spins in itertools.product((1, -1), repeat=p):
+        h = sum(th * spins[i - 1] * spins[j - 1] for (i, j), th in couplings.items())
+        w = math.exp(h)
+        z += w
+        field = 0.0
+        for (i, j), th in couplings.items():
+            if i == r:
+                field += th * spins[j - 1]
+            elif j == r:
+                field += th * spins[i - 1]
+        ws = w / math.cosh(field) ** 2
+        for i in others:
+            for j in others:
+                sums[(i, j)] = sums.get((i, j), 0.0) + ws * spins[i - 1] * spins[j - 1]
+    return {k: v / z for k, v in sums.items()}
+
+
 def fixed_point_by_scan(delta, theta, h_hi=60.0, steps=200_000):
     """Positive root of (delta-1) atanh(tanh(theta) tanh(h)) = h by dense
     scan plus bisection; 0.0 when no sign change exists."""

@@ -14,7 +14,7 @@ from isinglearn.graphs import (
     make_toy_gp,
     make_tree,
 )
-from isinglearn.ising import exact_moments, tree_boundary_field
+from isinglearn.ising import CouplingField, exact_moments, tree_boundary_field
 from isinglearn.analysis import (
     RootNotFound,
     SingularHessian,
@@ -34,6 +34,8 @@ from isinglearn.analysis import (
     toy_gp5_incoherence,
     tree_limit_report,
 )
+from _reference import naive_hessian
+from _strategies import ising_instances, split_layout
 
 
 class TestPopulationHessian:
@@ -65,6 +67,20 @@ class TestPopulationHessian:
         d = exact_moments(make_toy_gp(6), 0.7)
         h = population_hessian(d, 2)
         assert h.grad_inf_norm < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(inst=ising_instances(p_min=2), data=st.data())
+    def test_split_hessian_matches_brute_force(self, inst, data):
+        g, couplings, layout = inst
+        r = data.draw(st.integers(1, g.p))
+        with split_layout(layout):
+            d = exact_moments(g, CouplingField.from_dict(g.p, couplings))
+            h = population_hessian(d, r)
+        ref = naive_hessian(g, couplings, r)
+        assert h.vertices == tuple(v for v in range(1, g.p + 1) if v != r)
+        for a, i in enumerate(h.vertices):
+            for b, j in enumerate(h.vertices):
+                assert abs(h.q[a, b] - ref[(i, j)]) < 1e-12
 
 
 class TestIncoherence:

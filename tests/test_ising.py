@@ -1,12 +1,23 @@
+import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from isinglearn.graphs import Graph, make_grid, make_star, make_toy_gp, make_tree
+from isinglearn.graphs import (
+    Graph,
+    make_grid,
+    make_random_regular,
+    make_star,
+    make_toy_gp,
+    make_tree,
+)
 from isinglearn.ising import (
+    ENUMERATION_MAX_P,
     CouplingField,
     EnumerationTooLarge,
     MixingEstimate,
@@ -22,6 +33,7 @@ from isinglearn.ising import (
     write_samples,
 )
 from _reference import fixed_point_by_scan, naive_marginal, naive_moments
+from _strategies import SPLIT_LAYOUTS, ising_instances, split_layout
 
 
 class TestCouplingField:
@@ -93,6 +105,8 @@ class TestExactMoments:
         d = exact_moments(make_tree(7, "balanced"), 0.8)
         means = d.expectation_vector(lambda X: np.ones(len(X)))
         assert np.abs(means).max() < 1e-12
+        with pytest.raises(ValueError):  # the spin block is read-only
+            d.expectation_vector(lambda X: X.__imul__(-1)[:, 0])
 
     def test_marginal_table(self):
         g = make_toy_gp(5)
@@ -104,6 +118,9 @@ class TestExactMoments:
         assert tbl[0, 0] == pytest.approx(ref[(1, 1)], abs=1e-12)
         assert tbl[0, 1] == pytest.approx(ref[(1, -1)], abs=1e-12)
         assert tbl[1, 0] == pytest.approx(ref[(-1, 1)], abs=1e-12)
+        for bad in ((0,), (1, 6)):
+            with pytest.raises(ValueError):
+                d.marginal(bad)
 
     def test_large_coupling_is_stable(self):
         d = exact_moments(make_grid(3), 6.0)
@@ -113,6 +130,55 @@ class TestExactMoments:
     def test_enumeration_budget(self):
         with pytest.raises(EnumerationTooLarge):
             exact_moments(Graph(27, set()), 0.1)
+
+    @pytest.mark.parametrize("layout", SPLIT_LAYOUTS)
+    def test_frustrated_triangle_strong_coupling(self, layout):
+        # no state reaches sum |theta| = 1200; the six frustrated states
+        # have energy 400 and the two aligned ones -1200, and state 0 is
+        # aligned, so a shift fixed by the first slab would overflow
+        with split_layout(layout):
+            d = exact_moments(Graph(3, {(1, 2), (1, 3), (2, 3)}), -400.0)
+        assert d.log_z == pytest.approx(400.0 + math.log(6.0), abs=1e-12)
+        off = d.corr[~np.eye(3, dtype=bool)]
+        assert np.abs(off + 1.0 / 3.0).max() < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=ising_instances(), data=st.data())
+    def test_split_enumeration_matches_brute_force(self, inst, data):
+        g, couplings, layout = inst
+        vertices = data.draw(
+            st.lists(st.integers(1, g.p), min_size=1, max_size=min(g.p, 4), unique=True)
+        )
+        with split_layout(layout):
+            d = exact_moments(g, CouplingField.from_dict(g.p, couplings))
+            tbl = d.marginal(vertices)
+            first = d.expectation_vector(lambda X: X[:, 0])
+        log_z, corr = naive_moments(g, couplings)
+        assert d.log_z == pytest.approx(log_z, abs=1e-12)
+        for (i, j), v in corr.items():
+            assert abs(d.corr[i - 1, j - 1] - v) < 1e-12
+            assert abs(d.corr[j - 1, i - 1] - v) < 1e-12
+        assert np.abs(first - d.corr[:, 0]).max() < 1e-12
+        ref = naive_marginal(g, couplings, vertices)
+        for key in itertools.product((1, -1), repeat=len(vertices)):
+            idx = tuple(0 if x > 0 else 1 for x in key)
+            assert abs(tbl[idx] - ref.get(key, 0.0)) < 1e-12
+
+    def test_memory_at_enumeration_limit(self):
+        g = make_random_regular(ENUMERATION_MAX_P, 4, seed=5)
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            d = exact_moments(g, 0.3)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert elapsed < 10.0
+        lo = g.p * math.log(2.0)
+        assert lo < d.log_z < lo + 0.3 * g.num_edges
+        assert np.abs(d.corr - d.corr.T).max() < 1e-12
 
 
 def _bfs_distances(g):

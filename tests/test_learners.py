@@ -25,6 +25,7 @@ from isinglearn.learners import (
     tau_tree,
     thresholding,
 )
+from _reference import naive_marginal
 
 
 class TestThresholding:
@@ -327,6 +328,30 @@ class TestRlrGraph:
             o = rlr_graph(s, lam, rule="or").graph.edges
             assert a <= o
 
+    def test_iterations_are_per_root(self):
+        g = make_star(7, 6)
+        s = gibbs_sample(g, 0.5, n=3000, burn_in=300, thin=2, seed=4)
+        res = rlr_graph(s, lam=0.03, tol=1e-8)
+        iters = [e.iterations for e in res.estimates.values()]
+        assert res.all_converged
+        assert len(set(iters)) > 1
+        # a root reporting k left the active set at the top of iteration k,
+        # after k-1 updates: k-1 iterations converge it and k-2 do not
+        for r in (1, 2):
+            k = res.estimates[r].iterations
+            for cap, converged in ((k - 1, True), (k - 2, False)):
+                capped = rlr_graph(s, lam=0.03, tol=1e-8, max_iter=cap)
+                assert capped.estimates[r].converged == converged
+
+    def test_iteration_cap_is_reported(self):
+        g = make_star(7, 6)
+        s = gibbs_sample(g, 0.5, n=3000, burn_in=300, thin=2, seed=4)
+        res = rlr_graph(s, lam=0.03, tol=1e-12, max_iter=2)
+        assert not res.all_converged
+        for e in res.estimates.values():
+            assert e.iterations == 2
+            assert not e.converged
+
     def test_tree_recovery(self):
         g = make_tree(8, "balanced", branching=2)
         wins = 0
@@ -387,6 +412,21 @@ class TestPopulationRlrGp:
             assert abs(g12 + lam) < 1e-8
         else:
             assert abs(g12) <= lam + 1e-8
+
+    def test_population_tables_match_brute_force(self):
+        from isinglearn.learners import _gp_population_tables
+
+        p, theta = 6, 0.7
+        g = make_toy_gp(p)
+        ref = naive_marginal(g, {e: theta for e in g.sorted_edges()}, range(1, p + 1))
+        want = {}
+        for x, pr in ref.items():
+            key = (x[0], x[1], sum(x[2:]))
+            want[key] = want.get(key, 0.0) + pr
+        x1, x2, m, prob = _gp_population_tables(theta, p)
+        assert len(prob) == 4 * (p - 1)
+        for key in zip(x1, x2, m, prob):
+            assert abs(key[3] - want.get(key[:3], 0.0)) < 1e-12
 
     def test_matches_sampled_rlr_direction(self):
         # the population solution at weak coupling keeps the spoke
