@@ -56,6 +56,8 @@ def population_hessian(dist: ExactDistribution, r: int) -> PopulationHessian:
     """Exact (p-1) x (p-1) Hessian block for root r, with a stationarity
     self-check of the gradient at the true couplings."""
     p = dist.graph.p
+    if p < 2:
+        raise ValueError(f"population Hessian needs p >= 2 vertices, got p={p}")
     if not 1 <= r <= p:
         raise ValueError(f"root {r} out of range")
     s_mat, t_vec = dist.field_moments(dist.field.theta_row(r))

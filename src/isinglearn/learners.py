@@ -126,13 +126,6 @@ def _empirical_joint_factory(s: SampleSet):
     return joint
 
 
-def _population_joint_factory(dist: ExactDistribution):
-    def joint(vertices):
-        return dist.marginal(vertices)
-
-    return joint
-
-
 def _subsets_up_to(pool, kmax):
     for k in range(0, kmax + 1):
         yield from itertools.combinations(pool, k)
@@ -188,37 +181,41 @@ def score(s: SampleSet, r: int, U, delta: int, gamma: float) -> float:
 
 def population_score(dist: ExactDistribution, r: int, U, delta: int, gamma: float) -> float:
     """Score evaluated with exact conditionals instead of empirical ones."""
-    return _score_from_joint(
-        _population_joint_factory(dist), dist.graph.p, r, U, delta, gamma
-    )
+    return _score_from_joint(dist.marginal, dist.graph.p, r, U, delta, gamma)
 
 
-def _neighborhood_by_score(joint, p, r, pool, delta, eps, gamma):
-    """Largest U (ties: lexicographically smallest) with score > eps/2."""
-    pool = sorted(v for v in pool if v != r)
-    for size in range(min(delta, len(pool)), 0, -1):
-        for U in itertools.combinations(pool, size):
+def _edges_from_neighborhoods(p: int, hoods: dict, rule: str) -> Graph:
+    if rule not in ("or", "and"):
+        raise ValueError(f"unknown edge rule {rule!r}")
+    edges = {
+        (min(r, j), max(r, j))
+        for r, nb in hoods.items()
+        for j in nb
+        if rule == "or" or r in hoods.get(j, ())
+    }
+    return Graph(p, frozenset(edges))
+
+
+def _independence_test(joint, p, delta, eps, gamma, rule, pool_of):
+    """Per root r, the largest candidate set U from pool_of(r) (ties:
+    lexicographically smallest) whose score over probe sets from the same
+    pool exceeds eps/2; neighborhoods are combined into edges by `rule`."""
+    if eps <= 0 or gamma <= 0:
+        raise ValueError("thresholds must be positive")
+    hoods = {r: set() for r in range(1, p + 1)}
+    for r in hoods:
+        pool = sorted(v for v in pool_of(r) if v != r)
+        sizes = range(min(delta, len(pool)), 0, -1)
+        for U in itertools.chain.from_iterable(
+            itertools.combinations(pool, k) for k in sizes
+        ):
             sc = _score_from_joint(
                 joint, p, r, list(U), delta, gamma, w_pool=pool, floor=eps / 2.0
             )
             if sc > eps / 2.0:
-                return set(U)
-    return set()
-
-
-def _edges_from_neighborhoods(p: int, hoods: dict, rule: str) -> Graph:
-    edges = set()
-    for r, nb in hoods.items():
-        for j in nb:
-            e = (r, j) if r < j else (j, r)
-            if rule == "or":
-                edges.add(e)
-            elif rule == "and":
-                if r in hoods.get(j, set()):
-                    edges.add(e)
-            else:
-                raise ValueError(f"unknown edge rule {rule!r}")
-    return Graph(p, frozenset(edges))
+                hoods[r] = set(U)
+                break
+    return _edges_from_neighborhoods(p, hoods, rule)
 
 
 def local_independence_test(
@@ -226,15 +223,10 @@ def local_independence_test(
 ) -> Graph:
     """Per root, exhaustively search candidate sets of size <= delta and keep
     the largest whose score clears eps/2; combine neighborhoods into edges."""
-    if eps <= 0 or gamma <= 0:
-        raise ValueError("thresholds must be positive")
-    joint = _empirical_joint_factory(s)
-    pool_all = list(range(1, s.p + 1))
-    hoods = {
-        r: _neighborhood_by_score(joint, s.p, r, pool_all, delta, eps, gamma)
-        for r in range(1, s.p + 1)
-    }
-    return _edges_from_neighborhoods(s.p, hoods, rule)
+    everyone = range(1, s.p + 1)
+    return _independence_test(
+        _empirical_joint_factory(s), s.p, delta, eps, gamma, rule, lambda r: everyone
+    )
 
 
 def local_independence_test_pruned(
@@ -242,42 +234,48 @@ def local_independence_test_pruned(
 ) -> Graph:
     """Independence test with candidates and probe sets restricted to the
     correlation ball B(r) = {i : corr(r, i) > kappa/2}."""
-    if eps <= 0 or gamma <= 0:
-        raise ValueError("thresholds must be positive")
-    joint = _empirical_joint_factory(s)
     corr = empirical_correlations(s)
-    hoods = {}
-    for r in range(1, s.p + 1):
-        ball = [
-            v for v in range(1, s.p + 1) if v != r and corr[r - 1, v - 1] > kappa / 2.0
-        ]
-        hoods[r] = _neighborhood_by_score(joint, s.p, r, ball, delta, eps, gamma)
-    return _edges_from_neighborhoods(s.p, hoods, rule)
+
+    def ball(r):
+        return [v for v in range(1, s.p + 1) if corr[r - 1, v - 1] > kappa / 2.0]
+
+    return _independence_test(
+        _empirical_joint_factory(s), s.p, delta, eps, gamma, rule, ball
+    )
 
 
 def population_independence_test(
     dist: ExactDistribution, delta: int, eps: float, gamma: float, rule: str = "or"
 ) -> Graph:
     """Population-limit run of the independence test on exact conditionals."""
-    joint = _population_joint_factory(dist)
     p = dist.graph.p
-    pool_all = list(range(1, p + 1))
-    hoods = {
-        r: _neighborhood_by_score(joint, p, r, pool_all, delta, eps, gamma)
-        for r in range(1, p + 1)
-    }
-    return _edges_from_neighborhoods(p, hoods, rule)
+    everyone = range(1, p + 1)
+    return _independence_test(
+        dist.marginal, p, delta, eps, gamma, rule, lambda r: everyone
+    )
 
 
 # ---------------------------------------------------------------------------
 # l1-regularized logistic regression
 
 
-def _design(s: SampleSet, r: int):
-    """Columns X_j for j != r (ascending labels) and the response X_r."""
-    X = s.spins.astype(np.float64)
-    cols = [v for v in range(s.p) if v != r - 1]
-    return X[:, cols], X[:, r - 1], [v + 1 for v in cols]
+def _pin_self(mat: np.ndarray, cols: np.ndarray) -> None:
+    mat[cols, np.arange(len(cols))] = 0.0  # self-coefficients stay 0
+
+
+def _pl_kernel(X, wgt, th, cols, value=True):
+    """Weighted pseudo-likelihood values and gradients of the roots in
+    `cols` (0-based), one column per root: column k of `th` holds root
+    cols[k]'s coefficients against all p vertices, and the gradient's
+    self-entry is pinned to zero. The value is None when `value` is false.
+    """
+    H = X @ th
+    vals = None
+    if value:
+        vals = np.sum(wgt * np.logaddexp(0.0, -2.0 * X[:, cols] * H), axis=0)
+    G = X.T @ (wgt * (np.tanh(H) - X[:, cols]))
+    _pin_self(G, cols)
+    return vals, G
 
 
 def pseudo_likelihood_objective(
@@ -286,36 +284,24 @@ def pseudo_likelihood_objective(
     """Negative mean conditional log-likelihood of the root and its gradient.
 
     value = mean log(1 + exp(-2 x_r h)) with h = sum_j theta_rj x_j,
-    grad_j = mean x_j (tanh h - x_r). Evaluated via logaddexp so large
+    grad_j = mean x_j (tanh h - x_r); coefficients and gradient follow the
+    other vertices in ascending order. Evaluated via logaddexp so large
     fields cannot overflow.
     """
+    if not 1 <= r <= s.p:
+        raise ValueError(f"root {r} outside 1..{s.p}")
     theta_r = np.asarray(theta_r, dtype=np.float64)
     if not np.all(np.isfinite(theta_r)):
         raise ValueError("coefficients must be finite")
-    Xo, xr, _ = _design(s, r)
     if theta_r.shape != (s.p - 1,):
         raise ValueError(f"expected coefficient vector of length {s.p - 1}")
-    h = Xo @ theta_r
-    value = float(np.mean(np.logaddexp(0.0, -2.0 * xr * h)))
-    grad = Xo.T @ (np.tanh(h) - xr) / s.n
-    return value, grad
+    th = np.insert(theta_r, r - 1, 0.0)[:, None]
+    vals, G = _pl_kernel(s.spins.astype(np.float64), 1.0 / s.n, th, [r - 1])
+    return float(vals[0]), np.delete(G[:, 0], r - 1)
 
 
 def _soft(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def _kkt_residual(theta: np.ndarray, grad: np.ndarray, lam: float) -> float:
-    """Distance of -grad from lam * subdifferential of the l1 norm."""
-    on = theta != 0.0
-    res_on = np.abs(grad[on] + lam * np.sign(theta[on]))
-    res_off = np.maximum(np.abs(grad[~on]) - lam, 0.0)
-    out = 0.0
-    if res_on.size:
-        out = max(out, float(res_on.max()))
-    if res_off.size:
-        out = max(out, float(res_off.max()))
-    return out
 
 
 @dataclass(frozen=True)
@@ -333,89 +319,6 @@ class NeighborhoodEstimate:
     objective_history: tuple = ()
 
 
-def rlr_neighborhood(
-    s: SampleSet,
-    r: int,
-    lam: float,
-    tol: float = 1e-6,
-    max_iter: int = 5000,
-    selection_threshold: float = 1e-6,
-    theta0: np.ndarray | None = None,
-    record_history: bool = False,
-) -> NeighborhoodEstimate:
-    """Minimize the penalized conditional log-likelihood by proximal
-    gradient descent with a fixed 1/L step (L from the Gram matrix), and
-    select neighbors with coefficients above `selection_threshold`.
-
-    Stops when the subgradient optimality residual drops below tol; a
-    non-converged result carries converged=False rather than raising.
-    """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    Xo, xr, labels = _design(s, r)
-    n = s.n
-    gram = Xo.T @ Xo / n
-    lip = float(np.linalg.eigvalsh(gram)[-1])
-    step = 1.0 / max(lip, 1e-12)
-    theta = np.zeros(s.p - 1) if theta0 is None else np.array(theta0, dtype=np.float64)
-
-    def value_grad(th):
-        h = Xo @ th
-        val = float(np.mean(np.logaddexp(0.0, -2.0 * xr * h)))
-        grad = Xo.T @ (np.tanh(h) - xr) / n
-        return val, grad
-
-    def penalized_grad(th):
-        val, grad = value_grad(th)
-        return val + lam * float(np.abs(th).sum()), grad
-
-    # Accelerated proximal gradient with a monotone safeguard: a momentum
-    # step that would raise the penalized objective is replaced by a plain
-    # proximal step from the current iterate (momentum reset), so accepted
-    # iterates always descend.
-    history = []
-    converged = False
-    it = 0
-    f_cur, grad = penalized_grad(theta)
-    prev = theta
-    t_mom = 1.0
-    for it in range(1, max_iter + 1):
-        res = _kkt_residual(theta, grad, lam)
-        if res < tol:
-            converged = True
-            break
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        y = theta + ((t_mom - 1.0) / t_next) * (theta - prev)
-        _, grad_y = value_grad(y)
-        cand = _soft(y - step * grad_y, step * lam)
-        f_cand, grad_cand = penalized_grad(cand)
-        if f_cand > f_cur:
-            cand = _soft(theta - step * grad, step * lam)
-            f_cand, grad_cand = penalized_grad(cand)
-            t_next = 1.0
-        prev, theta, f_cur, grad, t_mom = theta, cand, f_cand, grad_cand, t_next
-        if record_history:
-            history.append(f_cur)
-    res = _kkt_residual(theta, grad, lam)
-    if res < tol:
-        converged = True
-    val = f_cur - lam * float(np.abs(theta).sum())
-    nb = frozenset(
-        labels[k] for k in range(len(labels)) if theta[k] > selection_threshold
-    )
-    return NeighborhoodEstimate(
-        root=r,
-        labels=tuple(labels),
-        theta=theta,
-        neighbors=nb,
-        converged=converged,
-        iterations=it,
-        objective=val + lam * float(np.abs(theta).sum()),
-        residual=res,
-        objective_history=tuple(history),
-    )
-
-
 @dataclass(frozen=True)
 class RlrGraphResult:
     graph: Graph
@@ -424,16 +327,29 @@ class RlrGraphResult:
 
 
 def _rlr_all_roots(
-    X: np.ndarray, lam: float, tol: float, max_iter: int, theta0: np.ndarray | None
+    X: np.ndarray,
+    lam: float,
+    tol: float,
+    max_iter: int,
+    theta0: np.ndarray | None,
+    roots=None,
+    history: list | None = None,
 ):
-    """Solve every root's l1 problem at once.
+    """Solve the l1 problem of every root at once, or of the 0-based
+    columns in `roots`.
 
     Column r-1 of the iterate holds root r's coefficients against all p
-    vertices, with the self-coefficient pinned to zero; the dynamics are
-    the same safeguarded accelerated proximal scheme as the single-root
-    solver, applied columnwise. Returns (Theta, objective, residual,
-    iterations), each per column; a column's iteration count is the one at
-    which it left the active set, so the largest is the batch count.
+    vertices, self-coefficient pinned to zero. Each column runs accelerated
+    proximal gradient with a 1/L step (L from the Gram matrix of all p
+    columns); a momentum step that would raise the column's penalized
+    objective is replaced by a plain proximal step from the current iterate
+    (momentum reset), so accepted iterates always descend. A column stops
+    once its subgradient optimality residual drops below tol.
+
+    Returns (Theta, objective, residual, iterations) per column, NaN outside
+    `roots`; a column's iteration count is the one at which it left the
+    active set, so the largest is the batch count. A `history` list receives
+    the active columns' penalized objectives after every update.
     """
     n, p = X.shape
     # Collapse duplicate sample rows into weights: every objective below is
@@ -445,52 +361,40 @@ def _rlr_all_roots(
     lip = float(np.linalg.eigvalsh(gram)[-1])
     step = 1.0 / max(lip, 1e-12)
 
-    def pin_self(mat, cols):
-        mat[cols, np.arange(len(cols))] = 0.0  # self-coefficients stay 0
-
     def f_and_g(th, cols):
-        H = Xu @ th
-        vals = np.sum(wgt * np.logaddexp(0.0, -2.0 * Xu[:, cols] * H), axis=0)
-        vals = vals + lam * np.abs(th).sum(axis=0)
-        G = Xu.T @ (wgt * (np.tanh(H) - Xu[:, cols]))
-        pin_self(G, cols)
-        return vals, G
-
-    def grad_only(th, cols):
-        G = Xu.T @ (wgt * (np.tanh(Xu @ th) - Xu[:, cols]))
-        pin_self(G, cols)
-        return G
+        vals, G = _pl_kernel(Xu, wgt, th, cols)
+        return vals + lam * np.abs(th).sum(axis=0), G
 
     def residuals(th, G, cols):
         on = th != 0.0
         r_on = np.where(on, np.abs(G + lam * np.sign(th)), 0.0)
         r_off = np.where(~on, np.maximum(np.abs(G) - lam, 0.0), 0.0)
         out = np.maximum(r_on, r_off)
-        pin_self(out, cols)
+        _pin_self(out, cols)
         return out.max(axis=0)
 
     theta_full = np.zeros((p, p)) if theta0 is None else theta0.copy()
     np.fill_diagonal(theta_full, 0.0)
-    f_full = np.empty(p)
-    res_full = np.empty(p)
+    f_full = np.full(p, np.nan)
+    res_full = np.full(p, np.nan)
     iters = np.zeros(p, dtype=np.int64)
 
     # roots whose residual still exceeds tol; frozen columns are final
-    cols = np.arange(p)
+    cols = np.arange(p) if roots is None else np.asarray(roots, dtype=np.int64)
     theta = theta_full[:, cols].copy()
     prev = theta.copy()
     t_mom = np.ones(len(cols))
     f_cur, G = f_and_g(theta, cols)
-    it = 0
-    for it in range(1, max_iter + 1):
+    # the pass after the last update freezes the columns still active
+    for it in range(1, max_iter + 2):
         res = residuals(theta, G, cols)
-        done = res < tol
+        done = (res < tol) | (it > max_iter)
         if done.any():
             idx = cols[done]
             theta_full[:, idx] = theta[:, done]
             f_full[idx] = f_cur[done]
             res_full[idx] = res[done]
-            iters[idx] = it
+            iters[idx] = min(it, max_iter)
             keep = ~done
             cols = cols[keep]
             if cols.size == 0:
@@ -502,26 +406,75 @@ def _rlr_all_roots(
             G = G[:, keep]
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
         y = theta + ((t_mom - 1.0) / t_next) * (theta - prev)
-        pin_self(y, cols)
-        cand = _soft(y - step * grad_only(y, cols), step * lam)
-        pin_self(cand, cols)
+        _pin_self(y, cols)
+        _, grad_y = _pl_kernel(Xu, wgt, y, cols, value=False)
+        cand = _soft(y - step * grad_y, step * lam)
+        _pin_self(cand, cols)
         f_cand, g_cand = f_and_g(cand, cols)
         bad = f_cand > f_cur
         if bad.any():
             cand2 = _soft(theta - step * G, step * lam)
-            pin_self(cand2, cols)
+            _pin_self(cand2, cols)
             f2, g2 = f_and_g(cand2, cols)
             cand[:, bad] = cand2[:, bad]
             f_cand[bad] = f2[bad]
             g_cand[:, bad] = g2[:, bad]
             t_next = np.where(bad, 1.0, t_next)
         prev, theta, f_cur, G, t_mom = theta, cand, f_cand, g_cand, t_next
-    if cols.size:
-        theta_full[:, cols] = theta
-        f_full[cols] = f_cur
-        res_full[cols] = residuals(theta, G, cols)
-        iters[cols] = it
+        if history is not None:
+            history.append(f_cur)
     return theta_full, f_full, res_full, iters
+
+
+def _estimate(r, solved, tol, selection_threshold, history=()):
+    """Root r's NeighborhoodEstimate from the outputs of _rlr_all_roots."""
+    theta, f_cur, res, iters = solved
+    col = theta[:, r - 1]
+    labels = tuple(v for v in range(1, theta.shape[0] + 1) if v != r)
+    return NeighborhoodEstimate(
+        root=r,
+        labels=labels,
+        theta=np.array([col[v - 1] for v in labels]),
+        neighbors=frozenset(v for v in labels if col[v - 1] > selection_threshold),
+        converged=bool(res[r - 1] < tol),
+        iterations=int(iters[r - 1]),
+        objective=float(f_cur[r - 1]),
+        residual=float(res[r - 1]),
+        objective_history=history,
+    )
+
+
+def rlr_neighborhood(
+    s: SampleSet,
+    r: int,
+    lam: float,
+    tol: float = 1e-6,
+    max_iter: int = 5000,
+    selection_threshold: float = 1e-6,
+    theta0: np.ndarray | None = None,
+    record_history: bool = False,
+) -> NeighborhoodEstimate:
+    """Minimize root r's penalized conditional log-likelihood with the
+    batched solver restricted to that root, and select neighbors with
+    coefficients above `selection_threshold`.
+
+    `theta0` gives starting coefficients against the other vertices in
+    ascending order. A non-converged result carries converged=False rather
+    than raising.
+    """
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
+    if not 1 <= r <= s.p:
+        raise ValueError(f"root {r} outside 1..{s.p}")
+    warm = np.zeros((s.p, s.p))
+    if theta0 is not None:
+        warm[np.arange(s.p) != r - 1, r - 1] = theta0
+    history = [] if record_history else None
+    solved = _rlr_all_roots(
+        s.spins.astype(np.float64), lam, tol, max_iter, warm, [r - 1], history
+    )
+    hist = tuple(float(f[0]) for f in history) if record_history else ()
+    return _estimate(r, solved, tol, selection_threshold, hist)
 
 
 def rlr_graph(
@@ -536,26 +489,11 @@ def rlr_graph(
     """Regularized regression at every vertex, combined by the OR or AND
     rule. `warm` is a (p, p) matrix of starting coefficients (column r-1
     for root r), e.g. the solution at a nearby regularization level."""
-    X = s.spins.astype(np.float64)
-    theta, f_cur, res, iters = _rlr_all_roots(X, lam, tol, max_iter, warm)
-    estimates = {}
-    hoods = {}
-    for r in range(1, s.p + 1):
-        col = theta[:, r - 1]
-        labels = tuple(v for v in range(1, s.p + 1) if v != r)
-        coef = np.array([col[v - 1] for v in labels])
-        nb = frozenset(v for v in labels if col[v - 1] > selection_threshold)
-        estimates[r] = NeighborhoodEstimate(
-            root=r,
-            labels=labels,
-            theta=coef,
-            neighbors=nb,
-            converged=bool(res[r - 1] < tol),
-            iterations=int(iters[r - 1]),
-            objective=float(f_cur[r - 1]),
-            residual=float(res[r - 1]),
-        )
-        hoods[r] = set(nb)
+    solved = _rlr_all_roots(s.spins.astype(np.float64), lam, tol, max_iter, warm)
+    estimates = {
+        r: _estimate(r, solved, tol, selection_threshold) for r in range(1, s.p + 1)
+    }
+    hoods = {r: e.neighbors for r, e in estimates.items()}
     g = _edges_from_neighborhoods(s.p, hoods, rule)
     return RlrGraphResult(g, estimates, all(e.converged for e in estimates.values()))
 
@@ -638,12 +576,11 @@ def _gp_population_tables(theta: float, p: int):
     x1 = np.array([1.0, -1.0])[:, None, None]
     x2 = np.array([1.0, -1.0])[None, :, None]
     m = (2.0 * np.arange(k + 1) - k)[None, None, :]
-    prob = tbl
     return (
         np.broadcast_to(x1, tbl.shape).ravel(),
         np.broadcast_to(x2, tbl.shape).ravel(),
         np.broadcast_to(m, tbl.shape).ravel(),
-        prob.ravel(),
+        tbl.ravel(),
     )
 
 

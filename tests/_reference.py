@@ -2,9 +2,13 @@
 
 Everything here favors obviousness over speed: plain itertools loops over
 the full state space, no vectorization, no shared code with the package.
+The one exception is `reference_rlr_neighborhood`, the package's earlier
+single-root l1 solver, kept whole as the reference for the batched one.
 """
 import itertools
 import math
+
+import numpy as np
 
 
 def naive_moments(g, couplings):
@@ -89,3 +93,69 @@ def fixed_point_by_scan(delta, theta, h_hi=60.0, steps=200_000):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def naive_pseudo_likelihood(spins, r, theta_r):
+    """Negative mean conditional log-likelihood of root r (1-based) and its
+    gradient, by a plain loop over sample rows. theta_r follows the other
+    vertices in ascending order. Returns (value, gradient list)."""
+    rows = [[int(x) for x in row] for row in spins]
+    n, p = len(rows), len(rows[0])
+    others = [v for v in range(p) if v != r - 1]
+    value = 0.0
+    grad = [0.0] * len(others)
+    for row in rows:
+        xr = row[r - 1]
+        h = sum(t * row[v] for t, v in zip(theta_r, others))
+        z = -2.0 * xr * h
+        value += max(z, 0.0) + math.log1p(math.exp(-abs(z)))
+        for k, v in enumerate(others):
+            grad[k] += row[v] * (math.tanh(h) - xr)
+    return value / n, [g / n for g in grad]
+
+
+def reference_rlr_neighborhood(spins, r, lam, tol=1e-6, max_iter=5000):
+    """Root r's l1-penalized conditional log-likelihood minimized by
+    accelerated proximal gradient with a fixed 1/L step (L from the Gram
+    matrix of the other vertices) and a monotone safeguard. Returns
+    (theta against the other vertices in ascending order, penalized
+    objective, converged, iterations)."""
+    X = np.asarray(spins, dtype=np.float64)
+    n, p = X.shape
+    Xo = X[:, [v for v in range(p) if v != r - 1]]
+    xr = X[:, r - 1]
+    lip = float(np.linalg.eigvalsh(Xo.T @ Xo / n)[-1])
+    step = 1.0 / max(lip, 1e-12)
+
+    def value_grad(th):
+        h = Xo @ th
+        val = float(np.mean(np.logaddexp(0.0, -2.0 * xr * h)))
+        return val + lam * float(np.abs(th).sum()), Xo.T @ (np.tanh(h) - xr) / n
+
+    def soft(v, t):
+        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+    def kkt(th, grad):
+        on = th != 0.0
+        res = np.concatenate(
+            [np.abs(grad[on] + lam * np.sign(th[on])),
+             np.maximum(np.abs(grad[~on]) - lam, 0.0)]
+        )
+        return float(res.max()) if res.size else 0.0
+
+    theta = np.zeros(p - 1)
+    f_cur, grad = value_grad(theta)
+    prev, t_mom, it = theta, 1.0, 0
+    for it in range(1, max_iter + 1):
+        if kkt(theta, grad) < tol:
+            break
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        y = theta + ((t_mom - 1.0) / t_next) * (theta - prev)
+        cand = soft(y - step * value_grad(y)[1], step * lam)
+        f_cand, grad_cand = value_grad(cand)
+        if f_cand > f_cur:
+            cand = soft(theta - step * grad, step * lam)
+            f_cand, grad_cand = value_grad(cand)
+            t_next = 1.0
+        prev, theta, f_cur, grad, t_mom = theta, cand, f_cand, grad_cand, t_next
+    return theta, f_cur, kkt(theta, grad) < tol, it

@@ -68,6 +68,11 @@ class TestPopulationHessian:
         h = population_hessian(d, 2)
         assert h.grad_inf_norm < 1e-10
 
+    def test_single_vertex_rejected(self):
+        d = exact_moments(Graph(1, set()), 0.0)
+        with pytest.raises(ValueError, match="p >= 2"):
+            population_hessian(d, 1)
+
     @settings(max_examples=40, deadline=None)
     @given(inst=ising_instances(p_min=2), data=st.data())
     def test_split_hessian_matches_brute_force(self, inst, data):

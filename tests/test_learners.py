@@ -25,7 +25,7 @@ from isinglearn.learners import (
     tau_tree,
     thresholding,
 )
-from _reference import naive_marginal
+from _reference import naive_marginal, naive_pseudo_likelihood, reference_rlr_neighborhood
 
 
 class TestThresholding:
@@ -182,6 +182,30 @@ class TestLocalIndependence:
         assert population_independence_test(d, 4, eps, gamma).edges == g.edges
 
 
+@pytest.mark.parametrize("learner", ["ind", "indd", "population"])
+@pytest.mark.parametrize("eps, gamma", [(0.0, 0.1), (-0.1, 0.1), (0.1, 0.0), (0.1, -0.5)])
+def test_independence_thresholds_must_be_positive(learner, eps, gamma):
+    g = make_tree(4, "path")
+    s = gibbs_sample(g, 0.5, n=200, burn_in=50, thin=1, seed=0)
+    run = {
+        "ind": lambda: local_independence_test(s, 2, eps, gamma),
+        "indd": lambda: local_independence_test_pruned(s, 2, eps, gamma, 0.4),
+        "population": lambda: population_independence_test(
+            exact_moments(g, 0.5), 2, eps, gamma
+        ),
+    }[learner]
+    with pytest.raises(ValueError, match="thresholds must be positive"):
+        run()
+
+
+def test_unknown_edge_rule_rejected_without_edges():
+    s = gibbs_sample(Graph(4, set()), 0.0, n=200, burn_in=10, thin=1, seed=0)
+    with pytest.raises(ValueError, match="unknown edge rule"):
+        rlr_graph(s, lam=5.0, rule="xor")
+    with pytest.raises(ValueError, match="unknown edge rule"):
+        local_independence_test(s, 2, 5.0, 0.01, rule="xor")
+
+
 class TestPrunedIndependence:
     def test_kappa_two_empties_candidates(self):
         g = make_tree(5, "path")
@@ -249,6 +273,30 @@ class TestPseudoLikelihood:
         _, grad = pseudo_likelihood_objective(truth, s, 1)
         assert np.abs(grad).max() < 0.02
 
+    def test_root_out_of_range(self):
+        s = SampleSet(np.ones((5, 3)), seed=0, burn_in=1, thin=1)
+        for r in (0, 4):
+            with pytest.raises(ValueError, match="outside 1..3"):
+                pseudo_likelihood_objective(np.zeros(2), s, r)
+            with pytest.raises(ValueError, match="outside 1..3"):
+                rlr_neighborhood(s, r, lam=0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_naive_loop(self, data):
+        p = data.draw(st.integers(2, 8))
+        r = data.draw(st.integers(1, p))
+        spin_row = st.lists(st.sampled_from((1, -1)), min_size=p, max_size=p)
+        rows = data.draw(st.lists(spin_row, min_size=1, max_size=40))
+        theta = data.draw(
+            st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=p - 1, max_size=p - 1)
+        )
+        s = SampleSet(np.array(rows), seed=0, burn_in=1, thin=1)
+        val, grad = pseudo_likelihood_objective(np.array(theta), s, r)
+        ref_val, ref_grad = naive_pseudo_likelihood(rows, r, theta)
+        assert abs(val - ref_val) <= 1e-12 * max(1.0, abs(ref_val))
+        assert np.abs(grad - np.array(ref_grad)).max() <= 1e-12
+
 
 class TestRlrNeighborhood:
     def test_null_solution_above_lambda_max(self):
@@ -286,6 +334,7 @@ class TestRlrNeighborhood:
         s = gibbs_sample(g, 0.8, n=5000, burn_in=300, thin=2, seed=5)
         est = rlr_neighborhood(s, 2, lam=0.01, tol=1e-10, record_history=True)
         hist = np.array(est.objective_history)
+        assert len(hist) >= 2
         assert np.all(np.diff(hist) <= 1e-12)
 
     def test_converged_residual_certificate(self):
@@ -300,6 +349,24 @@ class TestRlrNeighborhood:
         s = gibbs_sample(g, 0.5, n=2000, burn_in=200, thin=2, seed=6)
         est = rlr_neighborhood(s, 2, lam=0.05, tol=1e-12, max_iter=2)
         assert not est.converged
+
+    def test_matches_reference_solver(self):
+        g = make_tree(6, "path")
+        s = gibbs_sample(g, 0.6, n=2000, burn_in=200, thin=2, seed=7)
+        for lam in (0.01, 0.05, 0.2):
+            batched = rlr_graph(s, lam, tol=1e-10)
+            for r in range(1, g.p + 1):
+                _, ref_obj, ref_converged, _ = reference_rlr_neighborhood(
+                    s.spins, r, lam, tol=1e-10
+                )
+                est = rlr_neighborhood(s, r, lam, tol=1e-10)
+                assert ref_converged and est.converged and batched.estimates[r].converged
+                assert abs(est.objective - ref_obj) < 1e-9
+                assert abs(batched.estimates[r].objective - ref_obj) < 1e-9
+                # a start at the solution is already optimal: theta0 lands
+                # in root r's coefficients, not in another slot
+                warm = rlr_neighborhood(s, r, lam, tol=1e-10, theta0=est.theta)
+                assert warm.iterations == 1 and warm.converged
 
 
 class TestRlrGraph:
