@@ -9,6 +9,8 @@ matrices, sample matrices) use column v-1 for vertex v.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
@@ -316,12 +318,30 @@ class SampleSet:
     thin: int
 
     def __post_init__(self):
-        spins = np.ascontiguousarray(self.spins, dtype=np.int8)
+        # a private read-only copy, so distinct_rows cannot go stale
+        spins = np.array(self.spins, dtype=np.int8, order="C")
+        spins.flags.writeable = False
         object.__setattr__(self, "spins", spins)
         if spins.ndim != 2:
             raise ValueError("spins must be an (n, p) matrix")
         if not np.all(np.abs(spins) == 1):
             raise ValueError("spins must be +1 or -1")
+
+    @functools.cached_property
+    def distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, weights): the distinct sample rows as float64, in the
+        lexicographic order of np.unique on the float rows, and their
+        frequencies counts/n as an (m, 1) column. Rows are compared bit-
+        packed, most significant bit first, so -1 < +1 orders them alike."""
+        packed = np.packbits(self.spins > 0, axis=1)
+        _, first, counts = np.unique(
+            packed, axis=0, return_index=True, return_counts=True
+        )
+        rows = self.spins[first].astype(np.float64)
+        wgt = (counts / self.n)[:, None]
+        rows.flags.writeable = False
+        wgt.flags.writeable = False
+        return rows, wgt
 
     @property
     def n(self) -> int:
@@ -337,7 +357,10 @@ class _Glauber:
 
     One sweep is p single-site updates. For homogeneous couplings the
     acceptance probabilities come from a lookup table indexed by the
-    integer sum of neighbor spins.
+    integer sum of neighbor spins; those sums are built once per run and
+    moved by +-2 at the neighbors of a flipped site, so an update that
+    keeps its spin costs one lookup. The draws and comparisons are those of
+    re-summing the neighbors at every update, so the chain is the same.
     """
 
     _CHUNK = 128  # sweeps of randomness drawn per batch
@@ -356,6 +379,9 @@ class _Glauber:
             ms = np.arange(-maxdeg, maxdeg + 1)
             self.table = (1.0 / (1.0 + np.exp(-2.0 * t0 * ms))).tolist()
             self.offset = maxdeg
+            # every (site, neighbor) pair, so run() sums neighbors in numpy
+            self.pair_site = np.repeat(np.arange(self.p), [len(x) for x in nbrs])
+            self.pair_nbr = np.array([j for nb in nbrs for j in nb], dtype=np.int64)
 
     def initial_state(self, rng) -> list:
         return (rng.integers(0, 2, self.p) * 2 - 1).tolist()
@@ -366,30 +392,32 @@ class _Glauber:
         nbrs = self.nbrs
         mag = sum(x) if stop_on_negative_mag else 0
         done = 0
+        table = self.table
+        if table is not None:
+            # m[i] indexes the table: offset plus the sum of i's neighbor
+            # spins. Only a flip changes it, so it is kept up to date there.
+            m = np.bincount(self.pair_site, np.array(x)[self.pair_nbr], minlength=p)
+            m = (m.astype(np.int64) + self.offset).tolist()
         while done < nsweeps:
             k = min(self._CHUNK, nsweeps - done)
             sites = rng.integers(0, p, size=k * p).tolist()
             us = rng.random(k * p).tolist()
-            idx = 0
-            if self.table is not None:
-                table = self.table
-                off = self.offset
+            if table is not None:
+                draws = zip(sites, us)
                 for _ in range(k):
-                    for _ in range(p):
-                        i = sites[idx]
-                        u = us[idx]
-                        idx += 1
-                        m = 0
-                        for j in nbrs[i]:
-                            m += x[j]
-                        s = 1 if u < table[m + off] else -1
-                        if stop_on_negative_mag:
-                            mag += s - x[i]
-                        x[i] = s
+                    for i, u in itertools.islice(draws, p):
+                        s = 1 if u < table[m[i]] else -1
+                        if s != x[i]:
+                            x[i] = s
+                            s += s
+                            mag += s
+                            for j in nbrs[i]:
+                                m[j] += s
                     done += 1
                     if stop_on_negative_mag and mag < 0:
                         return done, True
             else:
+                idx = 0
                 ths = self.ths
                 for _ in range(k):
                     for _ in range(p):

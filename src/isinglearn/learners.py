@@ -181,6 +181,8 @@ def score(s: SampleSet, r: int, U, delta: int, gamma: float) -> float:
 
 def population_score(dist: ExactDistribution, r: int, U, delta: int, gamma: float) -> float:
     """Score evaluated with exact conditionals instead of empirical ones."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must lie in (0, 1)")
     return _score_from_joint(dist.marginal, dist.graph.p, r, U, delta, gamma)
 
 
@@ -200,8 +202,8 @@ def _independence_test(joint, p, delta, eps, gamma, rule, pool_of):
     """Per root r, the largest candidate set U from pool_of(r) (ties:
     lexicographically smallest) whose score over probe sets from the same
     pool exceeds eps/2; neighborhoods are combined into edges by `rule`."""
-    if eps <= 0 or gamma <= 0:
-        raise ValueError("thresholds must be positive")
+    if eps <= 0 or not 0.0 < gamma < 1.0:
+        raise ValueError("thresholds must be positive, with gamma below 1")
     hoods = {r: set() for r in range(1, p + 1)}
     for r in hoods:
         pool = sorted(v for v in pool_of(r) if v != r)
@@ -327,7 +329,8 @@ class RlrGraphResult:
 
 
 def _rlr_all_roots(
-    X: np.ndarray,
+    Xu: np.ndarray,
+    wgt: np.ndarray,
     lam: float,
     tol: float,
     max_iter: int,
@@ -336,7 +339,9 @@ def _rlr_all_roots(
     history: list | None = None,
 ):
     """Solve the l1 problem of every root at once, or of the 0-based
-    columns in `roots`.
+    columns in `roots`, over distinct sample rows `Xu` weighted by their
+    frequencies `wgt` (an (m, 1) column, as SampleSet.distinct_rows gives).
+    Every objective is a weighted sum over rows, so this is exact.
 
     Column r-1 of the iterate holds root r's coefficients against all p
     vertices, self-coefficient pinned to zero. Each column runs accelerated
@@ -351,12 +356,7 @@ def _rlr_all_roots(
     active set, so the largest is the batch count. A `history` list receives
     the active columns' penalized objectives after every update.
     """
-    n, p = X.shape
-    # Collapse duplicate sample rows into weights: every objective below is
-    # a weighted sum over rows, so this is exact and pays off massively in
-    # the strongly coupled regime where most samples coincide.
-    Xu, counts = np.unique(X, axis=0, return_counts=True)
-    wgt = (counts / n)[:, None]
+    p = Xu.shape[1]
     gram = Xu.T @ (wgt * Xu)
     lip = float(np.linalg.eigvalsh(gram)[-1])
     step = 1.0 / max(lip, 1e-12)
@@ -471,7 +471,7 @@ def rlr_neighborhood(
         warm[np.arange(s.p) != r - 1, r - 1] = theta0
     history = [] if record_history else None
     solved = _rlr_all_roots(
-        s.spins.astype(np.float64), lam, tol, max_iter, warm, [r - 1], history
+        *s.distinct_rows, lam, tol, max_iter, warm, [r - 1], history
     )
     hist = tuple(float(f[0]) for f in history) if record_history else ()
     return _estimate(r, solved, tol, selection_threshold, hist)
@@ -489,7 +489,7 @@ def rlr_graph(
     """Regularized regression at every vertex, combined by the OR or AND
     rule. `warm` is a (p, p) matrix of starting coefficients (column r-1
     for root r), e.g. the solution at a nearby regularization level."""
-    solved = _rlr_all_roots(s.spins.astype(np.float64), lam, tol, max_iter, warm)
+    solved = _rlr_all_roots(*s.distinct_rows, lam, tol, max_iter, warm)
     estimates = {
         r: _estimate(r, solved, tol, selection_threshold) for r in range(1, s.p + 1)
     }

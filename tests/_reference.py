@@ -2,8 +2,10 @@
 
 Everything here favors obviousness over speed: plain itertools loops over
 the full state space, no vectorization, no shared code with the package.
-The one exception is `reference_rlr_neighborhood`, the package's earlier
-single-root l1 solver, kept whole as the reference for the batched one.
+The exceptions are `reference_rlr_neighborhood`, the package's earlier
+single-root l1 solver, kept whole as the reference for the batched one,
+and `reference_glauber_run`, the earlier heat-bath loop that re-sums every
+neighbor at each update, kept as the reference for the incremental one.
 """
 import itertools
 import math
@@ -159,3 +161,38 @@ def reference_rlr_neighborhood(spins, r, lam, tol=1e-6, max_iter=5000):
             t_next = 1.0
         prev, theta, f_cur, grad, t_mom = theta, cand, f_cand, grad_cand, t_next
     return theta, f_cur, kkt(theta, grad) < tol, it
+
+
+def reference_glauber_run(p, edges, theta, x, nsweeps, rng, stop_on_negative_mag=False):
+    """Random-scan heat-bath sweeps with one coupling `theta` on every edge
+    (1-based pairs), advancing the spin list x in place. Each site's
+    neighbor sum is taken afresh at every update. Randomness is drawn per
+    chunk of 128 sweeps: the sites, then the uniforms. Returns
+    (sweeps_run, stopped_early); with stop_on_negative_mag the run stops
+    after the first sweep that leaves the magnetization negative."""
+    nbrs = [[] for _ in range(p)]
+    for i, j in edges:
+        nbrs[i - 1].append(j - 1)
+        nbrs[j - 1].append(i - 1)
+    maxdeg = max((len(nb) for nb in nbrs), default=0)
+    ms = np.arange(-maxdeg, maxdeg + 1)
+    table = (1.0 / (1.0 + np.exp(-2.0 * theta * ms))).tolist()
+    mag = sum(x)
+    done = 0
+    while done < nsweeps:
+        k = min(128, nsweeps - done)
+        sites = rng.integers(0, p, size=k * p).tolist()
+        us = rng.random(k * p).tolist()
+        for sweep in range(k):
+            for idx in range(sweep * p, (sweep + 1) * p):
+                i = sites[idx]
+                m = 0
+                for j in nbrs[i]:
+                    m += x[j]
+                s = 1 if us[idx] < table[m + maxdeg] else -1
+                mag += s - x[i]
+                x[i] = s
+            done += 1
+            if stop_on_negative_mag and mag < 0:
+                return done, True
+    return done, False

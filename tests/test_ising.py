@@ -5,9 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from isinglearn import ising
 from isinglearn.graphs import (
     Graph,
     make_grid,
@@ -32,7 +33,12 @@ from isinglearn.ising import (
     tree_boundary_field,
     write_samples,
 )
-from _reference import fixed_point_by_scan, naive_marginal, naive_moments
+from _reference import (
+    fixed_point_by_scan,
+    naive_marginal,
+    naive_moments,
+    reference_glauber_run,
+)
 from _strategies import SPLIT_LAYOUTS, ising_instances, split_layout
 
 
@@ -243,6 +249,84 @@ class TestGibbs:
     def test_validates_entries(self):
         with pytest.raises(ValueError):
             SampleSet(np.zeros((3, 2), dtype=np.int8), seed=0, burn_in=1, thin=1)
+
+
+@st.composite
+def glauber_cases(draw):
+    """(p, edges, theta, nsweeps, stop, start, seed) for the table kernel;
+    nsweeps straddles the 128-sweep chunk of randomness."""
+    p = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    theta = draw(
+        st.sampled_from([-0.65, 0.0, 0.15, 0.65])
+        | st.floats(-3.0, 3.0, allow_nan=False)
+    )
+    nsweeps = draw(st.sampled_from([1, 127, 128, 129, 300]))
+    stop = draw(st.booleans())
+    start = draw(st.sampled_from(["random", "plus"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return p, edges, theta, nsweeps, stop, start, seed
+
+
+class TestHeatBathKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(case=glauber_cases())
+    @example(case=(5, [], 0.65, 129, True, "random", 3))
+    @example(case=(6, [(1, 2), (2, 3)], -0.65, 300, False, "plus", 4))
+    @example(case=(4, [(1, 2), (2, 3), (3, 4), (1, 4)], -2.0, 300, True, "plus", 5))
+    def test_matches_reference_loop(self, case):
+        p, edges, theta, nsweeps, stop, start, seed = case
+        kern = ising._Glauber(CouplingField.homogeneous(Graph(p, set(edges)), theta))
+        assert kern.table is not None
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if start == "random":
+            x, x_ref = kern.initial_state(rng), kern.initial_state(ref_rng)
+        else:
+            x, x_ref = [1] * p, [1] * p
+        out = kern.run(x, nsweeps, rng, stop_on_negative_mag=stop)
+        ref = reference_glauber_run(p, edges, theta, x_ref, nsweeps, ref_rng, stop)
+        assert out == ref
+        assert x == x_ref
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestSampleSetRows:
+    @staticmethod
+    def _spins(p, kind, rng):
+        if kind == "one row":
+            return rng.choice([-1, 1], size=(1, p))
+        if kind == "identical":
+            return np.tile(rng.choice([-1, 1], size=p), (40, 1))
+        patterns = rng.choice([-1, 1], size=(12, p))
+        if p <= 9:
+            # every row of p spins, so the order crosses the byte boundary
+            patterns = 1 - 2 * ((np.arange(1 << p)[:, None] >> np.arange(p)) & 1)
+        return patterns[rng.integers(0, len(patterns), 3 * len(patterns))]
+
+    @pytest.mark.parametrize("p", [1, 7, 8, 9, 30, 70])
+    @pytest.mark.parametrize("kind", ["one row", "identical", "repeated"])
+    def test_distinct_rows_match_float_unique(self, p, kind):
+        spins = self._spins(p, kind, np.random.default_rng(p))
+        s = SampleSet(spins, seed=0, burn_in=1, thin=1)
+        rows, wgt = s.distinct_rows
+        ref, counts = np.unique(spins.astype(np.float64), axis=0, return_counts=True)
+        assert rows.dtype == np.float64 and np.array_equal(rows, ref)
+        assert wgt.shape == (len(ref), 1)
+        assert np.array_equal(wgt[:, 0], counts / s.n)
+        assert s.distinct_rows is s.distinct_rows
+
+    def test_spins_are_a_frozen_copy(self):
+        src = np.ones((3, 4), dtype=np.int8)
+        s = SampleSet(src, seed=0, burn_in=1, thin=1)
+        with pytest.raises(ValueError, match="read-only"):
+            s.spins[0, 0] = -1
+        src[0, 0] = -1
+        assert s.spins[0, 0] == 1 and src.flags.writeable
+        rows, wgt = s.distinct_rows
+        assert not rows.flags.writeable and not wgt.flags.writeable
+        g = gibbs_sample(make_tree(4, "path"), 0.5, n=5, burn_in=2, thin=1, seed=0)
+        assert not g.spins.flags.writeable and g.spins.flags.c_contiguous
 
 
 class TestEmpiricalCorrelations:

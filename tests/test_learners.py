@@ -5,10 +5,18 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from isinglearn.graphs import Graph, make_star, make_toy_gp, make_toy_gp_prime, make_tree
+from isinglearn.graphs import (
+    Graph,
+    make_random_regular,
+    make_star,
+    make_toy_gp,
+    make_toy_gp_prime,
+    make_tree,
+)
 from isinglearn.ising import SampleSet, empirical_correlations, exact_moments, gibbs_sample
 from isinglearn.learners import (
     LearnerConfig,
+    _rlr_all_roots,
     default_ind_params,
     local_independence_test,
     local_independence_test_pruned,
@@ -183,7 +191,10 @@ class TestLocalIndependence:
 
 
 @pytest.mark.parametrize("learner", ["ind", "indd", "population"])
-@pytest.mark.parametrize("eps, gamma", [(0.0, 0.1), (-0.1, 0.1), (0.1, 0.0), (0.1, -0.5)])
+@pytest.mark.parametrize(
+    "eps, gamma",
+    [(0.0, 0.1), (-0.1, 0.1), (0.1, 0.0), (0.1, -0.5), (0.1, 1.0), (0.1, 5.0)],
+)
 def test_independence_thresholds_must_be_positive(learner, eps, gamma):
     g = make_tree(4, "path")
     s = gibbs_sample(g, 0.5, n=200, burn_in=50, thin=1, seed=0)
@@ -196,6 +207,20 @@ def test_independence_thresholds_must_be_positive(learner, eps, gamma):
     }[learner]
     with pytest.raises(ValueError, match="thresholds must be positive"):
         run()
+
+
+def test_gamma_of_one_or_more_rejected():
+    # no conditioning event has probability above gamma/2 >= 1/2 on a
+    # 4-vertex path, so every score would be 0 and the graph empty
+    d = exact_moments(make_tree(4, "path"), 0.8)
+    eps, gamma, _ = default_ind_params(0.8, 2)
+    assert population_independence_test(d, 2, eps, gamma).edges == d.graph.edges
+    with pytest.raises(ValueError, match="gamma below 1"):
+        population_independence_test(d, 2, eps, 5.0)
+    samples = SampleSet(np.ones((4, 4)), seed=0, burn_in=1, thin=1)
+    for score_fn, src in ((population_score, d), (score, samples)):
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\)"):
+            score_fn(src, 1, [2], 2, 1.0)
 
 
 def test_unknown_edge_rule_rejected_without_edges():
@@ -418,6 +443,22 @@ class TestRlrGraph:
         for e in res.estimates.values():
             assert e.iterations == 2
             assert not e.converged
+
+    def test_distinct_rows_solve_like_float_unique(self):
+        # the ordered phase: most sample rows coincide
+        g = make_random_regular(12, 4, seed=2)
+        s = gibbs_sample(g, 0.65, n=3000, burn_in=300, thin=5, seed=6)
+        Xu, counts = np.unique(s.spins.astype(np.float64), axis=0, return_counts=True)
+        assert len(Xu) < s.n / 3
+        res = rlr_graph(s, lam=0.05, tol=1e-8)
+        theta, obj, resid, iters = _rlr_all_roots(
+            Xu, (counts / s.n)[:, None], 0.05, 1e-8, 5000, None
+        )
+        for r, e in res.estimates.items():
+            assert e.theta.tobytes() == np.delete(theta[:, r - 1], r - 1).tobytes()
+            assert (e.objective, e.residual, e.iterations) == (
+                obj[r - 1], resid[r - 1], iters[r - 1]
+            )
 
     def test_tree_recovery(self):
         g = make_tree(8, "balanced", branching=2)
