@@ -308,9 +308,13 @@ def exact_moments(g: Graph, theta) -> ExactDistribution:
     return dist
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """n samples of p spins with the sampler settings that produced them."""
+    """n samples of p spins with the sampler settings that produced them.
+
+    Two sets are equal when their spins and sampler settings are; like a
+    numpy array, a SampleSet is not hashable.
+    """
 
     spins: np.ndarray  # (n, p) int8 in {-1, +1}
     seed: int
@@ -326,6 +330,18 @@ class SampleSet:
             raise ValueError("spins must be an (n, p) matrix")
         if not np.all(np.abs(spins) == 1):
             raise ValueError("spins must be +1 or -1")
+
+    def __eq__(self, other):
+        if not isinstance(other, SampleSet):
+            return NotImplemented
+        return (
+            self.spins.shape == other.spins.shape
+            and np.array_equal(self.spins, other.spins)
+            and (self.seed, self.burn_in, self.thin)
+            == (other.seed, other.burn_in, other.thin)
+        )
+
+    __hash__ = None
 
     @functools.cached_property
     def distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:

@@ -109,81 +109,116 @@ def sample_bound(
 # conditional-independence score
 
 
-def _empirical_joint_factory(s: SampleSet):
-    """Joint pmf tables from samples; axis k follows the k-th requested
-    vertex, index 0 = spin +1."""
-    bits = ((1 - s.spins.astype(np.int64)) // 2)
+_CHUNK_CODES = 1 << 18  # sample codes, and table cells, per table batch
+
+
+def _row_blocks(rows: np.ndarray, width: int):
+    """Consecutive slices of the (B, m) rows, each holding at most
+    _CHUNK_CODES codes (`width` per row) and table cells, or one row."""
+    per = max(1, _CHUNK_CODES // max(width, 1 << rows.shape[1]))
+    return (rows[lo:lo + per] for lo in range(0, len(rows), per))
+
+
+def _sample_tables(s: SampleSet):
+    """tables(rows): for a (B, m) array of 1-based vertex tuples, yield the
+    empirical pmfs of consecutive row slices as (b, 2^m) blocks. Cell bit
+    m-1-k is the spin of rows[:, k], 1 = spin -1; cells are counts / n."""
+    down = np.ascontiguousarray(s.spins.T < 0, dtype=np.uint8)  # (p, n)
     n = s.n
 
-    def joint(vertices):
-        m = len(vertices)
-        code = np.zeros(n, dtype=np.int64)
-        for k, v in enumerate(vertices):
-            code |= bits[:, v - 1] << (m - 1 - k)
-        t = np.bincount(code, minlength=1 << m).astype(np.float64) / n
-        return t.reshape((2,) * m)
+    def tables(rows):
+        m = rows.shape[1]
+        for blk in _row_blocks(rows - 1, n):
+            b = len(blk)
+            # code = (row in block) * 2^m + cell, in the narrowest dtype
+            code = np.empty((b, n), dtype=np.min_scalar_type(b << m))
+            code[:] = np.arange(b, dtype=code.dtype)[:, None]
+            for k in range(m):
+                code <<= 1
+                code |= down[blk[:, k]]
+            counts = np.bincount(code.ravel(), minlength=b << m)
+            yield counts.reshape(b, 1 << m) / n
 
-    return joint
+    return tables
 
 
-def _subsets_up_to(pool, kmax):
-    for k in range(0, kmax + 1):
-        yield from itertools.combinations(pool, k)
+def _population_tables(dist: ExactDistribution):
+    """tables(rows) as _sample_tables, with exact marginals."""
+
+    def tables(rows):
+        for blk in _row_blocks(rows, 1):
+            yield np.stack([dist.marginal(row).ravel() for row in blk])
+
+    return tables
 
 
-def _score_from_joint(joint, p, r, U, delta, gamma, w_pool=None, floor=None):
-    """min over (W, j) of the max admissible conditional shift of the root.
+def _rows(head: tuple, pool, k: int) -> np.ndarray:
+    """Rows head + W for every k-subset W of `pool`, in
+    itertools.combinations order, as a (C(|pool|, k), |head| + k) array."""
+    count, width = math.comb(len(pool), k), len(head) + k
+    flat = itertools.chain.from_iterable(head + W for W in itertools.combinations(pool, k))
+    return np.fromiter(flat, dtype=np.intp, count=count * width).reshape(count, width)
 
-    For each probe set W and each j in U: condition the root variable on
-    the values of W and U, flip the value at j, and record the largest
-    absolute change in the conditional law of the root over assignment
-    pairs whose conditioning events both have probability > gamma/2.
-    A (W, j) with no admissible pair contributes 0. When `floor` is given
-    the search stops early once the running minimum falls to or below it.
+
+def _row_minima(tables, rows: np.ndarray, s: int, gamma: float):
+    """For rows (r, U, W) with |U| = s, yield per table block the smallest
+    over j in U of the largest admissible conditional shift of the root.
+
+    For each j in U: condition the root on the values of U and W, flip the
+    value at j, and take the largest absolute change in the conditional
+    law of the root over assignment pairs whose conditioning events both
+    have probability > gamma/2. A j with no admissible pair contributes 0.
     """
+    for t in tables(rows):
+        b, half = len(t), t.shape[1] // 2
+        pa = t[:, :half] + t[:, half:]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cond = np.where(pa > 0, t[:, :half] / np.where(pa > 0, pa, 1.0), 0.0)
+        big = pa > gamma / 2.0
+        out = np.full(b, np.inf)
+        for i in range(s):
+            # the cells with U's i-th member flipped
+            twin = np.arange(half).reshape(1 << i, 2, -1)[:, ::-1].ravel()
+            ok = big & big[:, twin]
+            shift = np.where(ok, np.abs(cond - cond[:, twin]), 0.0)
+            np.minimum(out, shift.max(axis=1), out=out)
+        yield out
+
+
+def _probe_minima(tables, r: int, U, w_pool, sizes, gamma: float):
+    """_row_minima of (r, U, W) for every probe set W of each size in
+    `sizes` drawn from `w_pool`, one array per table block."""
+    for k in sizes:
+        yield from _row_minima(tables, _rows((r, *U), w_pool, k), len(U), gamma)
+
+
+def _score(tables, p: int, r: int, U, delta: int, gamma: float) -> float:
+    """min over (W, j) of the conditional shift, over every probe set W of
+    at most delta vertices outside r and U and every j in U."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must lie in (0, 1)")
     U = sorted(U)
     if not U:
         raise ValueError("candidate set U must be non-empty")
     if len(U) > delta:
         raise ValueError("candidate set U larger than the degree bound")
-    if w_pool is None:
-        w_pool = [v for v in range(1, p + 1) if v != r]
-    w_pool = [v for v in w_pool if v != r and v not in U]
-    best = math.inf
-    for W in _subsets_up_to(w_pool, delta):
-        vars_ = sorted(set(U) | set(W))
-        tbl = joint((r,) + tuple(vars_))
-        pa = tbl.sum(axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond = np.where(pa > 0, tbl[0] / np.where(pa > 0, pa, 1.0), 0.0)
-        for j in U:
-            ax = vars_.index(j)
-            pa_flip = np.flip(pa, axis=ax)
-            ok = (pa > gamma / 2.0) & (pa_flip > gamma / 2.0)
-            if ok.any():
-                diff = np.abs(cond - np.flip(cond, axis=ax))
-                contrib = float(diff[ok].max())
-            else:
-                contrib = 0.0
-            if contrib < best:
-                best = contrib
-                if floor is not None and best <= floor:
-                    return best
-    return best
+    if not all(1 <= v <= p for v in (r, *U)):
+        raise ValueError(f"root or candidates outside 1..{p}")
+    if len({r, *U}) <= len(U):
+        raise ValueError("candidates repeat or contain the root")
+    w_pool = [v for v in range(1, p + 1) if v != r and v not in U]
+    minima = _probe_minima(tables, r, U, w_pool, range(delta + 1), gamma)
+    return float(min(m.min() for m in minima))
 
 
 def score(s: SampleSet, r: int, U, delta: int, gamma: float) -> float:
     """Empirical conditional-shift score of candidate neighborhood U at root r."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    return _score_from_joint(_empirical_joint_factory(s), s.p, r, U, delta, gamma)
+    return _score(_sample_tables(s), s.p, r, U, delta, gamma)
 
 
 def population_score(dist: ExactDistribution, r: int, U, delta: int, gamma: float) -> float:
     """Score evaluated with exact conditionals instead of empirical ones."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    return _score_from_joint(dist.marginal, dist.graph.p, r, U, delta, gamma)
+    return _score(_population_tables(dist), dist.graph.p, r, U, delta, gamma)
 
 
 def _edges_from_neighborhoods(p: int, hoods: dict, rule: str) -> Graph:
@@ -198,25 +233,39 @@ def _edges_from_neighborhoods(p: int, hoods: dict, rule: str) -> Graph:
     return Graph(p, frozenset(edges))
 
 
-def _independence_test(joint, p, delta, eps, gamma, rule, pool_of):
+def _neighborhood(tables, r: int, pool, delta: int, floor: float, gamma: float) -> set:
+    """The first candidate set U from `pool`, largest size first and
+    lexicographic within a size, whose every conditional shift over probe
+    sets from the same pool exceeds `floor`; empty if there is none.
+
+    All candidate sets of one size are screened in one batch at the empty
+    probe set; the survivors, in order, then go through the probe sets one
+    batched size at a time, and the first to clear every size wins.
+    """
+    for size in range(min(delta, len(pool)), 0, -1):
+        rows = _rows((r,), pool, size)
+        screen = np.concatenate(list(_row_minima(tables, rows, size, gamma)))
+        for U in rows[screen > floor, 1:].tolist():
+            w_pool = [v for v in pool if v not in U]
+            minima = _probe_minima(tables, r, U, w_pool, range(1, delta + 1), gamma)
+            if all((m > floor).all() for m in minima):
+                return set(U)
+    return set()
+
+
+def _independence_test(tables, p, delta, eps, gamma, rule, pool_of):
     """Per root r, the largest candidate set U from pool_of(r) (ties:
-    lexicographically smallest) whose score over probe sets from the same
-    pool exceeds eps/2; neighborhoods are combined into edges by `rule`."""
+    lexicographically smallest) whose every conditional shift over probe
+    sets from the same pool exceeds eps/2; neighborhoods are combined into
+    edges by `rule`."""
     if eps <= 0 or not 0.0 < gamma < 1.0:
         raise ValueError("thresholds must be positive, with gamma below 1")
-    hoods = {r: set() for r in range(1, p + 1)}
-    for r in hoods:
-        pool = sorted(v for v in pool_of(r) if v != r)
-        sizes = range(min(delta, len(pool)), 0, -1)
-        for U in itertools.chain.from_iterable(
-            itertools.combinations(pool, k) for k in sizes
-        ):
-            sc = _score_from_joint(
-                joint, p, r, list(U), delta, gamma, w_pool=pool, floor=eps / 2.0
-            )
-            if sc > eps / 2.0:
-                hoods[r] = set(U)
-                break
+    hoods = {
+        r: _neighborhood(
+            tables, r, sorted(v for v in pool_of(r) if v != r), delta, eps / 2.0, gamma
+        )
+        for r in range(1, p + 1)
+    }
     return _edges_from_neighborhoods(p, hoods, rule)
 
 
@@ -227,7 +276,7 @@ def local_independence_test(
     the largest whose score clears eps/2; combine neighborhoods into edges."""
     everyone = range(1, s.p + 1)
     return _independence_test(
-        _empirical_joint_factory(s), s.p, delta, eps, gamma, rule, lambda r: everyone
+        _sample_tables(s), s.p, delta, eps, gamma, rule, lambda r: everyone
     )
 
 
@@ -241,9 +290,7 @@ def local_independence_test_pruned(
     def ball(r):
         return [v for v in range(1, s.p + 1) if corr[r - 1, v - 1] > kappa / 2.0]
 
-    return _independence_test(
-        _empirical_joint_factory(s), s.p, delta, eps, gamma, rule, ball
-    )
+    return _independence_test(_sample_tables(s), s.p, delta, eps, gamma, rule, ball)
 
 
 def population_independence_test(
@@ -253,7 +300,7 @@ def population_independence_test(
     p = dist.graph.p
     everyone = range(1, p + 1)
     return _independence_test(
-        dist.marginal, p, delta, eps, gamma, rule, lambda r: everyone
+        _population_tables(dist), p, delta, eps, gamma, rule, lambda r: everyone
     )
 
 

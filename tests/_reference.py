@@ -3,9 +3,13 @@
 Everything here favors obviousness over speed: plain itertools loops over
 the full state space, no vectorization, no shared code with the package.
 The exceptions are `reference_rlr_neighborhood`, the package's earlier
-single-root l1 solver, kept whole as the reference for the batched one,
-and `reference_glauber_run`, the earlier heat-bath loop that re-sums every
-neighbor at each update, kept as the reference for the incremental one.
+single-root l1 solver, kept whole as the reference for the batched one;
+`reference_glauber_run`, the earlier heat-bath loop that re-sums every
+neighbor at each update, kept as the reference for the incremental one;
+and `reference_joint`, `reference_score` and
+`reference_independence_test`, the earlier independence test that scores
+one candidate set and one probe set at a time, kept as the reference for
+the batched one.
 """
 import itertools
 import math
@@ -196,3 +200,85 @@ def reference_glauber_run(p, edges, theta, x, nsweeps, rng, stop_on_negative_mag
             if stop_on_negative_mag and mag < 0:
                 return done, True
     return done, False
+
+
+def reference_joint(spins):
+    """joint(vertices): the empirical pmf of the (n, p) +-1 `spins` over the
+    1-based vertices, shape (2,)*len(vertices); axis k follows the k-th
+    vertex, index 0 = spin +1."""
+    bits = (1 - np.asarray(spins).astype(np.int64)) // 2
+    n = bits.shape[0]
+
+    def joint(vertices):
+        m = len(vertices)
+        code = np.zeros(n, dtype=np.int64)
+        for k, v in enumerate(vertices):
+            code |= bits[:, v - 1] << (m - 1 - k)
+        t = np.bincount(code, minlength=1 << m).astype(np.float64) / n
+        return t.reshape((2,) * m)
+
+    return joint
+
+
+def reference_score(joint, p, r, U, delta, gamma, w_pool=None, floor=None):
+    """min over (W, j) of the max admissible conditional shift of the root.
+
+    For each probe set W of at most delta vertices from `w_pool` (default:
+    every vertex) outside r and U, and each j in U: condition the root on
+    the values of W and U, flip the value at j, and record the largest
+    absolute change in the conditional law of the root over assignment
+    pairs whose conditioning events both have probability > gamma/2. A
+    (W, j) with no admissible pair contributes 0. When `floor` is given the
+    search stops once the running minimum falls to or below it.
+    """
+    U = sorted(U)
+    if w_pool is None:
+        w_pool = range(1, p + 1)
+    w_pool = [v for v in w_pool if v != r and v not in U]
+    best = math.inf
+    for k in range(delta + 1):
+        for W in itertools.combinations(w_pool, k):
+            vars_ = sorted(set(U) | set(W))
+            tbl = joint((r,) + tuple(vars_))
+            pa = tbl.sum(axis=0)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                cond = np.where(pa > 0, tbl[0] / np.where(pa > 0, pa, 1.0), 0.0)
+            for j in U:
+                ax = vars_.index(j)
+                pa_flip = np.flip(pa, axis=ax)
+                ok = (pa > gamma / 2.0) & (pa_flip > gamma / 2.0)
+                if ok.any():
+                    diff = np.abs(cond - np.flip(cond, axis=ax))
+                    contrib = float(diff[ok].max())
+                else:
+                    contrib = 0.0
+                if contrib < best:
+                    best = contrib
+                    if floor is not None and best <= floor:
+                        return best
+    return best
+
+
+def reference_independence_test(joint, p, delta, eps, gamma, rule, pool_of):
+    """Per root r, the first candidate set U from pool_of(r), largest size
+    first and lexicographic within a size, whose reference_score over probe
+    sets from the same pool exceeds eps/2. Returns the edge set as a set of
+    (i, j) pairs, i < j, combining neighborhoods by `rule` ("or"/"and")."""
+    hoods = {}
+    for r in range(1, p + 1):
+        pool = sorted(v for v in pool_of(r) if v != r)
+        hoods[r] = set()
+        sizes = range(min(delta, len(pool)), 0, -1)
+        for U in itertools.chain.from_iterable(
+            itertools.combinations(pool, k) for k in sizes
+        ):
+            sc = reference_score(joint, p, r, U, delta, gamma, pool, eps / 2.0)
+            if sc > eps / 2.0:
+                hoods[r] = set(U)
+                break
+    return {
+        (min(r, j), max(r, j))
+        for r, nb in hoods.items()
+        for j in nb
+        if rule == "or" or r in hoods[j]
+    }

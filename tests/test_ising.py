@@ -329,6 +329,35 @@ class TestSampleSetRows:
         assert not g.spins.flags.writeable and g.spins.flags.c_contiguous
 
 
+class TestSampleSetEquality:
+    def test_equal_by_value(self):
+        a = SampleSet(np.ones((3, 2)), seed=0, burn_in=1, thin=1)
+        b = SampleSet(np.ones((3, 2), dtype=np.int8), seed=0, burn_in=1, thin=1)
+        assert a == b and not a != b
+
+    @pytest.mark.parametrize(
+        "spins, seed, burn_in, thin",
+        [
+            ([[1, 1], [1, -1], [1, 1]], 0, 1, 1),
+            (np.ones((2, 3)), 0, 1, 1),
+            (np.ones((6, 1)), 0, 1, 1),
+            (np.ones((3, 2)), 7, 1, 1),
+            (np.ones((3, 2)), 0, 2, 1),
+            (np.ones((3, 2)), 0, 1, 3),
+        ],
+    )
+    def test_unequal_when_anything_differs(self, spins, seed, burn_in, thin):
+        a = SampleSet(np.ones((3, 2)), seed=0, burn_in=1, thin=1)
+        b = SampleSet(np.array(spins), seed=seed, burn_in=burn_in, thin=thin)
+        assert a != b and not a == b
+
+    def test_unhashable(self):
+        s = SampleSet(np.ones((3, 2)), seed=0, burn_in=1, thin=1)
+        assert s != "samples"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(s)
+
+
 class TestEmpiricalCorrelations:
     def test_all_plus(self):
         s = SampleSet(np.ones((5, 3), dtype=np.int8), seed=0, burn_in=1, thin=1)

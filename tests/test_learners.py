@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from isinglearn import learners
 from isinglearn.graphs import (
     Graph,
     make_random_regular,
@@ -33,7 +35,14 @@ from isinglearn.learners import (
     tau_tree,
     thresholding,
 )
-from _reference import naive_marginal, naive_pseudo_likelihood, reference_rlr_neighborhood
+from _reference import (
+    naive_marginal,
+    naive_pseudo_likelihood,
+    reference_independence_test,
+    reference_joint,
+    reference_rlr_neighborhood,
+    reference_score,
+)
 
 
 class TestThresholding:
@@ -164,6 +173,126 @@ class TestScore:
         a = score(s, 2, [1, 3], delta=2, gamma=0.01)
         b = score(flipped, 2, [1, 3], delta=2, gamma=0.01)
         assert a == pytest.approx(b, abs=1e-12)
+
+
+class TestScoreVertices:
+    @pytest.mark.parametrize(
+        "r, U, match",
+        [
+            (1, [0], "outside 1..5"),
+            (1, [6], "outside 1..5"),
+            (0, [2], "outside 1..5"),
+            (6, [2], "outside 1..5"),
+            (1, [1], "contain the root"),
+            (1, [2, 2], "repeat"),
+            (3, [2, 3], "contain the root"),
+        ],
+    )
+    def test_bad_vertices_rejected(self, r, U, match):
+        g = make_tree(5, "path")
+        s = gibbs_sample(g, 0.6, n=2000, burn_in=200, thin=2, seed=3)
+        d = exact_moments(g, 0.6)
+        with pytest.raises(ValueError, match=match):
+            score(s, r, U, 2, 0.01)
+        with pytest.raises(ValueError, match=match):
+            population_score(d, r, U, 2, 0.01)
+
+
+# Codes per table batch: the default, one row per batch, and a few rows
+# per batch, so that batches split unevenly (800 codes hold 4 rows of 200
+# samples: the 35 candidate sets of size 3 among 7 vertices become 8
+# batches of 4 and one of 3).
+CHUNK_CODES = (learners._CHUNK_CODES, 1, 800)
+
+
+def test_chunks_split_rows_unevenly():
+    rows = np.ones((35, 4), dtype=np.intp)
+    with mock.patch.object(learners, "_CHUNK_CODES", 800):
+        sizes = [len(b) for b in learners._row_blocks(rows, 200)]
+    assert sizes == [4] * 8 + [3]
+    with mock.patch.object(learners, "_CHUNK_CODES", 1):
+        assert [len(b) for b in learners._row_blocks(rows, 200)] == [1] * 35
+    assert [len(b) for b in learners._row_blocks(rows, 200)] == [35]
+    # with few samples the 2^7 table cells per row bound the batch instead
+    with mock.patch.object(learners, "_CHUNK_CODES", 800):
+        sizes = [len(b) for b in learners._row_blocks(np.ones((20, 7), dtype=np.intp), 5)]
+    assert sizes == [6, 6, 6, 2]
+    s = gibbs_sample(make_tree(8, "path"), 0.8, n=200, burn_in=50, thin=1, seed=4)
+    outputs = []
+    for chunk in CHUNK_CODES:
+        with mock.patch.object(learners, "_CHUNK_CODES", chunk):
+            outputs.append(
+                (
+                    local_independence_test(s, 3, 0.2, 0.01).edges,
+                    local_independence_test_pruned(s, 3, 0.2, 0.01, 0.3).edges,
+                    score(s, 4, [3, 5, 8], 3, 0.01),
+                )
+            )
+    assert outputs[0][0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_shift_of_exactly_half_eps_does_not_clear():
+    # root 1 given vertex 2: P(x1 = +1) is 1 at x2 = +1 and 1/2 at x2 = -1,
+    # a shift of exactly 1/2; root 2 given vertex 1 shifts by 2/3
+    s = SampleSet(np.array([[1, 1], [1, 1], [1, -1], [-1, -1]]), seed=0, burn_in=1, thin=1)
+    assert score(s, 1, [2], 1, 0.01) == 0.5
+    assert local_independence_test(s, 1, 1.0, 0.01, rule="and").num_edges == 0
+    assert local_independence_test(s, 1, 0.999, 0.01, rule="and").num_edges == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(3, 8),
+    n=st.integers(5, 400),
+    kind=st.sampled_from(["path", "star", "empty"]),
+    theta=st.floats(0.05, 1.5),
+    delta=st.integers(1, 4),
+    eps=st.floats(1e-9, 1.9),
+    gamma=st.floats(1e-9, 0.99),
+    kappa=st.floats(0.0, 1.2),
+    rule=st.sampled_from(["or", "and"]),
+    chunk=st.sampled_from(CHUNK_CODES),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_batched_independence_matches_reference(
+    p, n, kind, theta, delta, eps, gamma, kappa, rule, chunk, seed, data
+):
+    g = {
+        "path": lambda: make_tree(p, "path"),
+        "star": lambda: make_star(p, p - 1),
+        "empty": lambda: Graph(p, set()),
+    }[kind]()
+    s = gibbs_sample(g, theta, n=n, burn_in=20, thin=1, seed=seed)
+    joint = reference_joint(s.spins)
+    corr = empirical_correlations(s)
+    everyone = range(1, p + 1)
+
+    def ball(r):
+        return [v for v in everyone if corr[r - 1, v - 1] > kappa / 2.0]
+
+    r = data.draw(st.integers(1, p))
+    others = [v for v in everyone if v != r]
+    U = data.draw(st.lists(st.sampled_from(others), min_size=1, max_size=delta, unique=True))
+    with mock.patch.object(learners, "_CHUNK_CODES", chunk):
+        ind = local_independence_test(s, delta, eps, gamma, rule=rule)
+        indd = local_independence_test_pruned(s, delta, eps, gamma, kappa, rule=rule)
+        sc = score(s, r, U, delta, gamma)
+        assert ind.edges == reference_independence_test(
+            joint, p, delta, eps, gamma, rule, lambda r: everyone
+        )
+        assert indd.edges == reference_independence_test(
+            joint, p, delta, eps, gamma, rule, ball
+        )
+        assert sc == reference_score(joint, p, r, U, delta, gamma)
+        d = exact_moments(g, theta)
+        assert population_score(d, r, U, delta, gamma) == reference_score(
+            d.marginal, p, r, U, delta, gamma
+        )
+        pop = population_independence_test(d, delta, eps, gamma, rule=rule)
+        assert pop.edges == reference_independence_test(
+            d.marginal, p, delta, eps, gamma, rule, lambda r: everyone
+        )
 
 
 class TestLocalIndependence:
