@@ -595,7 +595,6 @@ class TreeModel:
 
     delta: int
     theta: float
-    generations: int
     h_star: float = -1.0
     tol: float = 1e-10
 

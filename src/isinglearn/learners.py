@@ -258,6 +258,8 @@ def _independence_test(tables, p, delta, eps, gamma, rule, pool_of):
     lexicographically smallest) whose every conditional shift over probe
     sets from the same pool exceeds eps/2; neighborhoods are combined into
     edges by `rule`."""
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
     if eps <= 0 or not 0.0 < gamma < 1.0:
         raise ValueError("thresholds must be positive, with gamma below 1")
     hoods = {
@@ -312,19 +314,38 @@ def _pin_self(mat: np.ndarray, cols: np.ndarray) -> None:
     mat[cols, np.arange(len(cols))] = 0.0  # self-coefficients stay 0
 
 
-def _pl_kernel(X, wgt, th, cols, value=True):
+def _pl_kernel(X, Xc, wgt, th, cols, work, value=True):
     """Weighted pseudo-likelihood values and gradients of the roots in
     `cols` (0-based), one column per root: column k of `th` holds root
     cols[k]'s coefficients against all p vertices, and the gradient's
-    self-entry is pinned to zero. The value is None when `value` is false.
+    self-entry is pinned to zero. `Xc` is X[:, cols] in C order (X itself
+    when cols is every vertex in order), `wgt` the (m, 1) row weights, and
+    `work` two rows of at least m*k floats that hold the (m, k)
+    intermediates, allocated once per solve. The value is None when
+    `value` is false.
+
+    With h = X th and z = -2 x_r h, each row adds its weight times
+    log(1 + e^z) = max(z, 0) + log1p(exp(-2|h|)), since |z| = 2|h|.
     """
-    H = X @ th
-    vals = None
-    if value:
-        vals = np.sum(wgt * np.logaddexp(0.0, -2.0 * X[:, cols] * H), axis=0)
-    G = X.T @ (wgt * (np.tanh(H) - X[:, cols]))
+    m, k = X.shape[0], th.shape[1]
+    H, B = (w[: m * k].reshape(m, k) for w in work)
+    np.matmul(X, th, out=H)
+    np.tanh(H, out=B)
+    B -= Xc
+    B *= wgt
+    G = X.T @ B
     _pin_self(G, cols)
-    return vals, G
+    if not value:
+        return None, G
+    np.multiply(Xc, H, out=B)
+    np.minimum(B, 0.0, out=B)
+    B *= -2.0  # max(z, 0)
+    np.abs(H, out=H)
+    H *= -2.0
+    np.exp(H, out=H)
+    np.log1p(H, out=H)
+    H += B
+    return (wgt.T @ H)[0], G
 
 
 def pseudo_likelihood_objective(
@@ -334,8 +355,8 @@ def pseudo_likelihood_objective(
 
     value = mean log(1 + exp(-2 x_r h)) with h = sum_j theta_rj x_j,
     grad_j = mean x_j (tanh h - x_r); coefficients and gradient follow the
-    other vertices in ascending order. Evaluated via logaddexp so large
-    fields cannot overflow.
+    other vertices in ascending order. Evaluated as max(z, 0) +
+    log1p(exp(-|z|)) with z = -2 x_r h, so large fields cannot overflow.
     """
     if not 1 <= r <= s.p:
         raise ValueError(f"root {r} outside 1..{s.p}")
@@ -345,7 +366,10 @@ def pseudo_likelihood_objective(
     if theta_r.shape != (s.p - 1,):
         raise ValueError(f"expected coefficient vector of length {s.p - 1}")
     th = np.insert(theta_r, r - 1, 0.0)[:, None]
-    vals, G = _pl_kernel(s.spins.astype(np.float64), 1.0 / s.n, th, [r - 1])
+    X = s.spins.astype(np.float64)
+    wgt = np.full((s.n, 1), 1.0 / s.n)
+    work = np.empty((2, s.n))
+    vals, G = _pl_kernel(X, X[:, [r - 1]].copy(), wgt, th, [r - 1], work)
     return float(vals[0]), np.delete(G[:, 0], r - 1)
 
 
@@ -403,13 +427,15 @@ def _rlr_all_roots(
     active set, so the largest is the batch count. A `history` list receives
     the active columns' penalized objectives after every update.
     """
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
     p = Xu.shape[1]
     gram = Xu.T @ (wgt * Xu)
     lip = float(np.linalg.eigvalsh(gram)[-1])
     step = 1.0 / max(lip, 1e-12)
 
     def f_and_g(th, cols):
-        vals, G = _pl_kernel(Xu, wgt, th, cols)
+        vals, G = _pl_kernel(Xu, Xc, wgt, th, cols, work)
         return vals + lam * np.abs(th).sum(axis=0), G
 
     def residuals(th, G, cols):
@@ -428,6 +454,9 @@ def _rlr_all_roots(
 
     # roots whose residual still exceeds tol; frozen columns are final
     cols = np.arange(p) if roots is None else np.asarray(roots, dtype=np.int64)
+    # the root columns, copied only for a subset of roots
+    Xc = Xu if roots is None else Xu[:, cols].copy()
+    work = np.empty((2, Xc.size))
     theta = theta_full[:, cols].copy()
     prev = theta.copy()
     t_mom = np.ones(len(cols))
@@ -446,6 +475,7 @@ def _rlr_all_roots(
             cols = cols[keep]
             if cols.size == 0:
                 break
+            Xc = Xu[:, cols].copy()
             theta = theta[:, keep]
             prev = prev[:, keep]
             t_mom = t_mom[keep]
@@ -454,7 +484,7 @@ def _rlr_all_roots(
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
         y = theta + ((t_mom - 1.0) / t_next) * (theta - prev)
         _pin_self(y, cols)
-        _, grad_y = _pl_kernel(Xu, wgt, y, cols, value=False)
+        _, grad_y = _pl_kernel(Xu, Xc, wgt, y, cols, work, value=False)
         cand = _soft(y - step * grad_y, step * lam)
         _pin_self(cand, cols)
         f_cand, g_cand = f_and_g(cand, cols)
@@ -509,8 +539,6 @@ def rlr_neighborhood(
     ascending order. A non-converged result carries converged=False rather
     than raising.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
     if not 1 <= r <= s.p:
         raise ValueError(f"root {r} outside 1..{s.p}")
     warm = np.zeros((s.p, s.p))

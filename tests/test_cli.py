@@ -136,6 +136,22 @@ def test_learn_missing_params_errors(tmp_path, tree_graph_file):
     assert rc == 2
 
 
+def test_learn_rejects_bad_delta_and_lambda(tmp_path):
+    gpath = tmp_path / "g.txt"
+    write_graph(make_tree(5, "path"), gpath)
+    samples = tmp_path / "s.txt"
+    main(["sample", "--graph", str(gpath), "--theta", "0.8", "--n", "500",
+          "--burn-in", "100", "--thin", "2", "--seed", "3", "--out", str(samples)])
+    out = tmp_path / "learned.txt"
+    common = ["learn", "--samples", str(samples), "--out", str(out)]
+    for alg in ("ind", "indd"):
+        with pytest.raises(ValueError, match="delta must be >= 1"):
+            main(common + ["--alg", alg, "--theta", "0.8", "--delta", "0"])
+    with pytest.raises(ValueError, match="lam must be >= 0"):
+        main(common + ["--alg", "rlr", "--lambda", "-0.1"])
+    assert not out.exists()
+
+
 def test_analyze_incoherence_json(tmp_path, tree_graph_file):
     out = tmp_path / "rep.json"
     rc = main(

@@ -423,12 +423,12 @@ class TestBoundaryField:
 
 class TestTreeModel:
     def test_valid(self):
-        tm = TreeModel(delta=4, theta=0.6, generations=3)
+        tm = TreeModel(delta=4, theta=0.6)
         assert tm.h_star > 0
 
     def test_out_of_regime(self):
         with pytest.raises(ValueError):
-            TreeModel(delta=4, theta=0.1, generations=3)
+            TreeModel(delta=4, theta=0.1)
 
 
 class TestSawBound:

@@ -360,6 +360,34 @@ def test_unknown_edge_rule_rejected_without_edges():
         local_independence_test(s, 2, 5.0, 0.01, rule="xor")
 
 
+def test_degree_bound_below_one_rejected():
+    # every candidate set would be empty, so the graph would come back
+    # empty where delta = 2 finds edges
+    g = make_tree(5, "path")
+    s = gibbs_sample(g, 0.8, n=2000, burn_in=200, thin=2, seed=3)
+    d = exact_moments(g, 0.8)
+    runs = (
+        lambda delta: local_independence_test(s, delta, 0.2, 0.01),
+        lambda delta: local_independence_test_pruned(s, delta, 0.2, 0.01, 0.4),
+        lambda delta: population_independence_test(d, delta, 0.2, 0.01),
+    )
+    for run in runs:
+        assert run(2).num_edges > 0
+        for delta in (0, -1):
+            with pytest.raises(ValueError, match="delta must be >= 1"):
+                run(delta)
+
+
+def test_negative_lambda_rejected():
+    # a negative soft threshold grows every coefficient: 9 of the 10
+    # vertex pairs came back as edges, with every root converged
+    s = gibbs_sample(make_tree(5, "path"), 0.5, n=500, burn_in=100, thin=2, seed=0)
+    with pytest.raises(ValueError, match="lam must be >= 0"):
+        rlr_graph(s, -0.1)
+    with pytest.raises(ValueError, match="lam must be >= 0"):
+        rlr_neighborhood(s, 2, -0.1)
+
+
 class TestPrunedIndependence:
     def test_kappa_two_empties_candidates(self):
         g = make_tree(5, "path")
@@ -450,6 +478,32 @@ class TestPseudoLikelihood:
         ref_val, ref_grad = naive_pseudo_likelihood(rows, r, theta)
         assert abs(val - ref_val) <= 1e-12 * max(1.0, abs(ref_val))
         assert np.abs(grad - np.array(ref_grad)).max() <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_kernel_matches_naive_loop_per_root(self, data):
+        # weighted distinct rows, any roots in any order, and fields large
+        # enough that exp(-2|h|) falls far below machine epsilon
+        p = data.draw(st.integers(2, 8))
+        spin_row = st.lists(st.sampled_from((1, -1)), min_size=p, max_size=p)
+        rows = data.draw(st.lists(spin_row, min_size=1, max_size=40))
+        cols = np.array(
+            data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True))
+        )
+        k = len(cols)
+        coef = st.floats(-30.0, 30.0, allow_nan=False)
+        th = np.array(data.draw(st.lists(coef, min_size=p * k, max_size=p * k)))
+        th = th.reshape(p, k)
+        th[cols, np.arange(k)] = 0.0
+        Xu, wgt = SampleSet(np.array(rows), seed=0, burn_in=1, thin=1).distinct_rows
+        # a workspace larger than needed, as after the active set shrinks
+        work = np.full((2, Xu.size), np.nan)
+        vals, G = learners._pl_kernel(Xu, Xu[:, cols].copy(), wgt, th, cols, work)
+        for j, c in enumerate(cols):
+            ref_val, ref_grad = naive_pseudo_likelihood(rows, c + 1, np.delete(th[:, j], c))
+            assert abs(vals[j] - ref_val) <= 1e-12 * ref_val
+            assert np.abs(np.delete(G[:, j], c) - ref_grad).max() <= 1e-12
+            assert G[c, j] == 0.0
 
 
 class TestRlrNeighborhood:
@@ -588,6 +642,22 @@ class TestRlrGraph:
             assert (e.objective, e.residual, e.iterations) == (
                 obj[r - 1], resid[r - 1], iters[r - 1]
             )
+
+    def test_shrinking_active_set_matches_single_roots(self):
+        # the roots of a star converge at many different iterations, so
+        # the batch drops roots, and regathers their columns, many times
+        g = make_star(10, 5)
+        s = gibbs_sample(g, 0.5, n=3000, burn_in=300, thin=2, seed=4)
+        res = rlr_graph(s, lam=0.03, tol=1e-8)
+        assert len({e.iterations for e in res.estimates.values()}) >= 5
+        # one column and many round their products differently, so the
+        # iteration counts may differ by a few; the solutions agree
+        for r, e in res.estimates.items():
+            one = rlr_neighborhood(s, r, lam=0.03, tol=1e-8)
+            assert one.converged and e.converged
+            assert one.neighbors == e.neighbors
+            assert abs(one.objective - e.objective) <= 1e-12 * e.objective
+            assert np.abs(one.theta - e.theta).max() < 1e-6
 
     def test_tree_recovery(self):
         g = make_tree(8, "balanced", branching=2)
