@@ -321,7 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:  # bad input rejected by the library
+        print(f"isinglearn: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -632,19 +632,83 @@ def write_samples(s: SampleSet, path) -> None:
             fh.write(" ".join("+1" if v > 0 else "-1" for v in row) + "\n")
 
 
+# Bytes read and parsed per block by read_samples; bounds its temporaries
+# whatever the file size (a longer line is read whole).
+_READ_BLOCK_BYTES = 1 << 16
+_SPIN_TOKENS = (b"+1", b"-1", b"1")
+
+
 def read_samples(path) -> SampleSet:
-    with open(path) as fh:
-        head = fh.readline().split()
-        if len(head) != 5:
-            raise ValueError("sample file header must be `n p seed burn_in thin`")
-        n, p, seed, burn_in, thin = (int(v) for v in head)
+    """Read a file written by write_samples.
+
+    The header is `n p seed burn_in thin`. Each of the next n lines must
+    hold exactly p tokens, each `+1`, `-1` or `1`, separated by runs of
+    spaces and tabs. Lines end in `\\n` or `\\r\\n`, the last may lack it,
+    and lines after row n are ignored. A bad header, a file with fewer
+    than n rows, a row with the wrong token count and any other token
+    raise a ValueError; the row errors name the 0-based row. The body is
+    read as bytes once, a block at a time, and each block's whole lines
+    are parsed with numpy.
+    """
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        try:
+            n, p, seed, burn_in, thin = map(int, head.split())
+        except ValueError:  # a bad count or a bad integer
+            raise ValueError("sample file header must be `n p seed burn_in thin`") from None
+        if n < 0 or p < 0:
+            raise ValueError(f"sample file header has n = {n}, p = {p}; both must be >= 0")
         spins = np.empty((n, p), dtype=np.int8)
-        for ell in range(n):
-            row = fh.readline().split()
-            if len(row) != p:
-                raise ValueError(f"sample row {ell} has {len(row)} tokens, wanted {p}")
-            spins[ell] = [int(v) for v in row]
+        row, rest = 0, b""
+        while row < n:
+            chunk = fh.read(_READ_BLOCK_BYTES)
+            if not chunk and not rest:
+                raise ValueError(f"sample file has {row} rows, wanted {n}")
+            text = rest + (chunk or b"\n")  # the last line may lack its line end
+            buf = np.frombuffer(text, dtype=np.uint8)
+            ends = np.flatnonzero(buf == 10)[: n - row]
+            stop = int(ends[-1]) + 1 if len(ends) else 0
+            if stop:
+                rows = _parse_spin_lines(buf[:stop], p, row)
+                spins[row:row + len(rows)] = rows
+                row += len(rows)
+            rest = text[stop:]
     return SampleSet(spins, seed=seed, burn_in=burn_in, thin=thin)
+
+
+def _parse_spin_lines(c: np.ndarray, p: int, row0: int) -> np.ndarray:
+    """The (lines, p) spins of c, a uint8 buffer of whole lines that each
+    end in `\\n`; row0 numbers the first line in error messages."""
+    lf = c == 10
+    blank = lf | (c == 32) | (c == 9)
+    blank[:-1] |= (c[:-1] == 13) & lf[1:]
+    one = c == 49
+    sign = (c == 43) | (c == 45)
+    # A token is `+1`, `-1` or `1` iff it has only these bytes, each `1`
+    # ends it and each sign precedes a `1` (so no sign follows a `1` or a
+    # sign). The last byte is a line end, so the shift needs no edge.
+    bad = ~(blank | one | sign)
+    bad[:-1] |= (one[:-1] & ~blank[1:]) | (sign[:-1] & ~one[1:])
+    first = ~blank  # token starts; index 0 starts a line
+    first[1:] &= blank[:-1]
+    ends = np.flatnonzero(lf)
+    starts = np.r_[0, ends[:-1] + 1]
+    counts = np.add.reduceat(first, starts, dtype=np.intp)
+    wrong = counts != p
+    if bad.any():
+        wrong |= np.logical_or.reduceat(bad, starts)
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        if counts[i] != p:
+            raise ValueError(f"sample row {row0 + i} has {counts[i]} tokens, wanted {p}")
+        line = c[starts[i]:ends[i]].tobytes().removesuffix(b"\r")
+        tok = next(t for t in line.replace(b"\t", b" ").split(b" ")
+                   if t and t not in _SPIN_TOKENS)
+        raise ValueError(f"sample row {row0 + i} has token {tok.decode(errors='replace')!r}, "
+                         "wanted +1, -1 or 1")
+    # the byte before each `1` is its sign; at index 0 it wraps to a line end
+    at = np.flatnonzero(one)
+    return (1 - 2 * (c[at - 1] == 45).view(np.int8)).reshape(len(ends), p)
 
 
 def write_correlations_csv(c: np.ndarray, path) -> None:

@@ -6,10 +6,11 @@ The exceptions are `reference_rlr_neighborhood`, the package's earlier
 single-root l1 solver, kept whole as the reference for the batched one;
 `reference_glauber_run`, the earlier heat-bath loop that re-sums every
 neighbor at each update, kept as the reference for the incremental one;
-and `reference_joint`, `reference_score` and
-`reference_independence_test`, the earlier independence test that scores
-one candidate set and one probe set at a time, kept as the reference for
-the batched one.
+`reference_joint`, `reference_score` and `reference_independence_test`,
+the earlier independence test that scores one candidate set and one probe
+set at a time, kept as the reference for the batched one; and
+`reference_read_samples`, the earlier sample-file reader that splits and
+converts one line at a time, kept as the reference for the vectorised one.
 """
 import itertools
 import math
@@ -282,3 +283,22 @@ def reference_independence_test(joint, p, delta, eps, gamma, rule, pool_of):
         for j in nb
         if rule == "or" or r in hoods[j]
     }
+
+
+def reference_read_samples(path):
+    """The sample-file reader the block parser replaced: text mode, one
+    readline().split() per row and int() per token."""
+    from isinglearn.ising import SampleSet
+
+    with open(path) as fh:
+        head = fh.readline().split()
+        if len(head) != 5:
+            raise ValueError("sample file header must be `n p seed burn_in thin`")
+        n, p, seed, burn_in, thin = (int(v) for v in head)
+        spins = np.empty((n, p), dtype=np.int8)
+        for ell in range(n):
+            row = fh.readline().split()
+            if len(row) != p:
+                raise ValueError(f"sample row {ell} has {len(row)} tokens, wanted {p}")
+            spins[ell] = [int(v) for v in row]
+    return SampleSet(spins, seed=seed, burn_in=burn_in, thin=thin)

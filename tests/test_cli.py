@@ -136,19 +136,32 @@ def test_learn_missing_params_errors(tmp_path, tree_graph_file):
     assert rc == 2
 
 
-def test_learn_rejects_bad_delta_and_lambda(tmp_path):
+def test_learn_rejects_bad_delta_and_lambda(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     write_graph(make_tree(5, "path"), gpath)
     samples = tmp_path / "s.txt"
     main(["sample", "--graph", str(gpath), "--theta", "0.8", "--n", "500",
           "--burn-in", "100", "--thin", "2", "--seed", "3", "--out", str(samples)])
+    capsys.readouterr()
     out = tmp_path / "learned.txt"
     common = ["learn", "--samples", str(samples), "--out", str(out)]
     for alg in ("ind", "indd"):
-        with pytest.raises(ValueError, match="delta must be >= 1"):
-            main(common + ["--alg", alg, "--theta", "0.8", "--delta", "0"])
-    with pytest.raises(ValueError, match="lam must be >= 0"):
-        main(common + ["--alg", "rlr", "--lambda", "-0.1"])
+        assert main(common + ["--alg", alg, "--theta", "0.8", "--delta", "0"]) == 2
+        assert capsys.readouterr().err == "isinglearn: error: delta must be >= 1\n"
+    assert main(common + ["--alg", "rlr", "--lambda", "-0.1"]) == 2
+    assert capsys.readouterr().err == "isinglearn: error: lam must be >= 0\n"
+    assert not out.exists()
+
+
+def test_learn_reports_malformed_sample_file(tmp_path, capsys):
+    samples = tmp_path / "s.txt"
+    samples.write_text("3 2 0 0 0\n+1 -1\n+1 300\n-1 -1\n")
+    out = tmp_path / "learned.txt"
+    argv = ["learn", "--alg", "thr", "--tau", "0.5", "--samples", str(samples),
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "isinglearn: error: sample row 1 has token '300', wanted +1, -1 or 1\n"
     assert not out.exists()
 
 

@@ -1,7 +1,9 @@
 import itertools
 import math
+import re
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from _reference import (
     naive_marginal,
     naive_moments,
     reference_glauber_run,
+    reference_read_samples,
 )
 from _strategies import SPLIT_LAYOUTS, ising_instances, split_layout
 
@@ -467,6 +470,150 @@ class TestSampleFiles:
         lines = path.read_text().splitlines()
         assert lines[0] == "2 3 5 7 2"
         assert lines[1] == "+1 +1 +1"
+
+    @staticmethod
+    def _read(tmp_path, text):
+        path = tmp_path / "samples.txt"
+        path.write_bytes(text.encode())
+        return read_samples(path)
+
+    def test_no_rows(self, tmp_path):
+        for text in ("0 3 1 2 3\n", "0 3 1 2 3", "0 3 1 2 3\nnot a row\n"):
+            s = self._read(tmp_path, text)
+            assert s.spins.shape == (0, 3)
+            assert (s.seed, s.burn_in, s.thin) == (1, 2, 3)
+
+    def test_crlf_tabs_and_no_final_newline(self, tmp_path):
+        want = np.array([[1, -1, 1], [-1, -1, 1]], dtype=np.int8)
+        for text in ("2 3 4 5 6\r\n+1\t-1  1\r\n\t-1 -1\t\t+1 \r\n",
+                     "2 3 4 5 6\n 1 \t -1\t1\n-1   -1 +1",
+                     "2 3 4 5 6\n+1 -1 +1\r\n-1 -1 +1\ntrailing garbage"):
+            s = self._read(tmp_path, text)
+            assert np.array_equal(s.spins, want)
+            assert (s.seed, s.burn_in, s.thin) == (4, 5, 6)
+
+    def test_blank_line_fails_at_its_row(self, tmp_path):
+        with pytest.raises(ValueError, match="^sample row 1 has 0 tokens, wanted 2$"):
+            self._read(tmp_path, "3 2 0 0 0\n+1 -1\n\n-1 1\n")
+
+    def test_truncated_file(self, tmp_path):
+        with pytest.raises(ValueError, match="^sample file has 2 rows, wanted 3$"):
+            self._read(tmp_path, "3 2 0 0 0\n+1 -1\n-1 -1\n")
+        with pytest.raises(ValueError, match="^sample row 2 has 1 tokens, wanted 2$"):
+            self._read(tmp_path, "3 2 0 0 0\n+1 -1\n-1 -1\n+1")
+        with pytest.raises(ValueError, match="^sample file has 1 rows, wanted 1000$"):
+            self._read(tmp_path, "1000 2 0 0 0\n+1 -1")
+
+    @pytest.mark.parametrize("token", ["300", "2", "0", "11", "+", "x", "01", "-01", "1_1",
+                                       "+-1", "1+", "+1\r-1"])
+    def test_bad_token_names_its_row(self, tmp_path, token):
+        text = f"3 2 0 0 0\n+1 -1\n-1 {token}\n+1 +1\n"
+        with pytest.raises(ValueError, match=f"^sample row 1 has token {re.escape(repr(token))}, wanted"):
+            self._read(tmp_path, text)
+
+    def test_other_spellings_of_one_are_rejected(self, tmp_path):
+        # a deliberate difference from the earlier reader, which accepted
+        # anything int() reads as +-1; the format allows +1/-1 (and 1), as
+        # write_samples writes
+        path = tmp_path / "samples.txt"
+        path.write_text("2 2 0 0 0\n+1 01\n-001 1\n")
+        assert reference_read_samples(path).spins.tolist() == [[1, 1], [-1, 1]]
+        with pytest.raises(ValueError, match="^sample row 0 has token '01'"):
+            read_samples(path)
+
+    @pytest.mark.parametrize("head", ["-1 3 0 0 0", "2 -3 0 0 0"])
+    def test_negative_header_dimension(self, tmp_path, head):
+        with pytest.raises(ValueError, match="^sample file header has n = "):
+            self._read(tmp_path, head + "\n+1 -1 1\n")
+
+    @pytest.mark.parametrize("head", ["2 3 0 0", "2 3 0 0 0 0", "2 x 0 0 0", ""])
+    def test_bad_header(self, tmp_path, head):
+        with pytest.raises(ValueError, match="header must be `n p seed burn_in thin`"):
+            self._read(tmp_path, head + "\n+1 -1 1\n")
+
+    def test_large_file_memory_is_bounded(self, tmp_path):
+        rng = np.random.default_rng(11)
+        s = SampleSet(rng.choice(np.array([-1, 1], np.int8), size=(10_000, 30)), 1, 2, 3)
+        path = tmp_path / "samples.txt"
+        write_samples(s, path)
+        tracemalloc.start()
+        try:
+            back = read_samples(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == s
+        # the file is 900 kB and its spins 300 kB; parsing it whole, with
+        # an int64 index per token, would need several MB more
+        assert peak < 4e6
+
+
+_FILE_TOKENS = ("+1", "-1", "1", "0", "2", "11", "+", "x")
+_ROW_EDITS = ("drop", "duplicate", "blank", "short", "long", "token")
+
+
+@st.composite
+def sample_file_texts(draw):
+    """A sample file as text: a header, then rows of mostly valid tokens
+    with up to three edits (a row dropped, duplicated, blank, short or
+    long, or one bad token), some lines after row n, any separators and
+    line ends, with or without a final newline."""
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 5))
+    valid = st.sampled_from(_FILE_TOKENS[:3])
+    rows = draw(st.lists(st.lists(valid, min_size=p, max_size=p), min_size=n, max_size=n))
+    for edit in draw(st.lists(st.sampled_from(_ROW_EDITS), max_size=3)):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        if edit == "drop":
+            del rows[i]
+        elif edit == "duplicate":
+            rows.insert(i, list(rows[i]))
+        elif edit == "blank":
+            rows.insert(i, [])
+        elif edit == "short":
+            rows[i] = rows[i][:-1]
+        elif edit == "long":
+            rows[i] = rows[i] + [draw(valid)]
+        elif rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(_FILE_TOKENS))
+    rows += draw(st.lists(st.lists(st.sampled_from(_FILE_TOKENS), max_size=p + 1), max_size=2))
+    head_n = draw(st.sampled_from((n, n, n, n - 1, n + 1, -1)))
+    head_p = draw(st.sampled_from((p, p, p, p + 1, -1) + ((p - 1,) if p > 1 else ())))
+    sep = st.text(" \t", min_size=1, max_size=3)
+    edge = st.text(" \t", max_size=2)
+    line_end = st.sampled_from(("\n", "\r\n"))
+    lines = [f"{head_n} {head_p} {draw(st.integers(0, 9))} 0 1"]
+    for row in rows:
+        line = draw(edge)
+        for j, tok in enumerate(row):
+            line += (draw(sep) if j else "") + tok
+        lines.append(line + draw(edge))
+    text = "".join(line + draw(line_end) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=sample_file_texts(), block=st.sampled_from((1, 7, 1 << 16)))
+def test_read_samples_matches_reference_reader(tmp_path_factory, text, block):
+    """Wherever the earlier reader accepts a file the block parser returns
+    an equal SampleSet, and wherever it raises anything the parser raises a
+    ValueError. The deliberate differences lie outside what is drawn here:
+    other spellings of +-1, such as `01` (see
+    TestSampleFiles.test_other_spellings_of_one_are_rejected), separators
+    other than spaces and tabs and lone `\\r` line ends are now rejected,
+    and a p = 0 file must hold its n empty lines."""
+    path = tmp_path_factory.getbasetemp() / "differential.samples"
+    path.write_bytes(text.encode())
+    with mock.patch.object(ising, "_READ_BLOCK_BYTES", block):
+        try:
+            want = reference_read_samples(path)
+        except Exception:
+            with pytest.raises(ValueError):
+                read_samples(path)
+        else:
+            assert read_samples(path) == want
 
 
 @settings(max_examples=25, deadline=None)
