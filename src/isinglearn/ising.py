@@ -644,11 +644,11 @@ def read_samples(path) -> SampleSet:
     The header is `n p seed burn_in thin`. Each of the next n lines must
     hold exactly p tokens, each `+1`, `-1` or `1`, separated by runs of
     spaces and tabs. Lines end in `\\n` or `\\r\\n`, the last may lack it,
-    and lines after row n are ignored. A bad header, a file with fewer
-    than n rows, a row with the wrong token count and any other token
-    raise a ValueError; the row errors name the 0-based row. The body is
-    read as bytes once, a block at a time, and each block's whole lines
-    are parsed with numpy.
+    and lines after row n are ignored. A bad header, a header whose n x p
+    array cannot be allocated, a file with fewer than n rows, a row with
+    the wrong token count and any other token raise a ValueError; the row
+    errors name the 0-based row. The body is read as bytes once, a block
+    at a time, and each block's whole lines are parsed with numpy.
     """
     with open(path, "rb") as fh:
         head = fh.readline()
@@ -658,7 +658,13 @@ def read_samples(path) -> SampleSet:
             raise ValueError("sample file header must be `n p seed burn_in thin`") from None
         if n < 0 or p < 0:
             raise ValueError(f"sample file header has n = {n}, p = {p}; both must be >= 0")
-        spins = np.empty((n, p), dtype=np.int8)
+        try:
+            spins = np.empty((n, p), dtype=np.int8)
+        except MemoryError:
+            raise ValueError(
+                f"sample file header asks for n = {n} rows of p = {p} spins,"
+                " more than fits in memory"
+            ) from None
         row, rest = 0, b""
         while row < n:
             chunk = fh.read(_READ_BLOCK_BYTES)

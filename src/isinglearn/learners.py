@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
-from .ising import ExactDistribution, SampleSet, empirical_correlations
+from .graphs import Graph, make_toy_gp
+from .ising import ExactDistribution, SampleSet, empirical_correlations, exact_moments
 
 
 def thresholding(corr: np.ndarray, tau: float) -> Graph:
@@ -631,104 +631,53 @@ def run_learner(
 
 
 # ---------------------------------------------------------------------------
-# population-limit regression on the double-hub graph
+# population-limit regression
 
 
-def _gp_population_tables(theta: float, p: int):
-    """Joint pmf of (X_1, X_2, M) on the double-hub graph, with
-    M = X_3 + ... + X_p, returned as aligned flat arrays (x1, x2, m, prob)."""
-    from .graphs import make_toy_gp
-    from .ising import exact_moments
-
-    g = make_toy_gp(p)
-    dist = exact_moments(g, theta)
-    k = p - 2
-    # T = (k+1)(2[X_1 = -1] + [X_2 = -1]) + #{v >= 3: X_v = -1}; the last
-    # axis is reversed to count up spins, so that M = 2*index - k
-    coef = np.ones(p, dtype=np.int64)
-    coef[:2] = (2 * (k + 1), k + 1)
-    tbl = dist.down_count_pmf(coef).reshape(2, 2, k + 1)[:, :, ::-1]
-    x1 = np.array([1.0, -1.0])[:, None, None]
-    x2 = np.array([1.0, -1.0])[None, :, None]
-    m = (2.0 * np.arange(k + 1) - k)[None, None, :]
-    return (
-        np.broadcast_to(x1, tbl.shape).ravel(),
-        np.broadcast_to(x2, tbl.shape).ravel(),
-        np.broadcast_to(m, tbl.shape).ravel(),
-        tbl.ravel(),
-    )
+_POPULATION_MAX_P = 18  # the 2^p x p float design is 38 MB at p = 18
+_POPULATION_MAX_ITER = 20_000  # the slowest known solve (p=7, theta=1) takes 7,780
 
 
-def _log2cosh(h):
-    return np.abs(h) + np.log1p(np.exp(-2.0 * np.abs(h)))
+def _population_rows(dist: ExactDistribution):
+    """All 2^p states as a float (2^p, p) design and their exact
+    probabilities as a (2^p, 1) weight column: the population input of
+    _rlr_all_roots. Row s has spin -1 at vertex k+1 where bit p-1-k of s is
+    set, the order of dist.marginal over every vertex."""
+    p = dist.graph.p
+    if p > _POPULATION_MAX_P:
+        raise ValueError(f"population rows need p <= {_POPULATION_MAX_P}, got p={p}")
+    bits = (np.arange(1 << p)[:, None] >> np.arange(p - 1, -1, -1)) & 1
+    return 1.0 - 2.0 * bits, dist.marginal(range(1, p + 1)).reshape(-1, 1)
 
 
 def population_rlr_gp(
     theta: float, p: int, lam: float, tol: float = 1e-10
 ) -> tuple[float, float]:
-    """Population-limit regression at the hub of the double-hub graph.
+    """Population-limit regression at the hub (vertex 1) of the double-hub
+    graph make_toy_gp(p), p <= 18.
 
-    By symmetry the hub's coefficients toward all spoke vertices coincide,
-    so the problem reduces to two variables (t13 toward a spoke, t12 toward
-    the opposite hub) with penalty lam*(p-2)*|t13| + lam*|t12|. The
-    minimizer is found by alternating exact one-dimensional minimizations
-    (bisection on the stationarity condition). Returns (t13_hat, t12_hat).
+    The batched l1 solver runs on all 2^p states weighted by their exact
+    probabilities; `tol` bounds its subgradient optimality residual, and a
+    solve still above it after _POPULATION_MAX_ITER iterations raises
+    RuntimeError. By symmetry every spoke coefficient is the same.
+    Returns (t13_hat, t12_hat), the hub's coefficients toward spoke 3 and
+    toward the opposite hub.
     """
     if p < 5:
         raise ValueError("p must be >= 5")
+    if p > _POPULATION_MAX_P:
+        raise ValueError(f"p must be <= {_POPULATION_MAX_P}")
     if theta <= 0:
         raise ValueError("theta must be positive")
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    x1, x2, m, prob = _gp_population_tables(theta, p)
-    e12 = float(np.sum(prob * x1 * x2))
-    e1m = float(np.sum(prob * x1 * m))
-
-    def partials(t13, t12):
-        h = t12 * x2 + t13 * m
-        tanh_h = np.tanh(h)
-        g13 = float(np.sum(prob * m * tanh_h)) - e1m
-        g12 = float(np.sum(prob * x2 * tanh_h)) - e12
-        return g13, g12
-
-    def solve_coord(other_fixed, which, weight):
-        """Exact minimizer in one coordinate given the other."""
-
-        def dsmooth(t):
-            if which == 13:
-                return partials(t, other_fixed)[0]
-            return partials(other_fixed, t)[1]
-
-        g0 = dsmooth(0.0)
-        if abs(g0) <= weight:
-            return 0.0
-        sign = -math.copysign(1.0, g0)  # descent direction from 0
-        # stationarity: dsmooth(t) + weight*sign(t) = 0 on the active side
-        target = -weight * sign
-
-        def f(t):
-            return dsmooth(sign * t) - target
-
-        hi = 1.0
-        while f(hi) * sign < 0 and hi < 1e6:
-            hi *= 2.0
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if f(mid) * sign < 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < tol * 0.25:
-                break
-        return sign * 0.5 * (lo + hi)
-
-    t13, t12 = 0.0, 0.0
-    for _ in range(500):
-        t13_new = solve_coord(t12, 13, lam * (p - 2))
-        t12_new = solve_coord(t13_new, 12, lam)
-        moved = max(abs(t13_new - t13), abs(t12_new - t12))
-        t13, t12 = t13_new, t12_new
-        if moved < tol * 0.1:
-            break
-    return t13, t12
+    rows = _population_rows(exact_moments(make_toy_gp(p), theta))
+    coef, _, res, _ = _rlr_all_roots(
+        *rows, lam, tol, _POPULATION_MAX_ITER, None, roots=[0]
+    )
+    if not res[0] < tol:
+        raise RuntimeError(
+            f"population regression did not converge in {_POPULATION_MAX_ITER}"
+            f" iterations: residual {res[0]:.3e} >= tol {tol:.1e}"
+        )
+    return float(coef[2, 0]), float(coef[1, 0])

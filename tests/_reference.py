@@ -10,10 +10,16 @@ neighbor at each update, kept as the reference for the incremental one;
 the earlier independence test that scores one candidate set and one probe
 set at a time, kept as the reference for the batched one; and
 `reference_read_samples`, the earlier sample-file reader that splits and
-converts one line at a time, kept as the reference for the vectorised one.
+converts one line at a time, kept as the reference for the vectorised one;
+and `reference_population_rlr_gp`, the earlier population regression on
+the double-hub graph by alternating one-dimensional bisections over its
+two-parameter symmetric reduction, kept as the reference for the batched
+l1 solver run on the exact state probabilities (its tables come from
+`naive_marginal`).
 """
 import itertools
 import math
+import types
 
 import numpy as np
 
@@ -167,6 +173,85 @@ def reference_rlr_neighborhood(spins, r, lam, tol=1e-6, max_iter=5000):
         prev, theta, f_cur, grad, t_mom = theta, cand, f_cand, grad_cand, t_next
     return theta, f_cur, kkt(theta, grad) < tol, it
 
+
+
+def naive_gp_tables(theta, p):
+    """Joint pmf of (X_1, X_2, M) on the double-hub graph (vertices 1 and 2
+    each joined to every vertex 3..p with coupling theta), M = X_3 + ... +
+    X_p, by direct summation. Returns aligned flat arrays (x1, x2, m, prob)
+    over the cells of positive probability."""
+    couplings = {(h, k): theta for h in (1, 2) for k in range(3, p + 1)}
+    pmf = naive_marginal(types.SimpleNamespace(p=p), couplings, range(1, p + 1))
+    cells = {}
+    for x, pr in pmf.items():
+        key = (x[0], x[1], sum(x[2:]))
+        cells[key] = cells.get(key, 0.0) + pr
+    keys = sorted(cells)
+    x1, x2, m = (np.array([k[i] for k in keys], dtype=np.float64) for i in range(3))
+    return x1, x2, m, np.array([cells[k] for k in keys])
+
+
+def reference_population_rlr_gp(theta, p, lam, tol=1e-10):
+    """Population-limit regression at the hub of the double-hub graph.
+
+    By symmetry the hub's coefficients toward all spoke vertices coincide,
+    so the problem reduces to two variables (t13 toward a spoke, t12 toward
+    the opposite hub) with penalty lam*(p-2)*|t13| + lam*|t12|. The
+    minimizer is found by alternating exact one-dimensional minimizations
+    (bisection on the stationarity condition). Returns (t13_hat, t12_hat).
+    """
+    x1, x2, m, prob = naive_gp_tables(theta, p)
+    e12 = float(np.sum(prob * x1 * x2))
+    e1m = float(np.sum(prob * x1 * m))
+
+    def partials(t13, t12):
+        h = t12 * x2 + t13 * m
+        tanh_h = np.tanh(h)
+        g13 = float(np.sum(prob * m * tanh_h)) - e1m
+        g12 = float(np.sum(prob * x2 * tanh_h)) - e12
+        return g13, g12
+
+    def solve_coord(other_fixed, which, weight):
+        """Exact minimizer in one coordinate given the other."""
+
+        def dsmooth(t):
+            if which == 13:
+                return partials(t, other_fixed)[0]
+            return partials(other_fixed, t)[1]
+
+        g0 = dsmooth(0.0)
+        if abs(g0) <= weight:
+            return 0.0
+        sign = -math.copysign(1.0, g0)  # descent direction from 0
+        # stationarity: dsmooth(t) + weight*sign(t) = 0 on the active side
+        target = -weight * sign
+
+        def f(t):
+            return dsmooth(sign * t) - target
+
+        hi = 1.0
+        while f(hi) * sign < 0 and hi < 1e6:
+            hi *= 2.0
+        lo = 0.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if f(mid) * sign < 0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < tol * 0.25:
+                break
+        return sign * 0.5 * (lo + hi)
+
+    t13, t12 = 0.0, 0.0
+    for _ in range(500):
+        t13_new = solve_coord(t12, 13, lam * (p - 2))
+        t12_new = solve_coord(t13_new, 12, lam)
+        moved = max(abs(t13_new - t13), abs(t12_new - t12))
+        t13, t12 = t13_new, t12_new
+        if moved < tol * 0.1:
+            break
+    return t13, t12
 
 def reference_glauber_run(p, edges, theta, x, nsweeps, rng, stop_on_negative_mag=False):
     """Random-scan heat-bath sweeps with one coupling `theta` on every edge

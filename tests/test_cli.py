@@ -165,6 +165,23 @@ def test_learn_reports_malformed_sample_file(tmp_path, capsys):
     assert not out.exists()
 
 
+
+def test_learn_reports_impossible_sample_header(tmp_path, capsys):
+    # 10^15 rows of 30 spins lie beyond any address space, so the
+    # allocation fails whatever the host's overcommit setting
+    samples = tmp_path / "s.txt"
+    samples.write_text("1000000000000000 30 0 0 0\n" + "+1 " * 29 + "+1\n")
+    out = tmp_path / "learned.txt"
+    argv = ["learn", "--alg", "thr", "--tau", "0.5", "--samples", str(samples),
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "isinglearn: error: sample file header asks for n = 1000000000000000 rows"
+        " of p = 30 spins, more than fits in memory\n"
+    )
+    assert not out.exists()
+
 def test_analyze_incoherence_json(tmp_path, tree_graph_file):
     out = tmp_path / "rep.json"
     rc = main(

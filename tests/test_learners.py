@@ -10,12 +10,20 @@ from isinglearn import learners
 from isinglearn.graphs import (
     Graph,
     make_random_regular,
+    make_regular_plus_edge,
     make_star,
     make_toy_gp,
     make_toy_gp_prime,
     make_tree,
 )
-from isinglearn.ising import SampleSet, empirical_correlations, exact_moments, gibbs_sample
+from isinglearn.analysis import incoherence, population_hessian
+from isinglearn.ising import (
+    CouplingField,
+    SampleSet,
+    empirical_correlations,
+    exact_moments,
+    gibbs_sample,
+)
 from isinglearn.learners import (
     LearnerConfig,
     _rlr_all_roots,
@@ -36,13 +44,16 @@ from isinglearn.learners import (
     thresholding,
 )
 from _reference import (
+    naive_gp_tables,
     naive_marginal,
     naive_pseudo_likelihood,
     reference_independence_test,
     reference_joint,
+    reference_population_rlr_gp,
     reference_rlr_neighborhood,
     reference_score,
 )
+from _strategies import ising_instances, split_layout
 
 
 class TestThresholding:
@@ -702,11 +713,9 @@ class TestPopulationRlrGp:
 
     def test_stationarity_of_solution(self):
         # KKT: each coordinate's smooth partial sits in the subdifferential
-        from isinglearn.learners import _gp_population_tables
-
         theta, p, lam = 0.55, 5, 0.4
         t13, t12 = population_rlr_gp(theta, p, lam)
-        x1, x2, m, prob = _gp_population_tables(theta, p)
+        x1, x2, m, prob = naive_gp_tables(theta, p)
         h = t12 * x2 + t13 * m
         g13 = float(np.sum(prob * m * np.tanh(h))) - float(np.sum(prob * x1 * m))
         g12 = float(np.sum(prob * x2 * np.tanh(h))) - float(np.sum(prob * x1 * x2))
@@ -720,26 +729,125 @@ class TestPopulationRlrGp:
         else:
             assert abs(g12) <= lam + 1e-8
 
-    def test_population_tables_match_brute_force(self):
-        from isinglearn.learners import _gp_population_tables
-
-        p, theta = 6, 0.7
-        g = make_toy_gp(p)
-        ref = naive_marginal(g, {e: theta for e in g.sorted_edges()}, range(1, p + 1))
-        want = {}
-        for x, pr in ref.items():
-            key = (x[0], x[1], sum(x[2:]))
-            want[key] = want.get(key, 0.0) + pr
-        x1, x2, m, prob = _gp_population_tables(theta, p)
-        assert len(prob) == 4 * (p - 1)
-        for key in zip(x1, x2, m, prob):
-            assert abs(key[3] - want.get(key[:3], 0.0)) < 1e-12
-
     def test_matches_sampled_rlr_direction(self):
         # the population solution at weak coupling keeps the spoke
         # coefficient dominant; a finite-sample run agrees qualitatively
         t13, t12 = population_rlr_gp(0.3, 5, lam=0.05)
         assert t13 > 0 and t12 < t13
+
+    @staticmethod
+    def _solve_and_capture(theta, p, lam):
+        """population_rlr_gp's output and the full coefficient column of the
+        batched solve behind it."""
+        solve = learners._rlr_all_roots
+        columns = []
+
+        def spy(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            columns.append(out[0][:, 0].copy())
+            return out
+
+        with mock.patch.object(learners, "_rlr_all_roots", spy):
+            got = population_rlr_gp(theta, p, lam)
+        (col,) = columns
+        return got, col
+
+    @pytest.mark.parametrize("p", [5, 6, 7])
+    def test_matches_reference_solver(self, p):
+        worst = 0.0
+        for theta in (0.05, 0.3, 0.6, 0.8, 1.0):
+            for lam in (0.005, 0.02, 0.1, 0.3, 0.7, 2.0):
+                (t13, t12), col = self._solve_and_capture(theta, p, lam)
+                want = reference_population_rlr_gp(theta, p, lam)
+                assert (t13, t12) == (col[2], col[1])
+                assert col[0] == 0.0
+                assert np.abs(col[2:] - t13).max() <= 1e-12, (theta, lam)
+                assert (t13 == 0.0, t12 == 0.0) == (want[0] == 0.0, want[1] == 0.0)
+                worst = max(worst, abs(t13 - want[0]), abs(t12 - want[1]))
+        assert worst < 1e-7
+
+    def test_matches_reference_solver_on_criterion_6_points(self):
+        points = [(0.65, float(lam)) for lam in np.linspace(0.01, 0.75, 30)]
+        points += [(0.65, float(lam)) for lam in np.linspace(0.01, 0.7, 8)]
+        points += [(0.55, float(lam)) for lam in np.linspace(0.3, 0.65, 10)]
+        points += [(0.6, 2.0), (0.55, 0.4), (0.3, 0.05)]
+        for theta, lam in points:
+            t13, t12 = population_rlr_gp(theta, 5, lam)
+            want = reference_population_rlr_gp(theta, 5, lam)
+            assert abs(t13 - want[0]) < 1e-8 and abs(t12 - want[1]) < 1e-8, (theta, lam)
+            assert (t13 == 0.0, t12 == 0.0) == (want[0] == 0.0, want[1] == 0.0)
+
+    def test_refuses_large_p_before_enumerating(self):
+        with mock.patch.object(learners, "exact_moments") as enumerate_states:
+            with pytest.raises(ValueError, match="p must be <= 18"):
+                population_rlr_gp(0.3, 19, 0.1)
+        enumerate_states.assert_not_called()
+
+    def test_unconverged_solve_raises(self):
+        with mock.patch.object(learners, "_POPULATION_MAX_ITER", 2):
+            with pytest.raises(RuntimeError, match="did not converge in 2 iterations"):
+                population_rlr_gp(0.65, 5, 0.1)
+
+
+class TestPopulationRows:
+    @settings(max_examples=40, deadline=None)
+    @given(inst=ising_instances(p_max=8))
+    def test_match_brute_force(self, inst):
+        g, couplings, layout = inst
+        with split_layout(layout):
+            X, wgt = learners._population_rows(
+                exact_moments(g, CouplingField.from_dict(g.p, couplings))
+            )
+        assert X.shape == (2**g.p, g.p) and wgt.shape == (2**g.p, 1)
+        want = naive_marginal(g, couplings, range(1, g.p + 1))
+        assert len({tuple(x) for x in X}) == 2**g.p
+        for x, w in zip(X, wgt[:, 0]):
+            assert abs(w - want[tuple(int(v) for v in x)]) < 1e-12
+
+    def test_axis_k_is_vertex_k_plus_one(self):
+        X, _ = learners._population_rows(exact_moments(make_toy_gp(5), 0.3))
+        assert X[0].tolist() == [1.0] * 5
+        assert X[1].tolist() == [1.0, 1.0, 1.0, 1.0, -1.0]
+        assert X[16].tolist() == [-1.0, 1.0, 1.0, 1.0, 1.0]
+
+    def test_refuses_more_than_18_vertices(self):
+        dist = exact_moments(make_tree(19, "path"), 0.3)
+        with pytest.raises(ValueError, match="p <= 18"):
+            learners._population_rows(dist)
+
+
+class TestPrimalDualWitness:
+    # (graph, theta, root, incoherence norm rounded); the norm must lie at
+    # least 0.05 from 1 so that the small-penalty limit is settled
+    WITNESS_CASES = [
+        pytest.param(make_random_regular(10, 3, 1), 0.3, 1, 0.752, id="3reg10-0.3-r1"),
+        pytest.param(make_random_regular(10, 3, 1), 0.65, 1, 1.065, id="3reg10-0.65-r1"),
+        pytest.param(make_random_regular(10, 3, 1), 0.8, 1, 1.086, id="3reg10-0.8-r1"),
+        pytest.param(make_regular_plus_edge(10, 3, 2), 0.45, 1, 0.867, id="3reg+e10-0.45-r1"),
+        pytest.param(make_regular_plus_edge(10, 3, 2), 0.8, 1, 1.058, id="3reg+e10-0.8-r1"),
+        pytest.param(make_regular_plus_edge(10, 3, 2), 0.8, 10, 0.0, id="3reg+e10-0.8-r10"),
+        pytest.param(make_toy_gp(6), 0.45, 1, 1.190, id="gp6-0.45-r1"),
+        pytest.param(make_toy_gp(6), 0.45, 6, 0.716, id="gp6-0.45-r6"),
+        pytest.param(make_toy_gp(5), 0.65, 1, 1.149, id="gp5-0.65-r1"),
+        pytest.param(make_toy_gp(5), 0.65, 5, 0.862, id="gp5-0.65-r5"),
+        pytest.param(make_random_regular(12, 4, 3), 0.3, 1, 0.824, id="4reg12-0.3-r1"),
+    ]
+
+    @pytest.mark.parametrize("g, theta, r, norm", WITNESS_CASES)
+    def test_population_support_follows_incoherence(self, g, theta, r, norm):
+        # primal-dual witness: at small penalties the population solution
+        # has the true support iff ||Q_ScS Q_SS^-1 1||_inf < 1
+        dist = exact_moments(g, theta)
+        report = incoherence(population_hessian(dist, r), g.neighbors(r))
+        assert report.norm == pytest.approx(norm, abs=5e-4)
+        assert abs(report.norm - 1.0) >= 0.05
+        rows = learners._population_rows(dist)
+        warm = None
+        for lam in (1e-2, 3e-3, 1e-3, 3e-4):
+            warm, _, res, _ = _rlr_all_roots(*rows, lam, 1e-9, 20_000, warm, roots=[r - 1])
+            assert res[r - 1] < 1e-9
+            support = {int(v) + 1 for v in np.flatnonzero(warm[:, r - 1])}
+            assert (support == set(g.neighbors(r))) == (report.norm < 1.0), lam
 
 
 @settings(max_examples=30, deadline=None)
