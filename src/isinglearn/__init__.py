@@ -28,14 +28,12 @@ from .ising import (
     ExactDistribution,
     MixingEstimate,
     SampleSet,
-    TreeModel,
     empirical_correlations,
     estimate_mixing,
     exact_moments,
     gibbs_sample,
     read_samples,
     saw_correlation_bound,
-    tree_boundary_field,
     write_correlations_csv,
     write_samples,
 )
@@ -79,6 +77,7 @@ from .analysis import (
     thresholding_failure_certificate,
     toy_covariances,
     toy_gp5_incoherence,
+    tree_boundary_field,
     tree_limit_report,
 )
 

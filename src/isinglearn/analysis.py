@@ -3,9 +3,10 @@
 Covers the exact Hessian of the per-vertex conditional log-likelihood,
 the incoherence norm controlling l1-regularized neighborhood selection,
 the infinite-tree limit of that norm on random regular graphs with its
-crossing point, closed-form correlation calculus for glued subgraphs and
-the double-hub family, and a certificate showing where plain correlation
-thresholding must fail.
+boundary field and crossing point, closed-form correlation calculus for
+glued subgraphs and the double-hub family, and a certificate showing
+where plain correlation thresholding must fail. Every root found here
+goes through one bisection, _bisect.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .ising import (
     exact_moments,
     empirical_correlations,
     gibbs_sample,
-    tree_boundary_field,
 )
 
 
@@ -131,7 +131,88 @@ def graph_incoherence(g: Graph, theta, r: int) -> IncoherenceReport:
 
 
 # ---------------------------------------------------------------------------
+# root finding shared by the threshold solvers
+
+# Largest coupling the threshold scans try before reporting no crossing.
+_SCAN_THETA_MAX = 5.0
+
+
+def _bisect(above, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of [lo, hi] after halving it onto the point where the
+    predicate `above` turns from false (at lo) to true (at hi).
+
+    Stops once the interval is no wider than tol, or once its midpoint no
+    longer splits it, so a tol below the float spacing still returns."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _scan(f, lo: float, t: float, factor: float) -> tuple[float, float]:
+    """Bracket the first sign change of f from negative to positive.
+
+    f must be negative at lo; t grows geometrically by `factor` until
+    f(t) > 0, and the last negative point and t are returned. Raises
+    RootNotFound when f(lo) >= 0 or t passes _SCAN_THETA_MAX first."""
+    if f(lo) >= 0:
+        raise RootNotFound(f"no negative value at the scan start {lo}")
+    while t <= _SCAN_THETA_MAX:
+        if f(t) > 0:
+            return lo, t
+        lo = t
+        t *= factor
+    raise RootNotFound(f"no crossing found in ({lo}, {_SCAN_THETA_MAX}]")
+
+
+# ---------------------------------------------------------------------------
 # infinite-tree limit on random regular graphs
+
+
+def tree_boundary_field(delta: int, theta: float, tol: float = 1e-12) -> float:
+    """Unique positive fixed point h* of h = (delta-1) atanh(tanh(theta) tanh(h)),
+    the leaf field that makes local expectations on the rooted regular
+    tree depth-independent.
+
+    Returns 0.0 in the high-temperature regime (delta-1) tanh(theta) <= 1,
+    where only the trivial fixed point exists. Bisection to width tol/2
+    plus a fixed-point polish drive the residual below tol; when the polish
+    stalls, the bisection midpoint is returned.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if delta < 3:
+        raise ValueError("degree must be >= 3")
+    if theta <= 0:
+        raise ValueError("theta must be positive")
+    t = math.tanh(theta)
+    if (delta - 1) * t <= 1.0:
+        return 0.0
+
+    def step(h):
+        z = min(t * math.tanh(h), 1.0 - 1e-16)
+        return (delta - 1) * math.atanh(z)
+
+    # step(h) - h is positive on (0, h*), negative beyond
+    hi = 50.0 * max(1.0, theta * delta)
+    while step(hi) - hi >= 0:
+        hi *= 2.0
+    h_bisect = _bisect(lambda h: step(h) - h <= 0, tol, hi, 0.5 * tol)
+    h = h_bisect
+    for _ in range(200):
+        h_next = step(h)
+        if abs(h_next - h) < tol * 1e-3:
+            h = h_next
+            break
+        h = h_next
+    if abs(step(h) - h) >= tol:
+        h = h_bisect
+    return h
 
 
 def _log_binom(n: int, k: int) -> float:
@@ -161,19 +242,6 @@ class TreeLimitReport:
     c_min: float
 
 
-def _leaf_sum_terms(delta: int, theta: float, h_star: float):
-    """log Z of the depth-1 tree with leaf fields, leaf-sum values m, and
-    per-m log weights log C(delta, (delta+m)/2) + h* m."""
-    ms = np.arange(-delta, delta + 1, 2)
-    logw = np.array(
-        [_log_binom(delta, (delta + m) // 2) + h_star * m for m in ms], dtype=float
-    )
-    log_terms_z = logw + np.array([_logcosh(theta * m) for m in ms]) + math.log(2.0)
-    shift = log_terms_z.max()
-    log_z = shift + math.log(np.exp(log_terms_z - shift).sum())
-    return ms, logw, log_z
-
-
 def tree_limit_report(delta: int, theta: float) -> TreeLimitReport:
     """Evaluate the limiting Hessian entries (a, b), the conditional leaf
     moments (c1, c2), the one-step transition probabilities (alpha, beta)
@@ -185,45 +253,37 @@ def tree_limit_report(delta: int, theta: float) -> TreeLimitReport:
         raise ValueError(
             f"out of regime: no positive boundary field at delta={delta}, theta={theta}"
         )
-    ms, logw, log_z = _leaf_sum_terms(delta, theta, h_star)
     log2 = math.log(2.0)
 
     # Summing the root out of the depth-1 tree leaves each leaf configuration
-    # with weight C(delta, (delta+m)/2) e^{h* m} 2 cosh(theta m); multiplying
-    # by sech^2(theta m) turns the cosh into 2/cosh.
+    # with sum m the weight e^{h* m} 2 cosh(theta m); the Hessian entries
+    # weight it further by sech^2(theta m), which turns the cosh into 2/cosh.
+    def leaf_terms(marked):
+        """(m, log C(n, k)) for each count k of + spins among the n leaves
+        left free when the marked leaves hold the given spins."""
+        n = delta - len(marked)
+        for k in range(n + 1):
+            yield 2 * k - n + sum(marked), _log_binom(n, k)
 
-    # a = E{1/cosh^2(theta M)}
-    a = float(
-        sum(
-            math.exp(log2 + lw - _logcosh(theta * m) - log_z)
-            for m, lw in zip(ms, logw)
-        )
+    log_terms_z = np.array(
+        [lb + h_star * m + _logcosh(theta * m) + log2 for m, lb in leaf_terms(())]
     )
+    shift = log_terms_z.max()
+    log_z = shift + math.log(np.exp(log_terms_z - shift).sum())
 
-    # b = E{X_i X_j / cosh^2(theta M)} over two marked leaves
-    b = 0.0
-    for xi in (1, -1):
-        for xj in (1, -1):
-            for mpp in range(-(delta - 2), delta - 1, 2):
-                m = mpp + xi + xj
-                lw = _log_binom(delta - 2, (delta - 2 + mpp) // 2) + h_star * m
-                b += xi * xj * math.exp(log2 + lw - _logcosh(theta * m) - log_z)
+    def leaf_sum(marked, f=lambda m: 1.0):
+        """E{f(M) sech^2(theta M); the marked leaves hold the given spins}."""
+        return sum(
+            f(m) * math.exp(log2 + lb + h_star * m - _logcosh(theta * m) - log_z)
+            for m, lb in leaf_terms(marked)
+        )
 
-    # conditional leaf-sum moments: c1 fixes a marked leaf at +1, c2 at -1;
-    # binomial coefficients vanish outside their admissible index range
-    c1 = 0.0
-    c2 = 0.0
-    for m in ms:
-        k1 = (delta + m - 2) // 2
-        if 0 <= k1 <= delta - 1:
-            c1 += m * math.exp(
-                log2 + _log_binom(delta - 1, k1) + h_star * m - _logcosh(theta * m) - log_z
-            )
-        k2 = (delta + m) // 2
-        if 0 <= k2 <= delta - 1:
-            c2 += m * math.exp(
-                log2 + _log_binom(delta - 1, k2) + h_star * m - _logcosh(theta * m) - log_z
-            )
+    # a = E{sech^2(theta M)}, b = E{X_i X_j sech^2(theta M)} over two leaves;
+    # c1 and c2 are E{M sech^2(theta M)} with one leaf fixed at +1 and -1
+    a = leaf_sum(())
+    b = sum(xi * xj * leaf_sum((xi, xj)) for xi in (1, -1) for xj in (1, -1))
+    c1 = leaf_sum((1,), lambda m: m)
+    c2 = leaf_sum((-1,), lambda m: m)
 
     alpha = 1.0 / (1.0 + math.exp(-2.0 * (h_star + theta)))
     beta = 1.0 / (1.0 + math.exp(-2.0 * (theta - h_star)))
@@ -250,9 +310,10 @@ def _incoherence_limit_sign(delta: int, theta: float) -> float:
     return rep.c1 * (rep.alpha - 1.0) + rep.c2 * (1.0 - rep.beta)
 
 
-def theta_thr(delta: int, tol: float = 1e-6, theta_max: float = 5.0) -> float:
+def theta_thr(delta: int, tol: float = 1e-6) -> float:
     """Coupling at which the limiting incoherence crosses 1 on random
-    regular graphs of the given degree, by bisection on its sign proxy.
+    regular graphs of the given degree, by bisection on its sign proxy
+    after a geometric scan up from the field onset.
 
     Large degree: with theta = theta~/delta the boundary field tends to h
     with h = theta~ tanh(h). Expanding the sign proxy to relative order
@@ -260,27 +321,14 @@ def theta_thr(delta: int, tol: float = 1e-6, theta_max: float = 5.0) -> float:
     2h^2 ~ 1.1910, approached as 1/delta."""
     if delta < 4:
         raise ValueError("degree must be >= 4")
+
+    def sign(th):
+        return _incoherence_limit_sign(delta, th)
+
     onset = math.atanh(1.0 / (delta - 1))
     lo = onset * (1.0 + 1e-9) + 1e-12
-    if _incoherence_limit_sign(delta, lo) >= 0:
-        raise RootNotFound("sign proxy not negative just above the field onset")
-    hi = None
-    t = max(lo * 1.5, onset + 0.01)
-    while t <= theta_max:
-        if _incoherence_limit_sign(delta, t) > 0:
-            hi = t
-            break
-        lo = t
-        t *= 1.5
-    if hi is None:
-        raise RootNotFound(f"no crossing found in ({onset}, {theta_max}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _incoherence_limit_sign(delta, mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    lo, hi = _scan(sign, lo, max(lo * 1.5, onset + 0.01), 1.5)
+    return _bisect(lambda th: sign(th) > 0, lo, hi, tol)
 
 
 def h_infinity(tol: float = 1e-12) -> tuple[float, float]:
@@ -289,14 +337,7 @@ def h_infinity(tol: float = 1e-12) -> tuple[float, float]:
     theta_thr(delta)*delta tends to 2h^2 ~ 1.191 with 2h tanh(h) = 1."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lo, hi = 0.0, 10.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid * math.tanh(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    h = 0.5 * (lo + hi)
+    h = _bisect(lambda h: h * math.tanh(h) >= 1.0, 0.0, 10.0, tol)
     return h, h * h
 
 
@@ -359,36 +400,18 @@ def gp_neighbor_corr(delta: int, theta: float) -> float:
     return up / dn
 
 
-def theta_T(delta: int, tol: float = 1e-8, theta_max: float = 5.0) -> float:
+def theta_T(delta: int) -> float:
     """Coupling at which the indirect hub-hub correlation overtakes the
     direct edge correlation on the double-hub family: the root of
-    gp_neighbor_corr(delta-1, theta) = tanh(theta)."""
+    gp_neighbor_corr(delta-1, theta) = tanh(theta), to within 1e-8."""
     if delta < 3:
         raise ValueError("delta must be >= 3")
 
     def f(th):
         return gp_neighbor_corr(delta - 1, th) - math.tanh(th)
 
-    lo = 1e-6
-    if f(lo) >= 0:
-        raise RootNotFound("no negative branch at small theta")
-    hi = None
-    t = 0.01
-    while t <= theta_max:
-        if f(t) > 0:
-            hi = t
-            break
-        lo = t
-        t *= 1.3
-    if hi is None:
-        raise RootNotFound(f"no crossing found below {theta_max}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    lo, hi = _scan(f, 1e-6, 0.01, 1.3)
+    return _bisect(lambda th: f(th) > 0, lo, hi, 1e-8)
 
 
 def toy_gp5_incoherence(theta: float) -> float:
@@ -400,6 +423,10 @@ def toy_gp5_incoherence(theta: float) -> float:
 
 # ---------------------------------------------------------------------------
 # failure certificate for thresholding
+
+
+# Gibbs samples behind a certificate whose graph is too large to enumerate.
+_CERTIFICATE_GIBBS_N = 20_000
 
 
 @dataclass(frozen=True)
@@ -421,14 +448,13 @@ def thresholding_failure_certificate(
     theta: float,
     p: int,
     seed: int,
-    n_gibbs: int = 20_000,
 ) -> FailureCertificate:
     """Compare the planted isolated-edge correlation tanh(theta) against the
     largest non-edge correlation inside a random regular component.
 
     A positive certificate means no threshold can separate edges from
     non-edges on this graph. Exact enumeration when 2^p fits the budget,
-    otherwise a Gibbs estimate.
+    otherwise a Gibbs estimate from _CERTIFICATE_GIBBS_N samples.
     """
     g = make_regular_plus_edge(p, delta, seed)
     exact = p <= ENUMERATION_MAX_P
@@ -436,7 +462,7 @@ def thresholding_failure_certificate(
         corr = exact_moments(g, theta).corr
     else:
         corr = empirical_correlations(
-            gibbs_sample(g, theta, n=n_gibbs, seed=seed)
+            gibbs_sample(g, theta, n=_CERTIFICATE_GIBBS_N, seed=seed)
         )
     edge_corr = float(corr[p - 2, p - 1])
     best = -1.0

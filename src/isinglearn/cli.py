@@ -169,9 +169,12 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _parse_kv_config(path) -> dict:
-    """Flat `key = value` lines; '#' starts a comment."""
+def _parse_kv_config(path, keys, required) -> dict:
+    """Flat `key = value` lines; '#' starts a comment. Every key must be one
+    of `keys` and appear once at most, and every key in `required` must
+    appear."""
     out = {}
+    first_line = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -179,7 +182,17 @@ def _parse_kv_config(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected `key = value`")
         k, v = (part.strip() for part in line.split("=", 1))
+        if k not in keys:
+            raise ValueError(f"{path}:{lineno}: unknown key {k!r}")
+        if k in out:
+            raise ValueError(
+                f"{path}:{lineno}: key {k!r} repeats line {first_line[k]}"
+            )
         out[k] = v
+        first_line[k] = lineno
+    for k in required:
+        if k not in out:
+            raise ValueError(f"{path}: missing required key {k!r}")
     return out
 
 
@@ -191,8 +204,17 @@ def _ints(v: str) -> tuple:
     return tuple(int(x) for x in v.split(","))
 
 
+_SWEEP_REQUIRED = ("family", "theta_grid", "n_grid")
+_SWEEP_KEYS = frozenset(_SWEEP_REQUIRED) | {
+    "p", "delta", "deg", "side", "periodic", "rho", "shape", "branching",
+    "learner", "tau", "tau_rule", "eps", "gamma", "kappa", "rule", "tol",
+    "max_iter", "lambda0_grid", "trials", "seed", "fresh_graph", "burn_in",
+    "thin", "mixing_cap", "budget_units", "out",
+}
+
+
 def sweep_config_from_file(path) -> experiments.SweepConfig:
-    kv = _parse_kv_config(path)
+    kv = _parse_kv_config(path, _SWEEP_KEYS, _SWEEP_REQUIRED)
     fam = GraphFamilySpec(
         family=kv["family"],
         p=int(kv.get("p", 0)),

@@ -131,14 +131,6 @@ def _vertex_success_rate(learned: Graph, truth: Graph) -> float:
     return ok / truth.p
 
 
-def _warm_matrix(estimates: dict, p: int) -> np.ndarray:
-    warm = np.zeros((p, p))
-    for root, est in estimates.items():
-        for k, v in enumerate(est.labels):
-            warm[v - 1, root - 1] = est.theta[k]
-    return warm
-
-
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run every (theta, lambda0, n) cell for the configured trial count.
 
@@ -189,10 +181,9 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                             rule=cfg.learner.rule,
                             tol=cfg.learner.tol,
                             max_iter=cfg.learner.max_iter,
-                            selection_threshold=cfg.learner.selection_threshold,
                             warm=warm,
                         )
-                        warm = _warm_matrix(res.estimates, p)
+                        warm = res.theta
                         learned = res.graph
                     else:
                         learned = run_learner(
@@ -317,16 +308,10 @@ def reproduce(name: str, out_dir, seed: int = 0) -> list:
 def _reproduce_thresholds(out: Path) -> list:
     thr4 = analysis.theta_thr(4, tol=1e-6)
     h_inf, theta_tilde = analysis.h_infinity()
-    # crossing of the 5-vertex double-hub incoherence through 1
-    lo, hi = 0.2, 1.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if analysis.toy_gp5_incoherence(mid) > 1.0:
-            hi = mid
-        else:
-            lo = mid
-    theta_star = 0.5 * (lo + hi)
-    x_star = math.tanh(theta_star)
+    # the 5-vertex double-hub incoherence 3x(1+x^2)/(1+3x^2) crosses 1 where
+    # 2x^3 = (1-x)^3, at x = tanh(theta) = 1/(1 + 2^(1/3))
+    x_star = 1.0 / (1.0 + 2.0 ** (1.0 / 3.0))
+    theta_star = math.atanh(x_star)
     theta_t5 = analysis.theta_T(3)
     rows = [
         ("theta_thr_delta4", thr4),

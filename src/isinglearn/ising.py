@@ -66,13 +66,6 @@ class CouplingField:
             items.append((i, j, float(th)))
         return cls(p, tuple(sorted(items)))
 
-    def get(self, a: int, b: int) -> float:
-        i, j = (a, b) if a < b else (b, a)
-        for ii, jj, th in self.couplings:
-            if (ii, jj) == (i, j):
-                return th
-        return 0.0
-
     @property
     def support(self) -> frozenset:
         return frozenset((i, j) for i, j, _ in self.couplings)
@@ -478,19 +471,24 @@ def estimate_mixing(g: Graph, theta, seed: int, max_sweeps: int = 10_000) -> Mix
     return MixingEstimate(max_sweeps, True)
 
 
+# How default_sampler_settings turns a mixing estimate into burn-in and thin.
+_BURN_IN_FACTOR = 10
+_THIN_DIVISOR = 10
+_THIN_CAP = 50
+
+
 def default_sampler_settings(
     g: Graph,
     theta,
     seed: int,
     mixing_cap: int = 1000,
-    burn_in_factor: int = 10,
-    thin_divisor: int = 10,
-    thin_cap: int = 50,
 ) -> tuple[int, int, MixingEstimate]:
-    """burn_in/thin derived from the mixing estimate: 10x and /10 by default."""
+    """burn_in and thin from a mixing estimate of t sweeps: burn_in is
+    _BURN_IN_FACTOR * t, and thin is t // _THIN_DIVISOR capped at _THIN_CAP,
+    both at least 1."""
     est = estimate_mixing(g, theta, seed, max_sweeps=mixing_cap)
-    burn_in = max(1, burn_in_factor * est.sweeps)
-    thin = max(1, min(thin_cap, est.sweeps // thin_divisor))
+    burn_in = max(1, _BURN_IN_FACTOR * est.sweeps)
+    thin = max(1, min(_THIN_CAP, est.sweeps // _THIN_DIVISOR))
     return burn_in, thin, est
 
 
@@ -539,78 +537,6 @@ def empirical_correlations(s: SampleSet) -> np.ndarray:
     c = (X.T @ X) / s.n
     np.fill_diagonal(c, 1.0)
     return c
-
-
-def tree_boundary_field(delta: int, theta: float, tol: float = 1e-12) -> float:
-    """Unique positive fixed point of h = (delta-1) atanh(tanh(theta) tanh(h)).
-
-    Returns 0.0 in the high-temperature regime (delta-1) tanh(theta) <= 1,
-    where only the trivial fixed point exists. Bisection plus a fixed-point
-    polish drive the residual below tol.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if delta < 3:
-        raise ValueError("degree must be >= 3")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    t = math.tanh(theta)
-    if (delta - 1) * t <= 1.0:
-        return 0.0
-
-    def step(h):
-        z = min(t * math.tanh(h), 1.0 - 1e-16)
-        return (delta - 1) * math.atanh(z)
-
-    lo = tol
-    hi = 50.0 * max(1.0, theta * delta)
-    # f(h) = step(h) - h is positive on (0, h*), negative beyond
-    while step(hi) - hi >= 0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if step(mid) - mid > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol * 0.5:
-            break
-    h = 0.5 * (lo + hi)
-    for _ in range(200):
-        h_next = step(h)
-        if abs(h_next - h) < tol * 1e-3:
-            h = h_next
-            break
-        h = h_next
-    if abs(step(h) - h) >= tol:
-        # fall back to the bisection midpoint when the polish stalls
-        h = 0.5 * (lo + hi)
-    return h
-
-
-@dataclass(frozen=True)
-class TreeModel:
-    """Rooted regular tree of given degree with a boundary field on the
-    leaves chosen so local expectations are depth-independent."""
-
-    delta: int
-    theta: float
-    h_star: float = -1.0
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.h_star < 0:
-            object.__setattr__(
-                self, "h_star", tree_boundary_field(self.delta, self.theta, self.tol)
-            )
-        if self.h_star <= 0:
-            raise ValueError(
-                "no positive boundary field: (delta-1) tanh(theta) <= 1"
-            )
-        t = math.tanh(self.theta)
-        resid = abs((self.delta - 1) * math.atanh(t * math.tanh(self.h_star)) - self.h_star)
-        if resid >= self.tol:
-            raise ValueError(f"boundary field residual {resid} exceeds tol")
 
 
 def saw_correlation_bound(delta: int, theta: float, dist: int) -> float:

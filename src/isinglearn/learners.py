@@ -397,6 +397,7 @@ class RlrGraphResult:
     graph: Graph
     estimates: dict
     all_converged: bool
+    theta: np.ndarray  # (p, p) coefficients, column r-1 for root r
 
 
 def _rlr_all_roots(
@@ -503,7 +504,11 @@ def _rlr_all_roots(
     return theta_full, f_full, res_full, iters
 
 
-def _estimate(r, solved, tol, selection_threshold, history=()):
+# A coefficient above this selects its vertex as a neighbor.
+_SELECTION_THRESHOLD = 1e-6
+
+
+def _estimate(r, solved, tol, history=()):
     """Root r's NeighborhoodEstimate from the outputs of _rlr_all_roots."""
     theta, f_cur, res, iters = solved
     col = theta[:, r - 1]
@@ -512,7 +517,7 @@ def _estimate(r, solved, tol, selection_threshold, history=()):
         root=r,
         labels=labels,
         theta=np.array([col[v - 1] for v in labels]),
-        neighbors=frozenset(v for v in labels if col[v - 1] > selection_threshold),
+        neighbors=frozenset(v for v in labels if col[v - 1] > _SELECTION_THRESHOLD),
         converged=bool(res[r - 1] < tol),
         iterations=int(iters[r - 1]),
         objective=float(f_cur[r - 1]),
@@ -527,13 +532,12 @@ def rlr_neighborhood(
     lam: float,
     tol: float = 1e-6,
     max_iter: int = 5000,
-    selection_threshold: float = 1e-6,
     theta0: np.ndarray | None = None,
     record_history: bool = False,
 ) -> NeighborhoodEstimate:
     """Minimize root r's penalized conditional log-likelihood with the
     batched solver restricted to that root, and select neighbors with
-    coefficients above `selection_threshold`.
+    coefficients above _SELECTION_THRESHOLD.
 
     `theta0` gives starting coefficients against the other vertices in
     ascending order. A non-converged result carries converged=False rather
@@ -549,7 +553,7 @@ def rlr_neighborhood(
         *s.distinct_rows, lam, tol, max_iter, warm, [r - 1], history
     )
     hist = tuple(float(f[0]) for f in history) if record_history else ()
-    return _estimate(r, solved, tol, selection_threshold, hist)
+    return _estimate(r, solved, tol, hist)
 
 
 def rlr_graph(
@@ -558,19 +562,19 @@ def rlr_graph(
     rule: str = "or",
     tol: float = 1e-6,
     max_iter: int = 5000,
-    selection_threshold: float = 1e-6,
     warm: np.ndarray | None = None,
 ) -> RlrGraphResult:
     """Regularized regression at every vertex, combined by the OR or AND
     rule. `warm` is a (p, p) matrix of starting coefficients (column r-1
-    for root r), e.g. the solution at a nearby regularization level."""
+    for root r), e.g. the `theta` of the result at a nearby regularization
+    level."""
     solved = _rlr_all_roots(*s.distinct_rows, lam, tol, max_iter, warm)
-    estimates = {
-        r: _estimate(r, solved, tol, selection_threshold) for r in range(1, s.p + 1)
-    }
+    estimates = {r: _estimate(r, solved, tol) for r in range(1, s.p + 1)}
     hoods = {r: e.neighbors for r, e in estimates.items()}
     g = _edges_from_neighborhoods(s.p, hoods, rule)
-    return RlrGraphResult(g, estimates, all(e.converged for e in estimates.values()))
+    return RlrGraphResult(
+        g, estimates, all(e.converged for e in estimates.values()), solved[0]
+    )
 
 
 @dataclass
@@ -590,7 +594,6 @@ class LearnerConfig:
     rule: str = "or"
     tol: float = 1e-6
     max_iter: int = 3000
-    selection_threshold: float = 1e-6
 
     def __post_init__(self):
         if self.alg not in ("thr", "ind", "indd", "rlr"):
@@ -625,7 +628,6 @@ def run_learner(
             rule=cfg.rule,
             tol=cfg.tol,
             max_iter=cfg.max_iter,
-            selection_threshold=cfg.selection_threshold,
         ).graph
     raise AssertionError(cfg.alg)
 

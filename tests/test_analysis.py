@@ -1,5 +1,8 @@
+import contextlib
 import itertools
 import math
+import signal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,11 +17,14 @@ from isinglearn.graphs import (
     make_toy_gp,
     make_tree,
 )
-from isinglearn.ising import CouplingField, exact_moments, tree_boundary_field
+from isinglearn import analysis
+from isinglearn.ising import CouplingField, exact_moments
 from isinglearn.analysis import (
     RootNotFound,
     SingularHessian,
+    _bisect,
     _incoherence_limit_sign,
+    _scan,
     bridge_corr,
     gp_neighbor_corr,
     graph_incoherence,
@@ -32,6 +38,7 @@ from isinglearn.analysis import (
     thresholding_failure_certificate,
     toy_covariances,
     toy_gp5_incoherence,
+    tree_boundary_field,
     tree_limit_report,
 )
 from _reference import naive_hessian
@@ -328,6 +335,84 @@ class TestThresholdSolvers:
         assert tt == pytest.approx(h * h, rel=1e-12)
         assert 1.0 * math.tanh(1.0) < 1.0 < 2.0 * math.tanh(2.0)
         assert 1.0 < h < 2.0
+
+    def test_gp5_crossing_closed_form(self):
+        # 3x(1+x^2)/(1+3x^2) = 1 is 2x^3 = (1-x)^3
+        x = 1.0 / (1.0 + 2.0 ** (1.0 / 3.0))
+        assert 2.0 * x**3 == pytest.approx((1.0 - x) ** 3, rel=1e-15)
+        assert toy_gp5_incoherence(math.atanh(x)) == pytest.approx(1.0, abs=1e-15)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging when the body runs longer than `seconds`."""
+
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestRootFinding:
+    def test_bisect_converges_to_tol(self):
+        root = _bisect(lambda x: x * x >= 2.0, 1.0, 2.0, 1e-12)
+        assert abs(root - math.sqrt(2.0)) <= 1e-12
+
+    def test_bisect_stops_at_float_spacing(self):
+        # a tol of zero, or one below the spacing near the root, ends when
+        # the midpoint no longer splits the interval
+        calls = 0
+
+        def above(x):
+            nonlocal calls
+            calls += 1
+            assert calls <= 60, "bisection did not stop at the float spacing"
+            return x * x >= 2.0
+
+        root = _bisect(above, 1.0, 2.0, 0.0)
+        assert abs(root - math.sqrt(2.0)) <= 2.3e-16
+        with _deadline(10):
+            big = _bisect(lambda x: x >= 40_000.123, 0.0, 1e5, 5e-13)
+        assert abs(big - 40_000.123) <= 1e-11
+
+    def test_tiny_tol_returns(self):
+        # both used to loop forever once tol was below the float spacing
+        with _deadline(10):
+            h, _ = h_infinity(tol=1e-17)
+            thr = theta_thr(4, tol=1e-18)
+        assert abs(h - h_infinity(tol=1e-15)[0]) <= 1e-15
+        assert abs(h - h_infinity()[0]) <= 1e-12
+        assert abs(thr - theta_thr(4, tol=1e-15)) <= 1e-15
+        assert abs(thr - theta_thr(4)) <= 1e-6
+
+    def test_scan_brackets_first_crossing(self):
+        assert _scan(lambda t: t - 1.0, 0.1, 0.2, 2.0) == (0.8, 1.6)
+
+    def test_scan_needs_negative_start(self):
+        with pytest.raises(RootNotFound, match="start"):
+            _scan(lambda t: 1.0, 0.1, 0.2, 1.5)
+
+    def test_scan_gives_up_past_theta_max(self):
+        with pytest.raises(RootNotFound, match="no crossing"):
+            _scan(lambda t: -1.0, 0.1, 0.2, 1.5)
+
+    def test_threshold_solvers_raise_without_crossing(self):
+        for value, match in ((1.0, "start"), (-1.0, "no crossing")):
+            with mock.patch.object(
+                analysis, "_incoherence_limit_sign", return_value=value
+            ):
+                with pytest.raises(RootNotFound, match=match):
+                    theta_thr(4)
+        for corr, match in ((2.0, "start"), (-1.0, "no crossing")):
+            with mock.patch.object(analysis, "gp_neighbor_corr", return_value=corr):
+                with pytest.raises(RootNotFound, match=match):
+                    theta_T(3)
 
 
 class TestCorrelationCalculus:

@@ -293,6 +293,41 @@ def test_sweep_from_config_file(tmp_path):
     assert lines[1] == "theta,lambda0,n,trials,p_succ,p_vertex,mean_runtime_ms"
 
 
+_SMALL_SWEEP = [
+    "family = tree",
+    "p = 6",
+    "learner = thr",
+    "theta_grid = 0.6",
+    "n_grid = 200",
+    "trials = 1",
+    "burn_in = 10",
+    "thin = 1",
+]
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (_SMALL_SWEEP + ["trails = 3"], "sweep.cfg:9: unknown key 'trails'"),
+        (_SMALL_SWEEP + ["trials = 3"], "sweep.cfg:9: key 'trials' repeats line 6"),
+        (_SMALL_SWEEP[1:], "sweep.cfg: missing required key 'family'"),
+    ],
+    ids=["unknown", "repeated", "missing"],
+)
+def test_sweep_rejects_bad_config_keys(tmp_path, capsys, lines, message):
+    cfg = tmp_path / "sweep.cfg"
+    out = tmp_path / "sweep.csv"
+    cfg.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        sweep_config_from_file(cfg)
+    assert str(exc.value) == f"{tmp_path}/{message}"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"isinglearn: error: {tmp_path}/{message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_reproduce_cli(tmp_path):
     rc = main(["reproduce", "thresholds", "--out", str(tmp_path)])
     assert rc == 0

@@ -145,11 +145,15 @@ class TestRecipes:
         files = reproduce("thresholds", tmp_path)
         names = {f.name for f in files}
         assert names == {"thresholds.csv", "thresholds.md"}
-        body = (tmp_path / "thresholds.csv").read_text()
-        assert "theta_thr_delta4,0.4203" in body
-        assert "x_star_gp5,0.4424" in body
-        assert "theta_T_gp5,0.60" in body
-        assert "theta_tilde,1.4392" in body
+        assert (tmp_path / "thresholds.csv").read_text() == (
+            "quantity,value\n"
+            "theta_thr_delta4,0.420313\n"
+            "x_star_gp5,0.442493\n"
+            "theta_star_gp5,0.475327\n"
+            "theta_T_gp5,0.609378\n"
+            "h_infinity,1.199679\n"
+            "theta_tilde,1.439229\n"
+        )
 
     def test_toy_match_artifacts(self, tmp_path):
         files = reproduce("toy-match", tmp_path)

@@ -25,16 +25,15 @@ from isinglearn.ising import (
     EnumerationTooLarge,
     MixingEstimate,
     SampleSet,
-    TreeModel,
     empirical_correlations,
     estimate_mixing,
     exact_moments,
     gibbs_sample,
     read_samples,
     saw_correlation_bound,
-    tree_boundary_field,
     write_samples,
 )
+from isinglearn.analysis import tree_boundary_field
 from _reference import (
     fixed_point_by_scan,
     naive_marginal,
@@ -49,9 +48,9 @@ class TestCouplingField:
     def test_homogeneous(self):
         g = make_tree(4, "path")
         f = CouplingField.homogeneous(g, 0.3)
-        assert f.get(1, 2) == 0.3
-        assert f.get(2, 1) == 0.3
-        assert f.get(1, 3) == 0.0
+        assert f.couplings == ((1, 2, 0.3), (2, 3, 0.3), (3, 4, 0.3))
+        assert f.theta_row(2).tolist() == [0.3, 0.0, 0.3, 0.0]
+        assert f.theta_row(1).tolist() == [0.0, 0.3, 0.0, 0.0]
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -422,16 +421,6 @@ class TestBoundaryField:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             tree_boundary_field(4, 0.5, tol=0.0)
-
-
-class TestTreeModel:
-    def test_valid(self):
-        tm = TreeModel(delta=4, theta=0.6)
-        assert tm.h_star > 0
-
-    def test_out_of_regime(self):
-        with pytest.raises(ValueError):
-            TreeModel(delta=4, theta=0.1)
 
 
 class TestSawBound:

@@ -589,6 +589,19 @@ class TestRlrNeighborhood:
 
 
 class TestRlrGraph:
+    def test_theta_holds_every_estimate(self):
+        # the sweep warm-starts the next regularization level from theta
+        g = make_tree(6, "path")
+        s = gibbs_sample(g, 0.6, n=2000, burn_in=200, thin=2, seed=2)
+        res = rlr_graph(s, lam=0.03, tol=1e-8)
+        assert res.theta.shape == (6, 6)
+        assert not np.diag(res.theta).any()
+        for r, est in res.estimates.items():
+            others = [v - 1 for v in est.labels]
+            assert np.array_equal(res.theta[others, r - 1], est.theta)
+        again = rlr_graph(s, lam=0.03, tol=1e-8, warm=res.theta)
+        assert all(e.iterations == 1 for e in again.estimates.values())
+
     def test_matches_single_vertex_solver(self):
         g = make_tree(6, "path")
         s = gibbs_sample(g, 0.6, n=3000, burn_in=300, thin=2, seed=2)
