@@ -286,9 +286,12 @@ def tree_limit_report(delta: int, theta: float) -> TreeLimitReport:
     c2 = leaf_sum((-1,), lambda m: m)
 
     alpha = 1.0 / (1.0 + math.exp(-2.0 * (h_star + theta)))
-    beta = 1.0 / (1.0 + math.exp(-2.0 * (theta - h_star)))
     root_mag = math.tanh(delta * h_star / (delta - 1))
-    b_limit = root_mag * (c1 + c2) / (c1 - c2)
+    try:  # exp(2(h* - theta)) overflows, or c1 and c2 both underflow to 0
+        beta = 1.0 / (1.0 + math.exp(-2.0 * (theta - h_star)))
+        b_limit = root_mag * (c1 + c2) / (c1 - c2)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"tree limit leaves float range at delta={delta}, theta={theta}") from None
     return TreeLimitReport(
         delta=delta,
         theta=theta,

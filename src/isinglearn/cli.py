@@ -20,7 +20,6 @@ from .ising import (
 )
 from .learners import (
     LearnerConfig,
-    default_ind_params,
     local_independence_test,
     local_independence_test_pruned,
     rlr_graph,
@@ -64,46 +63,27 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_learn(args) -> int:
+    flags = ("alg", "tau", "eps", "gamma", "kappa", "rule", "tol", "max_iter")
+    cfg = LearnerConfig(**{f: getattr(args, f) for f in flags}).resolved(args.theta, args.delta)
+    if cfg.alg == "rlr" and args.lam is None:
+        raise ValueError("learner 'rlr' needs lambda")
     s = read_samples(args.samples)
     diag_path = args.diag or (str(args.out) + ".jsonl")
     diags = []
-    if args.alg == "thr":
-        tau = args.tau
-        if tau is None:
-            if args.theta is None:
-                print("learn thr: provide --tau or --theta", file=sys.stderr)
-                return 2
-            from .learners import tau_tree
-            tau = tau_tree(args.theta)
-        learned = thresholding(empirical_correlations(s), tau)
-        diags.append({"alg": "thr", "tau": tau})
-    elif args.alg in ("ind", "indd"):
-        if args.delta is None:
-            print("learn ind/indd: provide --delta", file=sys.stderr)
-            return 2
-        eps, gamma, kappa = (args.eps, args.gamma, args.kappa)
-        if None in (eps, gamma) or (args.alg == "indd" and kappa is None):
-            if args.theta is None:
-                print("learn ind/indd: provide --eps/--gamma/--kappa or --theta",
-                      file=sys.stderr)
-                return 2
-            d_eps, d_gamma, d_kappa = default_ind_params(args.theta, args.delta)
-            eps = d_eps if eps is None else eps
-            gamma = d_gamma if gamma is None else gamma
-            kappa = d_kappa if kappa is None else kappa
-        if args.alg == "ind":
-            learned = local_independence_test(s, args.delta, eps, gamma, rule=args.rule)
+    if cfg.alg == "thr":
+        learned = thresholding(empirical_correlations(s), cfg.tau)
+        diags.append({"alg": "thr", "tau": cfg.tau})
+    elif cfg.alg in ("ind", "indd"):
+        if cfg.alg == "ind":
+            learned = local_independence_test(s, args.delta, cfg.eps, cfg.gamma, rule=cfg.rule)
         else:
             learned = local_independence_test_pruned(
-                s, args.delta, eps, gamma, kappa, rule=args.rule
+                s, args.delta, cfg.eps, cfg.gamma, cfg.kappa, rule=cfg.rule
             )
-        diags.append({"alg": args.alg, "eps": eps, "gamma": gamma, "kappa": kappa})
-    elif args.alg == "rlr":
-        if args.lam is None:
-            print("learn rlr: provide --lambda", file=sys.stderr)
-            return 2
-        res = rlr_graph(s, args.lam, rule=args.rule, tol=args.tol,
-                        max_iter=args.max_iter)
+        diags.append({"alg": cfg.alg, "eps": cfg.eps, "gamma": cfg.gamma, "kappa": cfg.kappa})
+    else:
+        res = rlr_graph(s, args.lam, rule=cfg.rule, tol=cfg.tol,
+                        max_iter=cfg.max_iter)
         learned = res.graph
         for r, est in sorted(res.estimates.items()):
             diags.append(
@@ -116,8 +96,6 @@ def _cmd_learn(args) -> int:
                     "neighbors": sorted(est.neighbors),
                 }
             )
-    else:
-        raise AssertionError(args.alg)
     write_graph(learned, args.out)
     with open(diag_path, "w") as fh:
         for d in diags:
@@ -126,7 +104,17 @@ def _cmd_learn(args) -> int:
     return 0
 
 
+_ANALYZE_NEEDS = {
+    "incoherence": ("graph", "theta"),
+    "tree-limit": ("theta",),
+    "incoherence-sweep": ("graph",),
+}
+
+
 def _cmd_analyze(args) -> int:
+    for flag in _ANALYZE_NEEDS.get(args.report, ()):
+        if getattr(args, flag) is None:
+            raise ValueError(f"analyze {args.report} needs --{flag}")
     if args.report == "incoherence":
         g = read_graph(args.graph)
         rep = analysis.graph_incoherence(g, args.theta, args.root)
@@ -141,10 +129,12 @@ def _cmd_analyze(args) -> int:
         files = experiments.reproduce("thresholds", Path(args.out).parent or Path("."))
         print("wrote", ", ".join(str(f) for f in files))
         return 0
-    elif args.report in ("b-sweep", "incoherence-sweep", "x-sweep"):
+    else:  # b-sweep, incoherence-sweep, x-sweep
         thetas = np.linspace(args.theta_min, args.theta_max, args.points)
         rows = []
         if args.report == "b-sweep":
+            if args.delta < 4:
+                raise ValueError(f"analyze b-sweep needs --delta >= 4, got {args.delta}")
             header = "theta,b_limit"
             for th in thetas:
                 try:
@@ -163,8 +153,6 @@ def _cmd_analyze(args) -> int:
                 rep = analysis.graph_incoherence(g, float(th), args.root)
                 rows.append(f"{th:.6f},{rep.norm:.10f}")
         Path(args.out).write_text("\n".join([header] + rows) + "\n")
-    else:
-        raise AssertionError(args.report)
     print(f"wrote {args.out}")
     return 0
 
@@ -185,9 +173,7 @@ def _parse_kv_config(path, keys, required) -> dict:
         if k not in keys:
             raise ValueError(f"{path}:{lineno}: unknown key {k!r}")
         if k in out:
-            raise ValueError(
-                f"{path}:{lineno}: key {k!r} repeats line {first_line[k]}"
-            )
+            raise ValueError(f"{path}:{lineno}: key {k!r} repeats line {first_line[k]}")
         out[k] = v
         first_line[k] = lineno
     for k in required:
@@ -204,54 +190,55 @@ def _ints(v: str) -> tuple:
     return tuple(int(x) for x in v.split(","))
 
 
-_SWEEP_REQUIRED = ("family", "theta_grid", "n_grid")
-_SWEEP_KEYS = frozenset(_SWEEP_REQUIRED) | {
-    "p", "delta", "deg", "side", "periodic", "rho", "shape", "branching",
-    "learner", "tau", "tau_rule", "eps", "gamma", "kappa", "rule", "tol",
-    "max_iter", "lambda0_grid", "trials", "seed", "fresh_graph", "burn_in",
-    "thin", "mixing_cap", "budget_units", "out",
+def _bool(v: str) -> bool:
+    return v.lower() in ("1", "true", "yes")
+
+
+# config key -> (part of the SweepConfig, field of that part, value parser);
+# a key left out of the file takes the field's dataclass default
+_SWEEP_KEYS = {
+    "family": ("family", "family", str),
+    "p": ("family", "p", int),
+    "delta": ("family", "delta", int),
+    "deg": ("family", "deg", int),
+    "side": ("family", "side", int),
+    "periodic": ("family", "periodic", _bool),
+    "rho": ("family", "dilution", float),
+    "shape": ("family", "shape", str),
+    "branching": ("family", "branching", int),
+    "learner": ("learner", "alg", str),
+    "tau": ("learner", "tau", float),
+    "tau_rule": ("learner", "tau_rule", str),
+    "eps": ("learner", "eps", float),
+    "gamma": ("learner", "gamma", float),
+    "kappa": ("learner", "kappa", float),
+    "rule": ("learner", "rule", str),
+    "tol": ("learner", "tol", float),
+    "max_iter": ("learner", "max_iter", int),
+    "theta_grid": ("sweep", "theta_grid", _floats),
+    "n_grid": ("sweep", "n_grid", _ints),
+    "lambda0_grid": ("sweep", "lambda0_grid", _floats),
+    "trials": ("sweep", "trials", int),
+    "seed": ("sweep", "seed", int),
+    "fresh_graph": ("sweep", "fresh_graph_per_trial", _bool),
+    "burn_in": ("sweep", "burn_in", int),
+    "thin": ("sweep", "thin", int),
+    "mixing_cap": ("sweep", "mixing_cap", int),
+    "budget_units": ("sweep", "budget_units", float),
+    "out": ("sweep", "out", str),
 }
+_SWEEP_REQUIRED = ("family", "theta_grid", "n_grid")
 
 
 def sweep_config_from_file(path) -> experiments.SweepConfig:
-    kv = _parse_kv_config(path, _SWEEP_KEYS, _SWEEP_REQUIRED)
-    fam = GraphFamilySpec(
-        family=kv["family"],
-        p=int(kv.get("p", 0)),
-        delta=int(kv.get("delta", 0)),
-        deg=int(kv.get("deg", 0)),
-        side=int(kv.get("side", 0)),
-        periodic=kv.get("periodic", "false").lower() in ("1", "true", "yes"),
-        dilution=float(kv.get("rho", 0.0)),
-        shape=kv.get("shape", "path"),
-        branching=int(kv.get("branching", 2)),
-    )
-    learner = LearnerConfig(
-        alg=kv.get("learner", "rlr"),
-        tau=float(kv["tau"]) if "tau" in kv else None,
-        tau_rule=kv.get("tau_rule", "tree"),
-        eps=float(kv["eps"]) if "eps" in kv else None,
-        gamma=float(kv["gamma"]) if "gamma" in kv else None,
-        kappa=float(kv["kappa"]) if "kappa" in kv else None,
-        rule=kv.get("rule", "or"),
-        tol=float(kv.get("tol", 1e-5)),
-        max_iter=int(kv.get("max_iter", 3000)),
-    )
+    parts = {"family": {}, "learner": {}, "sweep": {}}
+    for key, value in _parse_kv_config(path, _SWEEP_KEYS, _SWEEP_REQUIRED).items():
+        part, field, parse = _SWEEP_KEYS[key]
+        parts[part][field] = parse(value)
     return experiments.SweepConfig(
-        family=fam,
-        learner=learner,
-        theta_grid=_floats(kv["theta_grid"]),
-        n_grid=_ints(kv["n_grid"]),
-        lambda0_grid=_floats(kv.get("lambda0_grid", "1.0")),
-        trials=int(kv.get("trials", 20)),
-        seed=int(kv.get("seed", 0)),
-        fresh_graph_per_trial=kv.get("fresh_graph", "true").lower()
-        in ("1", "true", "yes"),
-        burn_in=int(kv["burn_in"]) if "burn_in" in kv else None,
-        thin=int(kv["thin"]) if "thin" in kv else None,
-        mixing_cap=int(kv.get("mixing_cap", 300)),
-        budget_units=float(kv.get("budget_units", 2.0e9)),
-        out=kv.get("out"),
+        family=GraphFamilySpec(**parts["family"]),
+        learner=LearnerConfig(**parts["learner"]),
+        **parts["sweep"],
     )
 
 
@@ -345,7 +332,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:  # bad input rejected by the library
+    except (OSError, ValueError) as exc:  # bad input, or a file that cannot be used
         print(f"isinglearn: error: {exc}", file=sys.stderr)
         return 2
 

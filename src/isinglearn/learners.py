@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,25 +82,18 @@ def sample_bound(
         t = math.tanh(theta)
         return math.ceil(32.0 / (t - t * t) ** 2 * math.log(2 * p / dlt))
     if alg == "thr-degree":
-        if delta < 2:
-            raise ValueError("delta must be >= 2")
-        if math.tanh(theta) >= 1.0 / (2 * delta):
-            raise ValueError("out of regime: theta >= atanh(1/(2*delta))")
+        tau_degree(theta, delta)  # rejects delta < 2 and theta out of regime
         t = math.tanh(theta)
         return math.ceil(32.0 / (t - 1.0 / (2 * delta)) ** 2 * math.log(2 * p / dlt))
+    if alg in ("ind", "indd", "rlr") and delta < 1:
+        raise ValueError("delta must be >= 1")
     if alg == "ind":
-        if delta < 1:
-            raise ValueError("delta must be >= 1")
         eps, gamma, _ = default_ind_params(theta, delta)
         return math.ceil(100.0 * delta / (eps**2 * gamma**4) * math.log(2 * p / dlt))
     if alg == "indd":
-        if delta < 1:
-            raise ValueError("delta must be >= 1")
         kappa = math.tanh(theta)
         return math.ceil(8.0 * (kappa**2 + 8.0**delta) * math.log(4 * p / dlt))
     if alg == "rlr":
-        if delta < 1:
-            raise ValueError("delta must be >= 1")
         return math.ceil(k2 * theta**-2 * delta * math.log(8 * p**2 / dlt))
     raise ValueError(f"unknown algorithm tag {alg!r}")
 
@@ -577,27 +570,55 @@ def rlr_graph(
     )
 
 
+# the parameters each learner needs; LearnerConfig.resolved derives them when unset
+_NEEDED = {"thr": ("tau",), "ind": ("eps", "gamma"), "indd": ("eps", "gamma", "kappa"), "rlr": ()}
+
+
 @dataclass
 class LearnerConfig:
     """Which learner to run and with what parameters.
 
-    Fields left as None are derived from (theta, delta) at run time:
+    Fields left as None are derived from (theta, delta) by `resolved`:
     tau via tau_rule, and eps/gamma/kappa via default_ind_params.
     """
 
-    alg: str  # thr | ind | indd | rlr
+    alg: str = "rlr"  # thr | ind | indd | rlr
     tau: float | None = None
     tau_rule: str = "tree"  # tree | degree
     eps: float | None = None
     gamma: float | None = None
     kappa: float | None = None
     rule: str = "or"
-    tol: float = 1e-6
+    tol: float = 1e-5
     max_iter: int = 3000
 
     def __post_init__(self):
-        if self.alg not in ("thr", "ind", "indd", "rlr"):
+        if self.alg not in _NEEDED:
             raise ValueError(f"unknown learner {self.alg!r}")
+        if self.tau_rule not in ("tree", "degree"):
+            raise ValueError(f"unknown tau_rule {self.tau_rule!r}")
+
+    def resolved(self, theta: float | None, delta: int | None) -> LearnerConfig:
+        """This config with the parameters its learner needs filled in.
+
+        Defaults come from (theta, delta) only when a needed value (tau for
+        thr; eps and gamma for ind; all three for indd) is None, and then
+        every None among eps/gamma/kappa is filled. A missing input raises
+        ValueError naming it."""
+        if self.alg in ("ind", "indd") and delta is None:
+            raise ValueError(f"learner {self.alg!r} needs delta")
+        missing = [k for k in _NEEDED[self.alg] if getattr(self, k) is None]
+        if not missing:
+            return self
+        if theta is None:
+            raise ValueError(f"learner {self.alg!r} needs {'/'.join(missing)} or theta")
+        if self.alg == "thr":
+            if self.tau_rule == "degree" and delta is None:
+                raise ValueError("learner 'thr' with tau_rule 'degree' needs delta")
+            tau = tau_tree(theta) if self.tau_rule == "tree" else tau_degree(theta, delta)
+            return replace(self, tau=tau)
+        defaults = zip(("eps", "gamma", "kappa"), default_ind_params(theta, delta))
+        return replace(self, **{k: d for k, d in defaults if getattr(self, k) is None})
 
 
 def run_learner(
@@ -608,28 +629,16 @@ def run_learner(
     lam: float = 0.0,
 ) -> Graph:
     """Dispatch a configured learner on a sample set."""
+    cfg = cfg.resolved(theta, delta)
     if cfg.alg == "thr":
-        tau = cfg.tau
-        if tau is None:
-            tau = tau_tree(theta) if cfg.tau_rule == "tree" else tau_degree(theta, delta)
-        return thresholding(empirical_correlations(s), tau)
-    if cfg.alg in ("ind", "indd"):
-        eps, gamma, kappa = default_ind_params(theta, delta)
-        eps = cfg.eps if cfg.eps is not None else eps
-        gamma = cfg.gamma if cfg.gamma is not None else gamma
-        kappa = cfg.kappa if cfg.kappa is not None else kappa
-        if cfg.alg == "ind":
-            return local_independence_test(s, delta, eps, gamma, rule=cfg.rule)
-        return local_independence_test_pruned(s, delta, eps, gamma, kappa, rule=cfg.rule)
-    if cfg.alg == "rlr":
-        return rlr_graph(
-            s,
-            lam,
-            rule=cfg.rule,
-            tol=cfg.tol,
-            max_iter=cfg.max_iter,
-        ).graph
-    raise AssertionError(cfg.alg)
+        return thresholding(empirical_correlations(s), cfg.tau)
+    if cfg.alg == "ind":
+        return local_independence_test(s, delta, cfg.eps, cfg.gamma, rule=cfg.rule)
+    if cfg.alg == "indd":
+        return local_independence_test_pruned(
+            s, delta, cfg.eps, cfg.gamma, cfg.kappa, rule=cfg.rule
+        )
+    return rlr_graph(s, lam, rule=cfg.rule, tol=cfg.tol, max_iter=cfg.max_iter).graph
 
 
 # ---------------------------------------------------------------------------

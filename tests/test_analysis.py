@@ -285,6 +285,16 @@ class TestTreeLimit:
         with pytest.raises(ValueError):
             tree_limit_report(4, 0.1)
 
+    @pytest.mark.parametrize(
+        "delta, theta",
+        [(1000, 0.4), (80, 4.55), (40, 9.35), (10, 37.35),
+         (40, 10.0), (80, 10.0), (1000, 3.0), (80, 50.0)],
+    )
+    def test_outside_float_range(self, delta, theta):
+        # exp(2(h* - theta)) overflows, or c1 and c2 both underflow to 0
+        with pytest.raises(ValueError, match=f"float range at delta={delta}, theta={theta}"):
+            tree_limit_report(delta, theta)
+
     def test_finite_graph_cross_check(self):
         # root 13 of this graph has a cycle-free radius-2 ball, so its
         # incoherence is close to the infinite-tree limit (0.05 tolerance;

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from isinglearn.cli import main, sweep_config_from_file
-from isinglearn.graphs import make_tree, read_graph, write_graph
+from isinglearn.experiments import SweepConfig
+from isinglearn.graphs import GraphFamilySpec, make_tree, read_graph, write_graph
 from isinglearn.ising import read_samples
+from isinglearn.learners import LearnerConfig, default_ind_params, tau_tree
 
 
 @pytest.fixture
@@ -182,6 +184,82 @@ def test_learn_reports_impossible_sample_header(tmp_path, capsys):
     )
     assert not out.exists()
 
+
+@pytest.fixture
+def path_samples(tmp_path, tree_graph_file):
+    samples = tmp_path / "s.txt"
+    assert main(["sample", "--graph", str(tree_graph_file), "--theta", "0.6",
+                 "--n", "300", "--burn-in", "50", "--thin", "2", "--seed", "1",
+                 "--out", str(samples)]) == 0
+    return samples
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--alg", "thr"], "learner 'thr' needs tau or theta"),
+        (["--alg", "ind", "--theta", "0.6"], "learner 'ind' needs delta"),
+        (["--alg", "ind", "--delta", "2"], "learner 'ind' needs eps/gamma or theta"),
+        (["--alg", "indd", "--delta", "2", "--eps", "0.1"],
+         "learner 'indd' needs gamma/kappa or theta"),
+        (["--alg", "rlr"], "learner 'rlr' needs lambda"),
+    ],
+    ids=["thr", "ind-delta", "ind-params", "indd-params", "rlr"],
+)
+def test_learn_names_missing_parameter(tmp_path, capsys, path_samples, flags, message):
+    capsys.readouterr()
+    out = tmp_path / "learned.txt"
+    assert main(["learn", "--samples", str(path_samples), "--out", str(out)] + flags) == 2
+    assert capsys.readouterr() == ("", f"isinglearn: error: {message}\n")
+    assert not out.exists()
+
+
+def test_learn_diagnostics_record_resolved_parameters(tmp_path, path_samples):
+    def diag(*flags):
+        out = tmp_path / "learned.txt"
+        assert main(["learn", "--samples", str(path_samples), "--out", str(out)]
+                    + list(flags)) == 0
+        return json.loads((tmp_path / "learned.txt.jsonl").read_text())
+
+    eps, gamma, kappa = default_ind_params(0.6, 2)
+    assert diag("--alg", "thr", "--theta", "0.6") == {"alg": "thr", "tau": tau_tree(0.6)}
+    # given eps and gamma, ind derives nothing, so kappa stays unset
+    assert diag("--alg", "ind", "--delta", "2", "--eps", "0.2", "--gamma", "0.01") == {
+        "alg": "ind", "eps": 0.2, "gamma": 0.01, "kappa": None}
+    # once one needed value comes from theta, every unset one does
+    assert diag("--alg", "ind", "--delta", "2", "--eps", "0.2", "--theta", "0.6") == {
+        "alg": "ind", "eps": 0.2, "gamma": gamma, "kappa": kappa}
+    assert diag("--alg", "indd", "--delta", "2", "--theta", "0.6", "--kappa", "0.3") == {
+        "alg": "indd", "eps": eps, "gamma": gamma, "kappa": 0.3}
+
+
+def _not_a_dir(tmp_path):
+    (tmp_path / "file").write_text("")
+    return str(tmp_path / "file" / "x")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda t, s: ["learn", "--alg", "thr", "--tau", "0.5",
+                      "--samples", str(t / "missing.txt"), "--out", str(t / "o.graph")],
+        lambda t, s: ["sample", "--graph", str(t / "missing.graph"), "--theta", "0.5",
+                      "--n", "10", "--out", str(t / "o.samples")],
+        lambda t, s: ["learn", "--alg", "thr", "--tau", "0.5", "--samples", str(s),
+                      "--out", str(t / "nodir" / "o.graph")],
+        lambda t, s: ["reproduce", "thresholds", "--out", _not_a_dir(t)],
+    ],
+    ids=["learn-samples", "sample-graph", "learn-out", "reproduce-out"],
+)
+def test_unusable_files_are_usage_errors(tmp_path, capsys, path_samples, argv):
+    capsys.readouterr()
+    assert main(argv(tmp_path, path_samples)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("isinglearn: error: [Errno ")
+    assert err.count("\n") == 1
+
+
 def test_analyze_incoherence_json(tmp_path, tree_graph_file):
     out = tmp_path / "rep.json"
     rc = main(
@@ -209,6 +287,50 @@ def test_analyze_tree_limit_json(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["h_star"] > 0
     assert rep["incoherence_limit"] > 1.0
+
+
+@pytest.mark.parametrize(
+    "report, flags, missing",
+    [
+        ("incoherence", ["--theta", "0.5"], "graph"),
+        ("incoherence", ["--graph", "GRAPH"], "theta"),
+        ("tree-limit", ["--delta", "4"], "theta"),
+        ("incoherence-sweep", [], "graph"),
+    ],
+    ids=["incoherence-graph", "incoherence-theta", "tree-limit-theta", "sweep-graph"],
+)
+def test_analyze_names_missing_flag(tmp_path, capsys, tree_graph_file, report, flags, missing):
+    out = tmp_path / "rep.out"
+    flags = [str(tree_graph_file) if f == "GRAPH" else f for f in flags]
+    assert main(["analyze", report, "--out", str(out)] + flags) == 2
+    assert capsys.readouterr() == ("", f"isinglearn: error: analyze {report} needs --{missing}\n")
+    assert not out.exists()
+
+
+def test_analyze_tree_limit_outside_float_range(tmp_path, capsys):
+    out = tmp_path / "limit.json"
+    argv = ["analyze", "tree-limit", "--delta", "40", "--theta", "10", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "isinglearn: error: tree limit leaves float range at delta=40, theta=10.0\n"
+    )
+    assert not out.exists()
+
+
+def test_analyze_b_sweep_edges(tmp_path, capsys):
+    bpath = tmp_path / "b.csv"
+    argv = ["analyze", "b-sweep", "--theta-min", "0.5", "--theta-max", "10",
+            "--points", "3", "--out", str(bpath)]
+    assert main(argv + ["--delta", "40"]) == 0
+    rows = bpath.read_text().splitlines()
+    assert rows[0] == "theta,b_limit"
+    assert rows[1].startswith("0.500000,") and rows[1] != "0.500000,nan"
+    assert rows[3] == "10.000000,nan"
+    bpath.unlink()
+    capsys.readouterr()
+    assert main(argv + ["--delta", "3"]) == 2
+    assert capsys.readouterr().err == "isinglearn: error: analyze b-sweep needs --delta >= 4, got 3\n"
+    assert not bpath.exists()
 
 
 def test_analyze_sweeps(tmp_path, tree_graph_file):
@@ -326,6 +448,28 @@ def test_sweep_rejects_bad_config_keys(tmp_path, capsys, lines, message):
     assert captured.err == f"isinglearn: error: {tmp_path}/{message}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_sweep_rejects_unknown_tau_rule(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    out = tmp_path / "sweep.csv"
+    cfg.write_text("\n".join(_SMALL_SWEEP + ["tau_rule = bogus"]) + "\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "isinglearn: error: unknown tau_rule 'bogus'\n")
+    assert not out.exists()
+
+
+def test_sweep_keys_left_out_take_dataclass_defaults(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("family = tree\ntheta_grid = 0.6\nn_grid = 200\n")
+    assert sweep_config_from_file(cfg) == SweepConfig(
+        family=GraphFamilySpec(family="tree"),
+        learner=LearnerConfig(),
+        theta_grid=(0.6,),
+        n_grid=(200,),
+    )
+    learner = sweep_config_from_file(cfg).learner
+    assert (learner.alg, learner.tol, learner.max_iter) == ("rlr", 1e-5, 3000)
 
 
 def test_reproduce_cli(tmp_path):

@@ -704,6 +704,51 @@ class TestRunLearner:
         with pytest.raises(ValueError):
             LearnerConfig(alg="bogus")
 
+    def test_unknown_tau_rule(self):
+        with pytest.raises(ValueError, match="unknown tau_rule 'bogus'"):
+            LearnerConfig(alg="thr", tau_rule="bogus")
+
+
+class TestLearnerConfigResolved:
+    def test_defaults(self):
+        cfg = LearnerConfig()
+        assert (cfg.alg, cfg.tol, cfg.max_iter) == ("rlr", 1e-5, 3000)
+        assert cfg.resolved(None, None) is cfg
+
+    def test_thr_tau(self):
+        assert LearnerConfig(alg="thr").resolved(0.3, None).tau == tau_tree(0.3)
+        cfg = LearnerConfig(alg="thr", tau_rule="degree")
+        assert cfg.resolved(0.05, 4).tau == tau_degree(0.05, 4)
+        given = LearnerConfig(alg="thr", tau=0.4)
+        assert given.resolved(None, None) is given
+
+    def test_ind_fills_only_when_needed(self):
+        eps, gamma, kappa = default_ind_params(0.4, 3)
+        given = LearnerConfig(alg="ind", eps=0.2, gamma=0.01)
+        assert given.resolved(0.4, 3) is given
+        got = LearnerConfig(alg="ind", eps=0.2).resolved(0.4, 3)
+        assert (got.eps, got.gamma, got.kappa) == (0.2, gamma, kappa)
+        got = LearnerConfig(alg="indd", eps=0.2, gamma=0.01).resolved(0.4, 3)
+        assert (got.eps, got.gamma, got.kappa) == (0.2, 0.01, kappa)
+
+    @pytest.mark.parametrize(
+        "cfg, theta, delta, message",
+        [
+            (LearnerConfig(alg="thr"), None, 3, "learner 'thr' needs tau or theta"),
+            (LearnerConfig(alg="thr", tau_rule="degree"), 0.1, None,
+             "learner 'thr' with tau_rule 'degree' needs delta"),
+            (LearnerConfig(alg="ind", eps=0.1, gamma=0.1), 0.4, None,
+             "learner 'ind' needs delta"),
+            (LearnerConfig(alg="indd", gamma=0.1), None, 3,
+             "learner 'indd' needs eps/kappa or theta"),
+        ],
+        ids=["thr-theta", "thr-degree-delta", "ind-delta", "indd-theta"],
+    )
+    def test_missing_input(self, cfg, theta, delta, message):
+        with pytest.raises(ValueError) as exc:
+            cfg.resolved(theta, delta)
+        assert str(exc.value) == message
+
 
 class TestPopulationRlrGp:
     def test_strong_coupling_never_recovers(self):
