@@ -11,6 +11,7 @@ goes through one bisection, _bisect.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,10 +243,27 @@ class TreeLimitReport:
     c_min: float
 
 
+_FLOAT_RANGE = "tree limit leaves float range at delta={}, theta={}"
+
+
 def tree_limit_report(delta: int, theta: float) -> TreeLimitReport:
     """Evaluate the limiting Hessian entries (a, b), the conditional leaf
     moments (c1, c2), the one-step transition probabilities (alpha, beta)
-    and the limiting incoherence value at the positive boundary field."""
+    and the limiting incoherence value at the positive boundary field.
+
+    Raises ValueError where the sums leave float range, including where
+    c_min is not a positive normal float: the gap a - b or c1 - c2 is then
+    lost to rounding or underflow, and the limit would read exactly 1."""
+    rep = _tree_limit(delta, theta)
+    if not rep.c_min >= sys.float_info.min:
+        raise ValueError(_FLOAT_RANGE.format(delta, theta))
+    return rep
+
+
+def _tree_limit(delta: int, theta: float) -> TreeLimitReport:
+    """tree_limit_report without its c_min check. The threshold scans need
+    only the sign of c1(alpha-1) + c2(1-beta), which survives where c_min
+    does not (past the crossing at large degree)."""
     if delta < 4:
         raise ValueError("the limit requires degree >= 4")
     h_star = tree_boundary_field(delta, theta)
@@ -291,7 +309,7 @@ def tree_limit_report(delta: int, theta: float) -> TreeLimitReport:
         beta = 1.0 / (1.0 + math.exp(-2.0 * (theta - h_star)))
         b_limit = root_mag * (c1 + c2) / (c1 - c2)
     except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"tree limit leaves float range at delta={delta}, theta={theta}") from None
+        raise ValueError(_FLOAT_RANGE.format(delta, theta)) from None
     return TreeLimitReport(
         delta=delta,
         theta=theta,
@@ -309,7 +327,7 @@ def tree_limit_report(delta: int, theta: float) -> TreeLimitReport:
 
 def _incoherence_limit_sign(delta: int, theta: float) -> float:
     """c1(alpha-1) + c2(1-beta): same sign as (limit incoherence - 1)."""
-    rep = tree_limit_report(delta, theta)
+    rep = _tree_limit(delta, theta)
     return rep.c1 * (rep.alpha - 1.0) + rep.c2 * (1.0 - rep.beta)
 
 

@@ -7,7 +7,9 @@ produce identical data.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -131,6 +133,37 @@ def _vertex_success_rate(learned: Graph, truth: Graph) -> float:
     return ok / truth.p
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _sample_trial(cfg: SweepConfig, i_t: int, i_n: int, trial: int):
+    """(graph, samples, sampler saturated, sampling ms) of one trial; its
+    seeds come from (cfg.seed, i_t, i_n, trial) alone."""
+    ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i_t, i_n, trial))
+    g_seed, s_seed, m_seed = (int(v) for v in ss.generate_state(3))
+    graph_seed = g_seed if cfg.fresh_graph_per_trial else cfg.seed
+    g = build_graph(cfg.family, seed=graph_seed)
+    theta = cfg.theta_grid[i_t]
+    t_sample0 = time.perf_counter()
+    burn, thin = cfg.burn_in, cfg.thin
+    saturated = False
+    if burn is None or thin is None:
+        b, t, est = default_sampler_settings(
+            g, theta, seed=m_seed, mixing_cap=cfg.mixing_cap
+        )
+        burn = b if burn is None else burn
+        thin = t if thin is None else thin
+        saturated = est.saturated
+    s = gibbs_sample(g, theta, n=cfg.n_grid[i_n], burn_in=burn, thin=thin, seed=s_seed)
+    return g, s, saturated, (time.perf_counter() - t_sample0) * 1000.0
+
+
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run every (theta, lambda0, n) cell for the configured trial count.
 
@@ -138,6 +171,11 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     (regularization does not touch the sampler), with solutions warm-started
     from the next-larger lambda0. Refuses to start if the pessimistic work
     estimate exceeds cfg.budget_units.
+
+    With more than one trial and more than one available CPU, trials are
+    sampled in one worker process per CPU (at most one per trial) while
+    this process learns from them in trial order, so the cells are those
+    of a serial run.
     """
     units = estimate_work_units(cfg)
     if units > cfg.budget_units:
@@ -149,54 +187,51 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     lam0s_desc = sorted(cfg.lambda0_grid, reverse=True)
     acc: dict = {}
     sat_count: dict = {}
-    for i_t, theta in enumerate(cfg.theta_grid):
-        for i_n, n in enumerate(cfg.n_grid):
-            for trial in range(cfg.trials):
-                ss = np.random.SeedSequence(
-                    entropy=cfg.seed, spawn_key=(i_t, i_n, trial)
-                )
-                g_seed, s_seed, m_seed = (int(v) for v in ss.generate_state(3))
-                graph_seed = g_seed if cfg.fresh_graph_per_trial else cfg.seed
-                g = build_graph(cfg.family, seed=graph_seed)
-                t_sample0 = time.perf_counter()
-                burn, thin = cfg.burn_in, cfg.thin
-                saturated = False
-                if burn is None or thin is None:
-                    b, t, est = default_sampler_settings(
-                        g, theta, seed=m_seed, mixing_cap=cfg.mixing_cap
+    keys = list(itertools.product(
+        range(len(cfg.theta_grid)), range(len(cfg.n_grid)), range(cfg.trials)
+    ))
+    # Workers only sample, which calls no BLAS; learners there would
+    # oversubscribe the cores with their BLAS threads.
+    workers = min(_available_cpus(), cfg.trials)
+    pool = None
+    if workers > 1:
+        # imported here: it adds about 1 MB to processes that never pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers)
+    try:
+        mapper = pool.map if pool else map
+        trials = mapper(_sample_trial, itertools.repeat(cfg), *zip(*keys))
+        for (i_t, i_n, _), (g, s, saturated, sample_ms) in zip(keys, trials):
+            theta, n = cfg.theta_grid[i_t], cfg.n_grid[i_n]
+            warm = None
+            for lam0 in lam0s_desc:
+                t_learn0 = time.perf_counter()
+                if cfg.learner.alg == "rlr":
+                    lam = 2.0 * lam0 * theta * math.sqrt(math.log(p) / n)
+                    res = rlr_graph(
+                        s,
+                        lam,
+                        rule=cfg.learner.rule,
+                        tol=cfg.learner.tol,
+                        max_iter=cfg.learner.max_iter,
+                        warm=warm,
                     )
-                    burn = b if burn is None else burn
-                    thin = t if thin is None else thin
-                    saturated = est.saturated
-                s = gibbs_sample(g, theta, n=n, burn_in=burn, thin=thin, seed=s_seed)
-                sample_ms = (time.perf_counter() - t_sample0) * 1000.0
-                warm = None
-                for lam0 in lam0s_desc:
-                    t_learn0 = time.perf_counter()
-                    if cfg.learner.alg == "rlr":
-                        lam = 2.0 * lam0 * theta * math.sqrt(math.log(p) / n)
-                        res = rlr_graph(
-                            s,
-                            lam,
-                            rule=cfg.learner.rule,
-                            tol=cfg.learner.tol,
-                            max_iter=cfg.learner.max_iter,
-                            warm=warm,
-                        )
-                        warm = res.theta
-                        learned = res.graph
-                    else:
-                        learned = run_learner(
-                            cfg.learner, s, theta, g.max_degree or 1
-                        )
-                    learn_ms = (time.perf_counter() - t_learn0) * 1000.0
-                    key = (theta, lam0, n)
-                    rec = acc.setdefault(key, [0, 0.0, 0.0, 0])
-                    rec[0] += learned.edges == g.edges
-                    rec[1] += _vertex_success_rate(learned, g)
-                    rec[2] += learn_ms + sample_ms / len(lam0s_desc)
-                    rec[3] += 1
-                    sat_count[key] = sat_count.get(key, 0) + saturated
+                    warm = res.theta
+                    learned = res.graph
+                else:
+                    learned = run_learner(cfg.learner, s, theta, g.max_degree or 1)
+                learn_ms = (time.perf_counter() - t_learn0) * 1000.0
+                key = (theta, lam0, n)
+                rec = acc.setdefault(key, [0, 0.0, 0.0, 0])
+                rec[0] += learned.edges == g.edges
+                rec[1] += _vertex_success_rate(learned, g)
+                rec[2] += learn_ms + sample_ms / len(lam0s_desc)
+                rec[3] += 1
+                sat_count[key] = sat_count.get(key, 0) + saturated
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     out = SweepResult(cfg)
     for theta in cfg.theta_grid:
         for lam0 in sorted(cfg.lambda0_grid):

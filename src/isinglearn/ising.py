@@ -336,6 +336,10 @@ class SampleSet:
 
     __hash__ = None
 
+    def __reduce__(self):
+        # unpickle through the constructor, so the copy is read-only too
+        return SampleSet, (self.spins, self.seed, self.burn_in, self.thin)
+
     @functools.cached_property
     def distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, weights): the distinct sample rows as float64, in the

@@ -288,10 +288,13 @@ class TestTreeLimit:
     @pytest.mark.parametrize(
         "delta, theta",
         [(1000, 0.4), (80, 4.55), (40, 9.35), (10, 37.35),
-         (40, 10.0), (80, 10.0), (1000, 3.0), (80, 50.0)],
+         (40, 10.0), (80, 10.0), (1000, 3.0), (80, 50.0),
+         (40, 9.0), (80, 4.5), (1000, 0.34), (20, 10.0), (10, 30.0)],
     )
     def test_outside_float_range(self, delta, theta):
-        # exp(2(h* - theta)) overflows, or c1 and c2 both underflow to 0
+        # exp(2(h* - theta)) overflows, or c1 and c2 both underflow to 0;
+        # or a - b or c1 - c2 is lost to rounding or underflow, where c_min
+        # would read 0.0 and the incoherence limit exactly 1.0
         with pytest.raises(ValueError, match=f"float range at delta={delta}, theta={theta}"):
             tree_limit_report(delta, theta)
 

@@ -308,23 +308,27 @@ def test_analyze_names_missing_flag(tmp_path, capsys, tree_graph_file, report, f
 
 
 def test_analyze_tree_limit_outside_float_range(tmp_path, capsys):
+    # exp(2(h* - theta)) overflows at the first; a == b at the second
     out = tmp_path / "limit.json"
-    argv = ["analyze", "tree-limit", "--delta", "40", "--theta", "10", "--out", str(out)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "isinglearn: error: tree limit leaves float range at delta=40, theta=10.0\n"
-    )
-    assert not out.exists()
+    for delta, theta in (("40", "10"), ("1000", "0.34")):
+        argv = ["analyze", "tree-limit", "--delta", delta, "--theta", theta, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"isinglearn: error: tree limit leaves float range at delta={delta}, "
+            f"theta={float(theta)}\n"
+        )
+        assert not out.exists()
 
 
 def test_analyze_b_sweep_edges(tmp_path, capsys):
     bpath = tmp_path / "b.csv"
-    argv = ["analyze", "b-sweep", "--theta-min", "0.5", "--theta-max", "10",
+    argv = ["analyze", "b-sweep", "--theta-min", "0.3", "--theta-max", "10",
             "--points", "3", "--out", str(bpath)]
     assert main(argv + ["--delta", "40"]) == 0
     rows = bpath.read_text().splitlines()
     assert rows[0] == "theta,b_limit"
-    assert rows[1].startswith("0.500000,") and rows[1] != "0.500000,nan"
+    assert rows[1].startswith("0.300000,") and rows[1] != "0.300000,nan"
+    assert rows[2] == "5.150000,nan"  # a == b and c2 == 0: the gaps are lost
     assert rows[3] == "10.000000,nan"
     bpath.unlink()
     capsys.readouterr()

@@ -1,7 +1,16 @@
+import dataclasses
+import multiprocessing
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
+import isinglearn.experiments as experiments
 from isinglearn.graphs import GraphFamilySpec
 from isinglearn.learners import LearnerConfig
 from isinglearn.experiments import (
@@ -94,6 +103,97 @@ class TestRunSweep:
         )
         res = run_sweep(cfg)
         assert res.cells[0].trials == 3
+
+
+def rlr_grid_config(**kw):
+    """Two theta, two lambda0 and three trials of a small rlr sweep."""
+    base = dict(
+        family=GraphFamilySpec(family="random-regular", p=10, delta=3),
+        learner=LearnerConfig(alg="rlr", rule="and", tol=1e-4, max_iter=500),
+        theta_grid=(0.3, 0.6),
+        n_grid=(300,),
+        lambda0_grid=(0.5, 2.0),
+        trials=3,
+    )
+    base.update(kw)
+    return tiny_config(**base)
+
+
+def sweep_with_cpus(cfg, cpus):
+    with mock.patch.object(experiments, "_available_cpus", return_value=cpus):
+        return run_sweep(cfg)
+
+
+def without_runtime(res):
+    return [dataclasses.replace(c, mean_runtime_ms=0.0) for c in res.cells]
+
+
+class TestSampleWorkers:
+    def test_worker_count_keeps_cells(self):
+        cfg = rlr_grid_config()
+        spy = mock.Mock(wraps=experiments.gibbs_sample)
+        with mock.patch.object(experiments, "gibbs_sample", spy):
+            serial = sweep_with_cpus(cfg, 1)
+            assert spy.call_count == 6
+            pooled = sweep_with_cpus(cfg, 2)
+            assert spy.call_count == 6  # the workers sampled, not this process
+        assert without_runtime(pooled) == without_runtime(serial)
+        assert len({(c.p_succ, c.p_vertex) for c in serial.cells}) > 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="a patched sampler reaches forked workers only",
+    )
+    def test_worker_error_reaches_caller_and_cancels_queue(self, tmp_path):
+        cfg = tiny_config(trials=16)
+        state = np.random.SeedSequence(cfg.seed, spawn_key=(0, 0, 1)).generate_state(3)
+        bad_seed = int(state[1])
+        real = experiments.gibbs_sample
+
+        def flaky(g, theta, n, burn_in, thin, seed):
+            (tmp_path / str(seed)).touch()
+            if seed == bad_seed:
+                raise RuntimeError("sampler failed")
+            time.sleep(0.2)
+            return real(g, theta, n=n, burn_in=burn_in, thin=thin, seed=seed)
+
+        with mock.patch.object(experiments, "gibbs_sample", flaky):
+            with pytest.raises(RuntimeError, match="sampler failed"):
+                sweep_with_cpus(cfg, 2)
+        assert multiprocessing.active_children() == []
+        assert (tmp_path / str(bad_seed)).exists()
+        assert len(list(tmp_path.iterdir())) < cfg.trials
+
+    def test_spawned_workers_give_serial_table(self, tmp_path):
+        # the worker function and its arguments must pickle for the spawn
+        # and forkserver start methods
+        cfg = rlr_grid_config()
+        script = tmp_path / "spawn_sweep.py"
+        script.write_text(
+            "import multiprocessing\n"
+            "from unittest import mock\n"
+            "from isinglearn import experiments\n"
+            "from isinglearn.experiments import SweepConfig\n"
+            "from isinglearn.graphs import GraphFamilySpec\n"
+            "from isinglearn.learners import LearnerConfig\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('spawn')\n"
+            f"    cfg = {cfg!r}\n"
+            "    with mock.patch.object(experiments, '_available_cpus', return_value=2):\n"
+            "        res = experiments.run_sweep(cfg)\n"
+            "    assert multiprocessing.active_children() == []\n"
+            "    print('\\n'.join(res.csv_lines(timestamp=False)))\n"
+        )
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True, text=True,
+            check=True, timeout=300,
+        ).stdout
+        serial = sweep_with_cpus(cfg, 1)
+        assert strip_runtime(out.splitlines()) == strip_runtime(serial.csv_lines())
 
 
 class TestDilutedGridRegime:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import re
 import time
 import tracemalloc
@@ -329,6 +330,14 @@ class TestSampleSetRows:
         assert not rows.flags.writeable and not wgt.flags.writeable
         g = gibbs_sample(make_tree(4, "path"), 0.5, n=5, burn_in=2, thin=1, seed=0)
         assert not g.spins.flags.writeable and g.spins.flags.c_contiguous
+
+    def test_pickle_round_trip_stays_read_only(self):
+        s = gibbs_sample(make_tree(4, "path"), 0.5, n=5, burn_in=2, thin=1, seed=3)
+        s.distinct_rows  # a cached value is not sent along
+        t = pickle.loads(pickle.dumps(s))
+        assert t == s and t is not s
+        assert not t.spins.flags.writeable
+        assert "distinct_rows" not in vars(t)
 
 
 class TestSampleSetEquality:
