@@ -96,6 +96,8 @@ def incoherence(hess: PopulationHessian, neighbors) -> IncoherenceReport:
 
     The all-ones vector is the ferromagnetic subgradient at the truth."""
     nb = tuple(sorted(neighbors))
+    if not nb:
+        raise ValueError(f"root {hess.root} has no neighbors")
     vmap = {v: k for k, v in enumerate(hess.vertices)}
     s_idx = [vmap[v] for v in nb]
     sc = [v for v in hess.vertices if v not in nb]

@@ -125,10 +125,6 @@ def _cmd_analyze(args) -> int:
     elif args.report == "tree-limit":
         rep = analysis.tree_limit_report(args.delta, args.theta)
         Path(args.out).write_text(json.dumps(_jsonable(rep), indent=2) + "\n")
-    elif args.report == "thresholds":
-        files = experiments.reproduce("thresholds", Path(args.out).parent or Path("."))
-        print("wrote", ", ".join(str(f) for f in files))
-        return 0
     else:  # b-sweep, incoherence-sweep, x-sweep
         thetas = np.linspace(args.theta_min, args.theta_max, args.points)
         rows = []
@@ -160,9 +156,8 @@ def _cmd_analyze(args) -> int:
 def _parse_kv_config(path, keys, required) -> dict:
     """Flat `key = value` lines; '#' starts a comment. Every key must be one
     of `keys` and appear once at most, and every key in `required` must
-    appear."""
+    appear. Returns {key: (line number, value)}."""
     out = {}
-    first_line = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -173,9 +168,8 @@ def _parse_kv_config(path, keys, required) -> dict:
         if k not in keys:
             raise ValueError(f"{path}:{lineno}: unknown key {k!r}")
         if k in out:
-            raise ValueError(f"{path}:{lineno}: key {k!r} repeats line {first_line[k]}")
-        out[k] = v
-        first_line[k] = lineno
+            raise ValueError(f"{path}:{lineno}: key {k!r} repeats line {out[k][0]}")
+        out[k] = (lineno, v)
     for k in required:
         if k not in out:
             raise ValueError(f"{path}: missing required key {k!r}")
@@ -232,9 +226,12 @@ _SWEEP_REQUIRED = ("family", "theta_grid", "n_grid")
 
 def sweep_config_from_file(path) -> experiments.SweepConfig:
     parts = {"family": {}, "learner": {}, "sweep": {}}
-    for key, value in _parse_kv_config(path, _SWEEP_KEYS, _SWEEP_REQUIRED).items():
+    for key, (lineno, value) in _parse_kv_config(path, _SWEEP_KEYS, _SWEEP_REQUIRED).items():
         part, field, parse = _SWEEP_KEYS[key]
-        parts[part][field] = parse(value)
+        try:
+            parts[part][field] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: key {key!r}: {exc}") from None
     return experiments.SweepConfig(
         family=GraphFamilySpec(**parts["family"]),
         learner=LearnerConfig(**parts["learner"]),
@@ -302,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="population-level reports and sweeps")
     an.add_argument(
         "report",
-        choices=("incoherence", "tree-limit", "thresholds",
-                 "b-sweep", "incoherence-sweep", "x-sweep"),
+        choices=("incoherence", "tree-limit", "b-sweep", "incoherence-sweep", "x-sweep"),
     )
     an.add_argument("--graph", default=None)
     an.add_argument("--root", type=int, default=1)

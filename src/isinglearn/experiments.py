@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis
 from .graphs import Graph, GraphFamilySpec, build_graph
-from .ising import default_sampler_settings, gibbs_sample
+from .ising import _settings_from_sweeps, default_sampler_settings, gibbs_sample
 from .learners import LearnerConfig, rlr_graph, run_learner
 
 # Pessimistic cost model: one work unit is roughly one single-site sampler
@@ -75,7 +75,6 @@ class CellResult:
 
 @dataclass
 class SweepResult:
-    config: SweepConfig
     cells: list = field(default_factory=list)
 
     def best_over_lambda0(self, theta: float, n: int) -> CellResult:
@@ -104,10 +103,13 @@ class SweepResult:
 
 def estimate_work_units(cfg: SweepConfig) -> float:
     """Deliberately high estimate of total sweep work in sampler-update
-    equivalents (the runtime claim is estimate >= actual / 2)."""
+    equivalents (the runtime claim is estimate >= actual / 2). An unset
+    burn_in or thin is bounded by the sampler's rule at a saturated mixing
+    estimate of mixing_cap sweeps."""
     p = cfg.family.num_vertices
-    burn = cfg.burn_in if cfg.burn_in is not None else 10 * cfg.mixing_cap
-    thin = cfg.thin if cfg.thin is not None else max(1, cfg.mixing_cap // 10)
+    burn, thin = _settings_from_sweeps(cfg.mixing_cap)
+    burn = burn if cfg.burn_in is None else cfg.burn_in
+    thin = thin if cfg.thin is None else cfg.thin
     total = 0.0
     for n in cfg.n_grid:
         sample_units = (burn + n * thin + cfg.mixing_cap) * p
@@ -151,16 +153,11 @@ def _sample_trial(cfg: SweepConfig, i_t: int, i_n: int, trial: int):
     g = build_graph(cfg.family, seed=graph_seed)
     theta = cfg.theta_grid[i_t]
     t_sample0 = time.perf_counter()
-    burn, thin = cfg.burn_in, cfg.thin
-    saturated = False
-    if burn is None or thin is None:
-        b, t, est = default_sampler_settings(
-            g, theta, seed=m_seed, mixing_cap=cfg.mixing_cap
-        )
-        burn = b if burn is None else burn
-        thin = t if thin is None else thin
-        saturated = est.saturated
+    burn, thin, est = default_sampler_settings(
+        g, theta, cfg.burn_in, cfg.thin, m_seed, cfg.mixing_cap
+    )
     s = gibbs_sample(g, theta, n=cfg.n_grid[i_n], burn_in=burn, thin=thin, seed=s_seed)
+    saturated = est is not None and est.saturated
     return g, s, saturated, (time.perf_counter() - t_sample0) * 1000.0
 
 
@@ -232,7 +229,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
-    out = SweepResult(cfg)
+    out = SweepResult()
     for theta in cfg.theta_grid:
         for lam0 in sorted(cfg.lambda0_grid):
             for n in cfg.n_grid:
@@ -453,7 +450,7 @@ def _reproduce_regular_sweep(out: Path, seed: int) -> list:
     lo_cfg, hi_cfg = recipe_regular_sweep(seed=seed)
     res_lo = run_sweep(lo_cfg)
     res_hi = run_sweep(hi_cfg)
-    merged = SweepResult(lo_cfg, cells=res_lo.cells + res_hi.cells)
+    merged = SweepResult(res_lo.cells + res_hi.cells)
     thr = analysis.theta_thr(4, tol=1e-6)
     return _sweep_artifacts(
         merged,

@@ -223,7 +223,6 @@ class GraphFamilySpec:
     dilution: float = 0.0
     shape: str = "path"
     branching: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -236,9 +235,8 @@ class GraphFamilySpec:
         return self.p
 
 
-def build_graph(spec: GraphFamilySpec, seed: int | None = None) -> Graph:
-    """Materialize a family spec; `seed` overrides the spec's stored seed."""
-    s = spec.seed if seed is None else seed
+def build_graph(spec: GraphFamilySpec, seed: int) -> Graph:
+    """Materialize a family spec; `seed` drives the random families."""
     f = spec.family
     if f == "tree":
         return make_tree(spec.p, spec.shape, spec.branching)
@@ -247,11 +245,11 @@ def build_graph(spec: GraphFamilySpec, seed: int | None = None) -> Graph:
     if f == "grid":
         return make_grid(spec.side, spec.periodic)
     if f == "diluted-grid":
-        return dilute(make_grid(spec.side, spec.periodic), spec.dilution, s)
+        return dilute(make_grid(spec.side, spec.periodic), spec.dilution, seed)
     if f == "random-regular":
-        return make_random_regular(spec.p, spec.delta, s)
+        return make_random_regular(spec.p, spec.delta, seed)
     if f == "regular-plus-edge":
-        return make_regular_plus_edge(spec.p, spec.delta, s)
+        return make_regular_plus_edge(spec.p, spec.delta, seed)
     if f == "toy-gp":
         return make_toy_gp(spec.p)
     if f == "toy-gp-prime":
@@ -280,10 +278,14 @@ def read_graph(path) -> Graph:
             if tok[0] == "p":
                 if p is not None:
                     raise ValueError(f"line {lineno}: repeated p line")
+                if len(tok) < 2:
+                    raise ValueError(f"line {lineno}: p line without a vertex count")
                 p = int(tok[1])
             elif tok[0] == "e":
                 if p is None:
                     raise ValueError(f"line {lineno}: edge before p line")
+                if len(tok) < 3:
+                    raise ValueError(f"line {lineno}: edge needs two vertex indices")
                 i, j = int(tok[1]), int(tok[2])
                 if not (0 <= i < p and 0 <= j < p):
                     raise ValueError(f"line {lineno}: vertex out of range")

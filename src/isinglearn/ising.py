@@ -475,25 +475,31 @@ def estimate_mixing(g: Graph, theta, seed: int, max_sweeps: int = 10_000) -> Mix
     return MixingEstimate(max_sweeps, True)
 
 
-# How default_sampler_settings turns a mixing estimate into burn-in and thin.
+# How a mixing estimate of t sweeps becomes burn-in and thin.
 _BURN_IN_FACTOR = 10
 _THIN_DIVISOR = 10
 _THIN_CAP = 50
 
 
+def _settings_from_sweeps(t: int) -> tuple[int, int]:
+    """(burn_in, thin) for a mixing estimate of t sweeps: burn_in is
+    _BURN_IN_FACTOR * t, and thin is t // _THIN_DIVISOR capped at
+    _THIN_CAP, both at least 1. Both grow with t, so t = mixing_cap bounds
+    them from above."""
+    return max(1, _BURN_IN_FACTOR * t), max(1, min(_THIN_CAP, t // _THIN_DIVISOR))
+
+
 def default_sampler_settings(
-    g: Graph,
-    theta,
-    seed: int,
-    mixing_cap: int = 1000,
-) -> tuple[int, int, MixingEstimate]:
-    """burn_in and thin from a mixing estimate of t sweeps: burn_in is
-    _BURN_IN_FACTOR * t, and thin is t // _THIN_DIVISOR capped at _THIN_CAP,
-    both at least 1."""
+    g: Graph, theta, burn_in: int | None, thin: int | None, seed: int, mixing_cap: int
+) -> tuple[int, int, MixingEstimate | None]:
+    """(burn_in, thin, estimate) with each unset (None) value filled from a
+    mixing estimate capped at mixing_cap sweeps. When both are given no
+    chain runs, and the estimate is None."""
+    if burn_in is not None and thin is not None:
+        return burn_in, thin, None
     est = estimate_mixing(g, theta, seed, max_sweeps=mixing_cap)
-    burn_in = max(1, _BURN_IN_FACTOR * est.sweeps)
-    thin = max(1, min(_THIN_CAP, est.sweeps // _THIN_DIVISOR))
-    return burn_in, thin, est
+    b, t = _settings_from_sweeps(est.sweeps)
+    return b if burn_in is None else burn_in, t if thin is None else thin, est
 
 
 def gibbs_sample(
@@ -508,19 +514,16 @@ def gibbs_sample(
     """n samples by random-scan heat-bath dynamics, one sample kept every
     `thin` full sweeps after `burn_in` sweeps. Deterministic under seed.
 
-    When burn_in or thin is omitted it is derived from estimate_mixing
-    (10x the estimate, and the estimate over 10, respectively).
+    When burn_in or thin is omitted it comes from default_sampler_settings
+    (10x the mixing estimate, and the estimate over 10 capped at 50).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     ss = np.random.SeedSequence(seed)
     mix_seed, run_seed = ss.spawn(2)
-    if burn_in is None or thin is None:
-        b, t, _ = default_sampler_settings(
-            g, theta, seed=mix_seed.generate_state(1)[0], mixing_cap=mixing_cap
-        )
-        burn_in = b if burn_in is None else burn_in
-        thin = t if thin is None else thin
+    burn_in, thin, _ = default_sampler_settings(
+        g, theta, burn_in, thin, mix_seed.generate_state(1)[0], mixing_cap
+    )
     if burn_in < 1 or thin < 1:
         raise ValueError("burn_in and thin must be >= 1")
     fld = _as_field(g, theta)

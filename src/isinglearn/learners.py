@@ -382,7 +382,6 @@ class NeighborhoodEstimate:
     iterations: int
     objective: float
     residual: float
-    objective_history: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -501,7 +500,7 @@ def _rlr_all_roots(
 _SELECTION_THRESHOLD = 1e-6
 
 
-def _estimate(r, solved, tol, history=()):
+def _estimate(r, solved, tol):
     """Root r's NeighborhoodEstimate from the outputs of _rlr_all_roots."""
     theta, f_cur, res, iters = solved
     col = theta[:, r - 1]
@@ -515,7 +514,6 @@ def _estimate(r, solved, tol, history=()):
         iterations=int(iters[r - 1]),
         objective=float(f_cur[r - 1]),
         residual=float(res[r - 1]),
-        objective_history=history,
     )
 
 
@@ -526,7 +524,6 @@ def rlr_neighborhood(
     tol: float = 1e-6,
     max_iter: int = 5000,
     theta0: np.ndarray | None = None,
-    record_history: bool = False,
 ) -> NeighborhoodEstimate:
     """Minimize root r's penalized conditional log-likelihood with the
     batched solver restricted to that root, and select neighbors with
@@ -541,12 +538,8 @@ def rlr_neighborhood(
     warm = np.zeros((s.p, s.p))
     if theta0 is not None:
         warm[np.arange(s.p) != r - 1, r - 1] = theta0
-    history = [] if record_history else None
-    solved = _rlr_all_roots(
-        *s.distinct_rows, lam, tol, max_iter, warm, [r - 1], history
-    )
-    hist = tuple(float(f[0]) for f in history) if record_history else ()
-    return _estimate(r, solved, tol, hist)
+    solved = _rlr_all_roots(*s.distinct_rows, lam, tol, max_iter, warm, [r - 1])
+    return _estimate(r, solved, tol)
 
 
 def rlr_graph(
@@ -647,6 +640,7 @@ def run_learner(
 
 _POPULATION_MAX_P = 18  # the 2^p x p float design is 38 MB at p = 18
 _POPULATION_MAX_ITER = 20_000  # the slowest known solve (p=7, theta=1) takes 7,780
+_POPULATION_TOL = 1e-10  # bound on the solve's subgradient optimality residual
 
 
 def _population_rows(dist: ExactDistribution):
@@ -661,15 +655,13 @@ def _population_rows(dist: ExactDistribution):
     return 1.0 - 2.0 * bits, dist.marginal(range(1, p + 1)).reshape(-1, 1)
 
 
-def population_rlr_gp(
-    theta: float, p: int, lam: float, tol: float = 1e-10
-) -> tuple[float, float]:
+def population_rlr_gp(theta: float, p: int, lam: float) -> tuple[float, float]:
     """Population-limit regression at the hub (vertex 1) of the double-hub
     graph make_toy_gp(p), p <= 18.
 
     The batched l1 solver runs on all 2^p states weighted by their exact
-    probabilities; `tol` bounds its subgradient optimality residual, and a
-    solve still above it after _POPULATION_MAX_ITER iterations raises
+    probabilities, and a solve whose residual is still at or above
+    _POPULATION_TOL after _POPULATION_MAX_ITER iterations raises
     RuntimeError. By symmetry every spoke coefficient is the same.
     Returns (t13_hat, t12_hat), the hub's coefficients toward spoke 3 and
     toward the opposite hub.
@@ -684,11 +676,11 @@ def population_rlr_gp(
         raise ValueError("lam must be >= 0")
     rows = _population_rows(exact_moments(make_toy_gp(p), theta))
     coef, _, res, _ = _rlr_all_roots(
-        *rows, lam, tol, _POPULATION_MAX_ITER, None, roots=[0]
+        *rows, lam, _POPULATION_TOL, _POPULATION_MAX_ITER, None, roots=[0]
     )
-    if not res[0] < tol:
+    if not res[0] < _POPULATION_TOL:
         raise RuntimeError(
             f"population regression did not converge in {_POPULATION_MAX_ITER}"
-            f" iterations: residual {res[0]:.3e} >= tol {tol:.1e}"
+            f" iterations: residual {res[0]:.3e} >= tol {_POPULATION_TOL:.1e}"
         )
     return float(coef[2, 0]), float(coef[1, 0])

@@ -110,6 +110,11 @@ class TestIncoherence:
             bound = (1 - math.tanh(theta) ** 2) / math.cosh(theta * delta) ** 2
             assert rep.sigma_min >= bound - 1e-12
 
+    def test_root_without_neighbors(self):
+        g = Graph(3, frozenset({(1, 2)}))
+        with pytest.raises(ValueError, match="^root 3 has no neighbors$"):
+            graph_incoherence(g, 0.3, r=3)
+
     def test_gp5_closed_form_across_grid(self):
         g = make_toy_gp(5)
         for theta in np.linspace(0.1, 1.0, 10):

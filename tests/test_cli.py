@@ -320,6 +320,36 @@ def test_analyze_tree_limit_outside_float_range(tmp_path, capsys):
         assert not out.exists()
 
 
+_NO_COUNT = ("p\ne 0 1\n", "line 1: p line without a vertex count")
+_ONE_INDEX = ("p 3\ne 0\n", "line 2: edge needs two vertex indices")
+_ISOLATED_ROOT = ("p 3\ne 0 1\n", "root 3 has no neighbors")
+_INCOHERENCE = ["analyze", "incoherence", "--theta", "0.3", "--root", "3"]
+_SAMPLE = ["sample", "--theta", "0.3", "--n", "10", "--burn-in", "5", "--thin", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, record",
+    [
+        (_INCOHERENCE, _NO_COUNT),
+        (_INCOHERENCE, _ONE_INDEX),
+        (_SAMPLE, _NO_COUNT),
+        (_SAMPLE, _ONE_INDEX),
+        (_INCOHERENCE, _ISOLATED_ROOT),
+        (["analyze", "incoherence-sweep", "--points", "2", "--root", "3"], _ISOLATED_ROOT),
+    ],
+    ids=["incoherence-p-count", "incoherence-e-index", "sample-p-count",
+         "sample-e-index", "incoherence-isolated-root", "sweep-isolated-root"],
+)
+def test_unusable_graph_is_usage_error(tmp_path, capsys, argv, record):
+    text, message = record
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    out = tmp_path / "out"
+    assert main(argv + ["--graph", str(graph), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"isinglearn: error: {message}\n")
+    assert not out.exists()
+
+
 def test_analyze_b_sweep_edges(tmp_path, capsys):
     bpath = tmp_path / "b.csv"
     argv = ["analyze", "b-sweep", "--theta-min", "0.3", "--theta-max", "10",
@@ -437,8 +467,12 @@ _SMALL_SWEEP = [
         (_SMALL_SWEEP + ["trails = 3"], "sweep.cfg:9: unknown key 'trails'"),
         (_SMALL_SWEEP + ["trials = 3"], "sweep.cfg:9: key 'trials' repeats line 6"),
         (_SMALL_SWEEP[1:], "sweep.cfg: missing required key 'family'"),
+        (
+            [ln.replace("200", "2x00") for ln in _SMALL_SWEEP],
+            "sweep.cfg:5: key 'n_grid': invalid literal for int() with base 10: '2x00'",
+        ),
     ],
-    ids=["unknown", "repeated", "missing"],
+    ids=["unknown", "repeated", "missing", "unparsed-value"],
 )
 def test_sweep_rejects_bad_config_keys(tmp_path, capsys, lines, message):
     cfg = tmp_path / "sweep.cfg"

@@ -196,6 +196,48 @@ class TestSampleWorkers:
         assert strip_runtime(out.splitlines()) == strip_runtime(serial.csv_lines())
 
 
+def mixing_config(**kw):
+    """A sweep that leaves burn_in and thin to the mixing estimate."""
+    base = dict(
+        family=GraphFamilySpec(family="random-regular", p=10, delta=3),
+        learner=LearnerConfig(alg="thr", tau_rule="tree"),
+        theta_grid=(0.3, 0.9),
+        n_grid=(400,),
+        trials=4,
+        seed=11,
+    )
+    base.update(kw)
+    return SweepConfig(**base)
+
+
+class TestMixingEstimatePath:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pinned_cells(self, cpus):
+        res = sweep_with_cpus(mixing_config(), cpus)
+        assert strip_runtime(res.csv_lines(timestamp=False)) == [
+            "theta,lambda0,n,trials,p_succ,p_vertex",
+            "0.3,0,400,4,0.000000,0.150000",
+            "0.9,0,400,4,0.000000,0.000000",
+        ]
+        assert [c.sampler_saturated for c in res.cells] == [0, 2]
+        assert multiprocessing.active_children() == []
+
+    def test_estimate_errs_high(self):
+        cfg = mixing_config(mixing_cap=1000)
+        t0 = time.perf_counter()
+        run_sweep(cfg)
+        elapsed = time.perf_counter() - t0
+        assert estimate_seconds(cfg) >= elapsed / 2
+
+    def test_estimate_takes_the_sampler_rule_at_the_cap(self):
+        # burn_in 10 * 1000 and thin min(50, 1000 // 10) per trial, for
+        # 2 thetas x 4 trials of 10 sites, plus 40,000 solver units per site
+        cfg = mixing_config(mixing_cap=1000)
+        assert estimate_work_units(cfg) == 8 * ((10_000 + 400 * 50 + 1000) * 10 + 400_000)
+        cfg = mixing_config(mixing_cap=300, burn_in=5, thin=2)
+        assert estimate_work_units(cfg) == 8 * ((5 + 400 * 2 + 300) * 10 + 400_000)
+
+
 class TestDilutedGridRegime:
     def test_seven_grid_vertex_success_dichotomy(self):
         # 7x7 grid with edges kept w.p. 0.7 at n=4500: per-vertex recovery

@@ -244,3 +244,18 @@ class TestGraphFile:
         path.write_text("p 3\ne 0 3\n")
         with pytest.raises(ValueError):
             read_graph(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# comment\np\ne 0 1\n", "line 2: p line without a vertex count"),
+            ("p 3\ne 0 1\ne 2\n", "line 3: edge needs two vertex indices"),
+        ],
+        ids=["p-count", "e-index"],
+    )
+    def test_rejects_short_record(self, tmp_path, text, message):
+        path = tmp_path / "short.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_graph(path)
+        assert str(exc.value) == message

@@ -241,6 +241,21 @@ class TestGibbs:
         s = gibbs_sample(g, 0.3, n=20, seed=4, mixing_cap=200)
         assert s.burn_in >= 1 and s.thin >= 1
 
+    def test_settings_fill_only_unset_values(self):
+        settings = ising.default_sampler_settings
+        path = make_tree(6, "path")
+        with mock.patch.object(ising, "estimate_mixing") as est:
+            assert settings(path, 0.3, 7, 2, 3, 700) == (7, 2, None)
+            est.assert_not_called()
+        est = estimate_mixing(path, 0.3, 3, max_sweeps=700)
+        assert (est.sweeps, est.saturated) == (11, False)
+        assert settings(path, 0.3, None, 4, 3, 700) == (110, 4, est)
+        assert settings(path, 0.3, 9, None, 3, 700) == (9, 1, est)
+        # a saturated estimate of 700 sweeps: thin 70 is capped at 50
+        est = estimate_mixing(make_grid(4), 1.5, 3, max_sweeps=700)
+        assert settings(make_grid(4), 1.5, None, None, 3, 700) == (7000, 50, est)
+        assert est.saturated
+
     def test_heterogeneous_couplings(self):
         g = make_tree(3, "path")
         fld = CouplingField.from_dict(3, {(1, 2): 0.9, (2, 3): 0.1})

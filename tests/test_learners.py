@@ -551,8 +551,9 @@ class TestRlrNeighborhood:
     def test_monotone_objective_history(self):
         g = make_tree(6, "path")
         s = gibbs_sample(g, 0.8, n=5000, burn_in=300, thin=2, seed=5)
-        est = rlr_neighborhood(s, 2, lam=0.01, tol=1e-10, record_history=True)
-        hist = np.array(est.objective_history)
+        history = []
+        _rlr_all_roots(*s.distinct_rows, 0.01, 1e-10, 5000, None, [1], history)
+        hist = np.array([f[0] for f in history])
         assert len(hist) >= 2
         assert np.all(np.diff(hist) <= 1e-12)
 
