@@ -185,6 +185,8 @@ def _ints(v: str) -> tuple:
 
 
 def _bool(v: str) -> bool:
+    if v.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {v!r}")
     return v.lower() in ("1", "true", "yes")
 
 
@@ -328,7 +330,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError) as exc:  # bad input, or a file that cannot be used
+    except (OSError, ValueError, experiments.BudgetExceeded) as exc:  # input that cannot be run
         print(f"isinglearn: error: {exc}", file=sys.stderr)
         return 2
 

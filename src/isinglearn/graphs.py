@@ -265,6 +265,16 @@ def write_graph(g: Graph, path) -> None:
             fh.write(f"e {i - 1} {j - 1}\n")
 
 
+def _record_ints(tok: list, lineno: int, count: int, short: str) -> list:
+    """The `count` integers after a record's tag; `short` names the lack."""
+    if len(tok) != count + 1:
+        raise ValueError(f"line {lineno}: {short if len(tok) <= count else 'extra tokens'}")
+    try:
+        return [int(t) for t in tok[1:]]
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
 def read_graph(path) -> Graph:
     """Parse the 0-based edge-list format; rejects duplicates and self-loops."""
     p = None
@@ -278,15 +288,11 @@ def read_graph(path) -> Graph:
             if tok[0] == "p":
                 if p is not None:
                     raise ValueError(f"line {lineno}: repeated p line")
-                if len(tok) < 2:
-                    raise ValueError(f"line {lineno}: p line without a vertex count")
-                p = int(tok[1])
+                (p,) = _record_ints(tok, lineno, 1, "p line without a vertex count")
             elif tok[0] == "e":
                 if p is None:
                     raise ValueError(f"line {lineno}: edge before p line")
-                if len(tok) < 3:
-                    raise ValueError(f"line {lineno}: edge needs two vertex indices")
-                i, j = int(tok[1]), int(tok[2])
+                i, j = _record_ints(tok, lineno, 2, "edge needs two vertex indices")
                 if not (0 <= i < p and 0 <= j < p):
                     raise ValueError(f"line {lineno}: vertex out of range")
                 pairs.append((i + 1, j + 1))

@@ -369,11 +369,11 @@ class _Glauber:
     """Single-site heat-bath dynamics with uniformly random scan order.
 
     One sweep is p single-site updates. For homogeneous couplings the
-    acceptance probabilities come from a lookup table indexed by the
-    integer sum of neighbor spins; those sums are built once per run and
-    moved by +-2 at the neighbors of a flipped site, so an update that
-    keeps its spin costs one lookup. The draws and comparisons are those of
-    re-summing the neighbors at every update, so the chain is the same.
+    spins are also kept as a bit mask of the +1 sites, so an update counts
+    its +1 neighbors with one popcount, reads its acceptance probability
+    from a per-site row of a lookup table, and a flip costs one XOR
+    whatever the degree. The draws and comparisons are those of re-summing
+    the neighbors at every update, so the chain is the same.
     """
 
     _CHUNK = 128  # sweeps of randomness drawn per batch
@@ -384,17 +384,17 @@ class _Glauber:
         self.nbrs = [tuple(x) for x in nbrs]
         self.ths = [tuple(x) for x in ths]
         theta0 = fld.homogeneous_value()
-        self.table = None
-        self.offset = 0
+        self.rows = None
         if theta0 is not None or not fld.couplings:
             maxdeg = max((len(x) for x in nbrs), default=0)
             t0 = 0.0 if theta0 is None else theta0
             ms = np.arange(-maxdeg, maxdeg + 1)
-            self.table = (1.0 / (1.0 + np.exp(-2.0 * t0 * ms))).tolist()
-            self.offset = maxdeg
-            # every (site, neighbor) pair, so run() sums neighbors in numpy
-            self.pair_site = np.repeat(np.arange(self.p), [len(x) for x in nbrs])
-            self.pair_nbr = np.array([j for nb in nbrs for j in nb], dtype=np.int64)
+            table = (1.0 / (1.0 + np.exp(-2.0 * t0 * ms))).tolist()
+            # rows[i][c]: P(+1) at i when c neighbors are +1, a sum of 2c - deg(i)
+            self.rows = [tuple(table[maxdeg + 2 * c - len(nb)] for c in range(len(nb) + 1))
+                         for nb in nbrs]
+            self.nbm = [sum(1 << j for j in nb) for nb in nbrs]
+            self.bit = [1 << i for i in range(self.p)]
 
     def initial_state(self, rng) -> list:
         return (rng.integers(0, 2, self.p) * 2 - 1).tolist()
@@ -405,28 +405,30 @@ class _Glauber:
         nbrs = self.nbrs
         mag = sum(x) if stop_on_negative_mag else 0
         done = 0
-        table = self.table
-        if table is not None:
-            # m[i] indexes the table: offset plus the sum of i's neighbor
-            # spins. Only a flip changes it, so it is kept up to date there.
-            m = np.bincount(self.pair_site, np.array(x)[self.pair_nbr], minlength=p)
-            m = (m.astype(np.int64) + self.offset).tolist()
+        rows = self.rows
+        if rows is not None:
+            nbm, bit, bc = self.nbm, self.bit, int.bit_count
+            X = sum(b for b, s in zip(bit, x) if s > 0)
         while done < nsweeps:
             k = min(self._CHUNK, nsweeps - done)
             sites = rng.integers(0, p, size=k * p).tolist()
             us = rng.random(k * p).tolist()
-            if table is not None:
+            if rows is not None:
+                # sweeps walked between magnetization checks
+                per = 1 if stop_on_negative_mag else k
                 draws = zip(sites, us)
-                for _ in range(k):
-                    for i, u in itertools.islice(draws, p):
-                        s = 1 if u < table[m[i]] else -1
-                        if s != x[i]:
-                            x[i] = s
-                            s += s
-                            mag += s
-                            for j in nbrs[i]:
-                                m[j] += s
-                    done += 1
+                for _ in range(k // per):
+                    for i, u in itertools.islice(draws, per * p):
+                        if u < rows[i][bc(X & nbm[i])]:
+                            if x[i] < 0:
+                                x[i] = 1
+                                X ^= bit[i]
+                                mag += 2
+                        elif x[i] > 0:
+                            x[i] = -1
+                            X ^= bit[i]
+                            mag -= 2
+                    done += per
                     if stop_on_negative_mag and mag < 0:
                         return done, True
             else:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -323,6 +324,8 @@ def test_analyze_tree_limit_outside_float_range(tmp_path, capsys):
 _NO_COUNT = ("p\ne 0 1\n", "line 1: p line without a vertex count")
 _ONE_INDEX = ("p 3\ne 0\n", "line 2: edge needs two vertex indices")
 _ISOLATED_ROOT = ("p 3\ne 0 1\n", "root 3 has no neighbors")
+_NOT_INT = ("p 3\ne 0 x\n", "line 2: invalid literal for int() with base 10: 'x'")
+_EXTRA_INDEX = ("p 3\ne 0 1 2\n", "line 2: extra tokens")
 _INCOHERENCE = ["analyze", "incoherence", "--theta", "0.3", "--root", "3"]
 _SAMPLE = ["sample", "--theta", "0.3", "--n", "10", "--burn-in", "5", "--thin", "1"]
 
@@ -334,11 +337,14 @@ _SAMPLE = ["sample", "--theta", "0.3", "--n", "10", "--burn-in", "5", "--thin", 
         (_INCOHERENCE, _ONE_INDEX),
         (_SAMPLE, _NO_COUNT),
         (_SAMPLE, _ONE_INDEX),
+        (_SAMPLE, _NOT_INT),
+        (_SAMPLE, _EXTRA_INDEX),
         (_INCOHERENCE, _ISOLATED_ROOT),
         (["analyze", "incoherence-sweep", "--points", "2", "--root", "3"], _ISOLATED_ROOT),
     ],
     ids=["incoherence-p-count", "incoherence-e-index", "sample-p-count",
-         "sample-e-index", "incoherence-isolated-root", "sweep-isolated-root"],
+         "sample-e-index", "sample-e-not-int", "sample-e-extra",
+         "incoherence-isolated-root", "sweep-isolated-root"],
 )
 def test_unusable_graph_is_usage_error(tmp_path, capsys, argv, record):
     text, message = record
@@ -471,8 +477,12 @@ _SMALL_SWEEP = [
             [ln.replace("200", "2x00") for ln in _SMALL_SWEEP],
             "sweep.cfg:5: key 'n_grid': invalid literal for int() with base 10: '2x00'",
         ),
+        (
+            _SMALL_SWEEP + ["fresh_graph = ture"],
+            "sweep.cfg:9: key 'fresh_graph': expected 1/true/yes or 0/false/no, got 'ture'",
+        ),
     ],
-    ids=["unknown", "repeated", "missing", "unparsed-value"],
+    ids=["unknown", "repeated", "missing", "unparsed-value", "misspelt-bool"],
 )
 def test_sweep_rejects_bad_config_keys(tmp_path, capsys, lines, message):
     cfg = tmp_path / "sweep.cfg"
@@ -494,6 +504,30 @@ def test_sweep_rejects_unknown_tau_rule(tmp_path, capsys):
     cfg.write_text("\n".join(_SMALL_SWEEP + ["tau_rule = bogus"]) + "\n")
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", "isinglearn: error: unknown tau_rule 'bogus'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "word, value",
+    [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("no", False)],
+)
+def test_sweep_bool_keys_in_any_case(tmp_path, word, value):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("\n".join(_SMALL_SWEEP + [f"fresh_graph = {word}"]) + "\n")
+    assert sweep_config_from_file(cfg).fresh_graph_per_trial is value
+
+
+def test_sweep_over_budget_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    out = tmp_path / "sweep.csv"
+    cfg.write_text("\n".join(_SMALL_SWEEP + ["budget_units = 1"]) + "\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"isinglearn: error: estimated \S+ work units \(~\d+s\) exceeds budget 1\n",
+        captured.err,
+    )
     assert not out.exists()
 
 

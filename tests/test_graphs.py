@@ -250,8 +250,12 @@ class TestGraphFile:
         [
             ("# comment\np\ne 0 1\n", "line 2: p line without a vertex count"),
             ("p 3\ne 0 1\ne 2\n", "line 3: edge needs two vertex indices"),
+            ("p x\n", "line 1: invalid literal for int() with base 10: 'x'"),
+            ("p 3\ne 0 x\n", "line 2: invalid literal for int() with base 10: 'x'"),
+            ("p 3 4\ne 0 1\n", "line 1: extra tokens"),
+            ("p 3\ne 0 1 2\n", "line 2: extra tokens"),
         ],
-        ids=["p-count", "e-index"],
+        ids=["p-count", "e-index", "p-not-int", "e-not-int", "p-extra", "e-extra"],
     )
     def test_rejects_short_record(self, tmp_path, text, message):
         path = tmp_path / "short.txt"

@@ -287,16 +287,92 @@ def glauber_cases(draw):
     return p, edges, theta, nsweeps, stop, start, seed
 
 
+def _sparse_edges(p, m, seed):
+    """m distinct 1-based pairs of p vertices, drawn without a hypothesis
+    strategy so that an @example can hold them."""
+    pairs = [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
+    pick = np.random.default_rng(seed).choice(len(pairs), size=m, replace=False)
+    return sorted(pairs[k] for k in pick)
+
+
+class _FixedDraws:
+    """Stands in for the kernel's rng over one sweep: every one of the p
+    updates goes to `site` with uniform `u`."""
+
+    def __init__(self, p, site, u):
+        self.p, self.site, self.u = p, site, u
+
+    def integers(self, low, high, size):
+        assert (low, high, size) == (0, self.p, self.p)
+        return np.full(size, self.site)
+
+    def random(self, size):
+        assert size == self.p
+        return np.full(size, self.u)
+
+
+# (p, edges) for the exact single-update test: a wheel (hub 6 of degree 5,
+# rim degree 3) and a path with an isolated vertex (degrees 0, 1 and 2)
+_UPDATE_GRAPHS = (
+    (6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)] + [(v, 6) for v in range(1, 6)]),
+    (5, [(1, 2), (2, 3), (3, 4)]),
+)
+_WHEEL_FIELD = CouplingField.from_dict(
+    6, {e: 0.2 * k - 0.9 for k, e in enumerate(_UPDATE_GRAPHS[0][1])}
+)
+
+
 class TestHeatBathKernel:
+    @pytest.mark.parametrize(
+        "p, edges, theta",
+        [(p, edges, th) for p, edges in _UPDATE_GRAPHS for th in (-0.65, 0.15, 0.65)]
+        + [(6, _UPDATE_GRAPHS[0][1], _WHEEL_FIELD)],
+    )
+    def test_single_update_is_exact(self, p, edges, theta):
+        # A sweep whose p updates all go to site i with the same u leaves the
+        # neighbors alone, so it sets x[i] = +1 exactly when u < P(+1 | nbrs).
+        g = Graph(p, set(edges))
+        fld = ising._as_field(g, theta)
+        kern = ising._Glauber(fld)
+        dist = exact_moments(g, fld)
+        rest = [1, -1] * p  # the spins of non-neighbors, fixed
+        for v in range(1, p + 1):
+            nb = sorted(g.neighbors(v))
+            joint = dist.marginal([v] + nb)
+            for idx in itertools.product((0, 1), repeat=len(nb)):
+                up, down = joint[(0,) + idx], joint[(1,) + idx]
+                prob = up / (up + down)
+                for u, want in ((prob - 1e-9, 1), (prob + 1e-9, -1)):
+                    for start in (1, -1):
+                        x = rest[:p]
+                        x[v - 1] = start
+                        for w, k in zip(nb, idx):
+                            x[w - 1] = 1 - 2 * k
+                        before = list(x)
+                        out = kern.run(x, 1, _FixedDraws(p, v - 1, u))
+                        assert out == (1, False)
+                        before[v - 1] = want
+                        assert x == before, (v, idx, u, start)
+
     @settings(max_examples=80, deadline=None)
     @given(case=glauber_cases())
     @example(case=(5, [], 0.65, 129, True, "random", 3))
     @example(case=(6, [(1, 2), (2, 3)], -0.65, 300, False, "plus", 4))
     @example(case=(4, [(1, 2), (2, 3), (3, 4), (1, 4)], -2.0, 300, True, "plus", 5))
+    # masks of more than one machine word: p = 31 is past a 30-bit digit,
+    # 64 fills a 64-bit word and 70 passes it
+    @example(case=(31, _sparse_edges(31, 60, 1), 0.15, 300, True, "random", 6))
+    @example(case=(31, _sparse_edges(31, 60, 1), 0.15, 300, False, "random", 6))
+    @example(case=(49, _sparse_edges(49, 100, 2), 0.65, 129, True, "plus", 7))
+    @example(case=(49, _sparse_edges(49, 100, 2), -0.65, 129, False, "plus", 7))
+    @example(case=(64, _sparse_edges(64, 128, 3), -0.65, 300, True, "random", 8))
+    @example(case=(64, _sparse_edges(64, 128, 3), 0.65, 300, False, "random", 8))
+    @example(case=(70, _sparse_edges(70, 140, 4), 0.0, 129, True, "random", 9))
+    @example(case=(70, _sparse_edges(70, 140, 4), 0.15, 300, False, "plus", 9))
     def test_matches_reference_loop(self, case):
         p, edges, theta, nsweeps, stop, start, seed = case
         kern = ising._Glauber(CouplingField.homogeneous(Graph(p, set(edges)), theta))
-        assert kern.table is not None
+        assert kern.rows is not None
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         if start == "random":
             x, x_ref = kern.initial_state(rng), kern.initial_state(ref_rng)
