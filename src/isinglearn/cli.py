@@ -246,6 +246,14 @@ def _cmd_sweep(args) -> int:
     if args.out:
         cfg.out = args.out
     res = experiments.run_sweep(cfg)
+    # every lambda0 cell of a (theta, n) shares its trials: count one
+    lam0 = min(cfg.lambda0_grid)
+    saturated = sum(c.sampler_saturated for c in res.cells if c.lambda0 == lam0)
+    if saturated:
+        total = len(cfg.theta_grid) * len(cfg.n_grid) * cfg.trials
+        print(f"isinglearn: warning: {saturated} of {total} trials took burn-in and thin"
+              f" from a mixing estimate that reached mixing_cap = {cfg.mixing_cap} sweeps",
+              file=sys.stderr)
     if not cfg.out:
         for line in res.csv_lines(timestamp=False):
             print(line)

@@ -56,6 +56,10 @@ class SweepConfig:
             raise ValueError("grids must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not all(math.isfinite(v) and v >= 0 for v in self.lambda0_grid):
+            raise ValueError(f"lambda0 values must be finite and >= 0, got {self.lambda0_grid}")
+        if not (math.isfinite(self.budget_units) and self.budget_units > 0):
+            raise ValueError(f"budget_units must be finite and > 0, got {self.budget_units}")
         if self.learner.alg != "rlr":
             self.lambda0_grid = (0.0,)
 

@@ -289,6 +289,8 @@ def read_graph(path) -> Graph:
                 if p is not None:
                     raise ValueError(f"line {lineno}: repeated p line")
                 (p,) = _record_ints(tok, lineno, 1, "p line without a vertex count")
+                if p < 1:
+                    raise ValueError(f"line {lineno}: vertex count must be >= 1, got {p}")
             elif tok[0] == "e":
                 if p is None:
                     raise ValueError(f"line {lineno}: edge before p line")

@@ -22,8 +22,9 @@ from .graphs import Graph
 # At 2^26 states the moments take about a second on one core; memory is
 # bounded by the slab size, not by p.
 ENUMERATION_MAX_P = 26
-# Vertices in the lo half of the split enumeration: at the largest p the
-# two halves are equal, and below 14 vertices the hi half is empty.
+# Most vertices in the lo half of the split enumeration. Vertex p is always
+# a hi vertex, because only its +1 states are walked: at the largest p the
+# two halves are equal, and below 15 vertices vertex p is the hi half.
 _LO_BITS = ENUMERATION_MAX_P // 2
 # States per slab, hi rows times every lo column: 2^18 ran as fast as 2^20
 # at p = 22..26 with a quarter of the memory.
@@ -126,6 +127,11 @@ class ExactDistribution:
     H_hi[hi] + H_lo[lo] + x_hi J x_lo^T. Slabs of hi rows against every lo
     column are reduced by matrix products, which costs O(p 2^p) and keeps
     memory bounded by the slab size whatever p is.
+
+    Only the 2^(p-1) states with x_p = +1 are walked. The couplings are
+    pairwise and there is no external field, so x and -x have the same
+    energy, and every expectation over all states is read from that half:
+    each method below says how.
     """
 
     graph: Graph
@@ -140,22 +146,24 @@ class ExactDistribution:
 
     def __post_init__(self):
         p = self.graph.p
-        b = min(p, _LO_BITS)
+        b = min(p - 1, _LO_BITS)
         j_up = np.zeros((p, p))
         for i, j, th in self.field.couplings:
             j_up[i - 1, j - 1] = th
-        self._x_lo = _spin_table(b)
-        self._x_hi = _spin_table(p - b)
-        self._h_lo = np.einsum("si,ij,sj->s", self._x_lo, j_up[:b, :b], self._x_lo)
-        self._h_hi = np.einsum("si,ij,sj->s", self._x_hi, j_up[b:, b:], self._x_hi)
+        self._x_lo = x_lo = _spin_table(b)
+        # vertex p is the top bit of the hi index: its +1 rows come first
+        self._x_hi = x_hi = _spin_table(p - b)[: 1 << (p - b - 1)]
+        self._h_lo = ((x_lo @ j_up[:b, :b]) * x_lo).sum(axis=1)
+        self._h_hi = ((x_hi @ j_up[b:, b:]) * x_hi).sum(axis=1)
         # every lo vertex precedes every hi vertex, so the cross couplings
         # sit in the upper-right block; row k is hi vertex k's field per lo
-        self._cross = j_up[:b, b:].T @ self._x_lo.T
+        self._cross = j_up[:b, b:].T @ x_lo.T
 
     def _slabs(self):
         """Yield (rows, E): a slice of hi indices and the energies of those
         rows against every lo index, shape (rows, 2^b). The one reduction
-        that every expectation streams through."""
+        that every expectation streams through; it covers the x_p = +1
+        half of the states."""
         rows_per_slab = max(1, _SLAB_STATES // len(self._x_lo))
         for start in range(0, len(self._x_hi), rows_per_slab):
             rows = slice(start, start + rows_per_slab)
@@ -165,9 +173,10 @@ class ExactDistribution:
             yield rows, e
 
     def _weights(self):
-        """Yield (rows, W) with W the slab's state probabilities."""
+        """Yield (rows, W) with W twice the slab's state probabilities, so
+        that a sum of W f over the half is E{f(X)} for any even f."""
         for rows, e in self._slabs():
-            e -= self.log_z
+            e -= self.log_z - math.log(2.0)
             yield rows, np.exp(e, out=e)
 
     def _pair_sums(self, rows, w: np.ndarray) -> np.ndarray:
@@ -190,7 +199,10 @@ class ExactDistribution:
 
     def expectation_vector(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """E{X_v fn(X)} for every vertex, as a length-p array; fn maps a
-        (B, p) block of spins to (B,)."""
+        read-only (B, p) block of spins to (B,).
+
+        fn need be neither even nor odd, so each block goes to fn twice,
+        as X and as -X: x_v fn(x) + (-x_v) fn(-x) is the pair's share."""
         p = self.graph.p
         n_lo, b = self._x_lo.shape
         acc = np.zeros(p)
@@ -204,7 +216,10 @@ class ExactDistribution:
             block[: len(w), :, b:] = self._x_hi[rows, None, :]
             X = block[: len(w)].reshape(-1, p)
             X.flags.writeable = False
-            acc += self._first_sums(rows, w * fn(X).reshape(w.shape))
+            neg = -X
+            neg.flags.writeable = False
+            odd = np.asarray(fn(X), dtype=np.float64) - fn(neg)
+            acc += self._first_sums(rows, 0.5 * w * odd.reshape(w.shape))
         return acc
 
     def field_moments(self, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +227,8 @@ class ExactDistribution:
 
         With row the couplings of vertex r (row[r-1] = 0) these are the
         Hessian and the model term of the gradient of r's conditional
-        log-likelihood at the true couplings."""
+        log-likelihood at the true couplings. h is odd in X, so both
+        summands are even and the half needs no correction."""
         row = np.asarray(row, dtype=np.float64)
         b = self._x_lo.shape[1]
         h_hi, h_lo = self._x_hi @ row[b:], self._x_lo @ row[:b]
@@ -230,7 +246,10 @@ class ExactDistribution:
 
     def down_count_pmf(self, coef) -> np.ndarray:
         """pmf of T(X) = sum_v coef[v-1] [X_v = -1] for non-negative integer
-        coefficients, indexed by T = 0..sum(coef)."""
+        coefficients, indexed by T = 0..sum(coef).
+
+        T(-x) = sum(coef) - T(x), so with h the table over the half the
+        pmf is (h + h reversed) / 2."""
         coef = np.asarray(coef, dtype=np.int64)
         if coef.shape != (self.graph.p,) or coef.min(initial=0) < 0:
             raise ValueError("coef must hold p non-negative integers")
@@ -247,9 +266,10 @@ class ExactDistribution:
             g = np.bincount(by_lo, w.ravel(), minlength=len(w) * n_lo)
             by_hi = (i_hi[rows, None] * n_lo + np.arange(n_lo)).ravel()
             table += np.bincount(by_hi, g, minlength=table.size)
-        return np.bincount(
+        h = np.bincount(
             (v_hi[:, None] + v_lo).ravel(), table, minlength=int(coef.sum()) + 1
         )
+        return 0.5 * (h + h[::-1])
 
     def marginal(self, vertices: Sequence[int]) -> np.ndarray:
         """Joint pmf over the given vertices, shape (2,)*len(vertices).
@@ -272,7 +292,9 @@ def exact_moments(g: Graph, theta) -> ExactDistribution:
 
     Stable for arbitrary couplings: weights are taken relative to the
     running maximum energy (a streaming log-sum-exp over slabs), so none
-    overflows and the largest is 1.
+    overflows and the largest is 1. The x_p = +1 half holds half of Z and
+    the same pair moments as the whole, so log Z gains log 2 and corr is
+    the half's.
     """
     if g.p > ENUMERATION_MAX_P:
         raise EnumerationTooLarge(
@@ -294,7 +316,7 @@ def exact_moments(g: Graph, theta) -> ExactDistribution:
         w = np.exp(e, out=e)
         z += float(w.sum())
         s += dist._pair_sums(rows, w)
-    dist.log_z = shift + math.log(z)
+    dist.log_z = shift + math.log(z) + math.log(2.0)
     corr = s / z
     np.fill_diagonal(corr, 1.0)
     dist.corr = corr

@@ -590,6 +590,10 @@ class LearnerConfig:
             raise ValueError(f"unknown learner {self.alg!r}")
         if self.tau_rule not in ("tree", "degree"):
             raise ValueError(f"unknown tau_rule {self.tau_rule!r}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
     def resolved(self, theta: float | None, delta: int | None) -> LearnerConfig:
         """This config with the parameters its learner needs filled in.

@@ -55,6 +55,19 @@ def naive_marginal(g, couplings, vertices):
     return {k: v / z for k, v in table.items()}
 
 
+def naive_expectation(g, couplings, f):
+    """E{f(x)} by direct summation, for f mapping a spin tuple to a number
+    or an array."""
+    z = 0.0
+    total = 0.0
+    for spins in itertools.product((1, -1), repeat=g.p):
+        h = sum(th * spins[i - 1] * spins[j - 1] for (i, j), th in couplings.items())
+        w = math.exp(h)
+        z += w
+        total = total + w * np.asarray(f(spins), dtype=np.float64)
+    return total / z
+
+
 def naive_hessian(g, couplings, r):
     """E{x_i x_j / cosh^2(h_r)} with h_r = sum_j theta_rj x_j, the local
     field at root r, by direct summation. Returns a dict over ordered pairs

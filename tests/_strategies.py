@@ -7,11 +7,13 @@ import hypothesis.strategies as st
 from isinglearn import ising
 from isinglearn.graphs import Graph
 
-# (lo bits, states per slab) of the split enumeration. The default leaves
-# the hi half empty at p <= 10; 0 lo bits leaves the lo half empty, and
-# with one state per slab the running shift must rise slab after slab;
-# the small slabs force one or a few hi rows per slab, and 96 states
-# against 2^5 lo columns leaves a short last slab.
+# (lo bits, states per slab) of the split enumeration, which walks only
+# the x_p = +1 half of the states, so vertex p is always a hi vertex. At
+# p <= 10 the default leaves vertex p alone in the hi half, one hi row;
+# 0 lo bits leaves the lo half empty, and with one state per slab the
+# running shift must rise slab after slab; the small slabs force one or
+# a few hi rows per slab, and 96 states against 2^5 lo columns leaves a
+# short last slab.
 SPLIT_LAYOUTS = (
     (ising._LO_BITS, ising._SLAB_STATES),
     (0, ising._SLAB_STATES),

@@ -215,6 +215,25 @@ def test_learn_names_missing_parameter(tmp_path, capsys, path_samples, flags, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tol", "-1"], "tol must be > 0, got -1.0"),
+        (["--tol", "nan"], "tol must be > 0, got nan"),
+        (["--max-iter", "0"], "max_iter must be >= 1, got 0"),
+    ],
+    ids=["tol-negative", "tol-nan", "max-iter-zero"],
+)
+def test_learn_rejects_bad_solver_settings(tmp_path, capsys, path_samples, flags, message):
+    capsys.readouterr()
+    out = tmp_path / "learned.txt"
+    argv = ["learn", "--alg", "rlr", "--lambda", "0.1", "--samples", str(path_samples),
+            "--out", str(out)]
+    assert main(argv + flags) == 2
+    assert capsys.readouterr() == ("", f"isinglearn: error: {message}\n")
+    assert not out.exists()
+
+
 def test_learn_diagnostics_record_resolved_parameters(tmp_path, path_samples):
     def diag(*flags):
         out = tmp_path / "learned.txt"
@@ -326,6 +345,7 @@ _ONE_INDEX = ("p 3\ne 0\n", "line 2: edge needs two vertex indices")
 _ISOLATED_ROOT = ("p 3\ne 0 1\n", "root 3 has no neighbors")
 _NOT_INT = ("p 3\ne 0 x\n", "line 2: invalid literal for int() with base 10: 'x'")
 _EXTRA_INDEX = ("p 3\ne 0 1 2\n", "line 2: extra tokens")
+_P_ZERO = ("p 0\n", "line 1: vertex count must be >= 1, got 0")
 _INCOHERENCE = ["analyze", "incoherence", "--theta", "0.3", "--root", "3"]
 _SAMPLE = ["sample", "--theta", "0.3", "--n", "10", "--burn-in", "5", "--thin", "1"]
 
@@ -341,10 +361,13 @@ _SAMPLE = ["sample", "--theta", "0.3", "--n", "10", "--burn-in", "5", "--thin", 
         (_SAMPLE, _EXTRA_INDEX),
         (_INCOHERENCE, _ISOLATED_ROOT),
         (["analyze", "incoherence-sweep", "--points", "2", "--root", "3"], _ISOLATED_ROOT),
+        (_INCOHERENCE, _P_ZERO),
+        (_SAMPLE, _P_ZERO),
     ],
     ids=["incoherence-p-count", "incoherence-e-index", "sample-p-count",
          "sample-e-index", "sample-e-not-int", "sample-e-extra",
-         "incoherence-isolated-root", "sweep-isolated-root"],
+         "incoherence-isolated-root", "sweep-isolated-root",
+         "incoherence-p-zero", "sample-p-zero"],
 )
 def test_unusable_graph_is_usage_error(tmp_path, capsys, argv, record):
     text, message = record
@@ -505,6 +528,64 @@ def test_sweep_rejects_unknown_tau_rule(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", "isinglearn: error: unknown tau_rule 'bogus'\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("budget_units = nan", "budget_units must be finite and > 0, got nan"),
+        ("budget_units = -5", "budget_units must be finite and > 0, got -5.0"),
+        ("budget_units = inf", "budget_units must be finite and > 0, got inf"),
+        ("lambda0_grid = 1,nan", "lambda0 values must be finite and >= 0, got (1.0, nan)"),
+        ("lambda0_grid = 2,-1", "lambda0 values must be finite and >= 0, got (2.0, -1.0)"),
+        ("lambda0_grid = inf", "lambda0 values must be finite and >= 0, got (inf,)"),
+        ("tol = -1", "tol must be > 0, got -1.0"),
+        ("tol = 0", "tol must be > 0, got 0.0"),
+        ("tol = nan", "tol must be > 0, got nan"),
+        ("max_iter = 0", "max_iter must be >= 1, got 0"),
+    ],
+    ids=["budget-nan", "budget-negative", "budget-inf", "lambda0-nan", "lambda0-negative",
+         "lambda0-inf", "tol-negative", "tol-zero", "tol-nan", "max-iter-zero"],
+)
+def test_sweep_rejects_bad_config_values(tmp_path, capsys, line, message):
+    cfg = tmp_path / "sweep.cfg"
+    out = tmp_path / "sweep.csv"
+    cfg.write_text("\n".join(_SMALL_SWEEP + [line]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep_config_from_file(cfg)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"isinglearn: error: {message}\n")
+    assert not out.exists()
+
+
+def test_sweep_warns_of_saturated_mixing_estimates(tmp_path, capsys):
+    # 2 of the 4 trials at theta = 0.9 take burn-in and thin from a mixing
+    # estimate that reached the cap; the table is unchanged by the warning
+    cfg = tmp_path / "sweep.cfg"
+    out = tmp_path / "sweep.csv"
+    cfg.write_text("family = random-regular\np = 10\ndelta = 3\nlearner = thr\n"
+                   "theta_grid = 0.3,0.9\nn_grid = 400\ntrials = 4\nseed = 11\n")
+    table = [
+        "theta,lambda0,n,trials,p_succ,p_vertex",
+        "0.3,0,400,4,0.000000,0.150000",
+        "0.9,0,400,4,0.000000,0.000000",
+    ]
+    warning = ("isinglearn: warning: 2 of 8 trials took burn-in and thin from a mixing"
+               " estimate that reached mixing_cap = 300 sweeps\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote {out}\n", warning)
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("# generated ")
+    assert [ln.rsplit(",", 1)[0] for ln in lines[1:]] == table
+    # without --out the table goes to stdout and the warning to stderr
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    printed, err = capsys.readouterr()
+    assert [ln.rsplit(",", 1)[0] for ln in printed.splitlines()] == table
+    assert err == warning
+    # no trial at theta = 0.3 saturates, so no warning
+    cfg.write_text(cfg.read_text().replace("0.3,0.9", "0.3"))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote {out}\n", "")
 
 
 @pytest.mark.parametrize(

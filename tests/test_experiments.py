@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import multiprocessing
 import os
 import subprocess
@@ -82,6 +83,22 @@ class TestRunSweep:
     def test_non_rlr_collapses_lambda_grid(self):
         cfg = tiny_config(lambda0_grid=(0.5, 1.0, 2.0))
         assert cfg.lambda0_grid == (0.0,)
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"budget_units": math.nan}, "budget_units must be finite and > 0"),
+            ({"budget_units": -5.0}, "budget_units must be finite and > 0"),
+            ({"budget_units": 0.0}, "budget_units must be finite and > 0"),
+            ({"budget_units": math.inf}, "budget_units must be finite and > 0"),
+            ({"lambda0_grid": (1.0, math.nan)}, "lambda0 values must be finite and >= 0"),
+            ({"lambda0_grid": (-0.5,)}, "lambda0 values must be finite and >= 0"),
+            ({"lambda0_grid": (math.inf,)}, "lambda0 values must be finite and >= 0"),
+        ],
+    )
+    def test_rejects_bad_values(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**kw)
 
     def test_budget_refusal_mentions_estimate(self):
         cfg = tiny_config(budget_units=10.0)

@@ -254,8 +254,11 @@ class TestGraphFile:
             ("p 3\ne 0 x\n", "line 2: invalid literal for int() with base 10: 'x'"),
             ("p 3 4\ne 0 1\n", "line 1: extra tokens"),
             ("p 3\ne 0 1 2\n", "line 2: extra tokens"),
+            ("# comment\np 0\n", "line 2: vertex count must be >= 1, got 0"),
+            ("p -3\ne 0 1\n", "line 1: vertex count must be >= 1, got -3"),
         ],
-        ids=["p-count", "e-index", "p-not-int", "e-not-int", "p-extra", "e-extra"],
+        ids=["p-count", "e-index", "p-not-int", "e-not-int", "p-extra", "e-extra",
+             "p-zero", "p-negative"],
     )
     def test_rejects_short_record(self, tmp_path, text, message):
         path = tmp_path / "short.txt"

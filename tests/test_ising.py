@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import pickle
@@ -37,6 +38,7 @@ from isinglearn.ising import (
 from isinglearn.analysis import tree_boundary_field
 from _reference import (
     fixed_point_by_scan,
+    naive_expectation,
     naive_marginal,
     naive_moments,
     reference_glauber_run,
@@ -188,6 +190,78 @@ class TestExactMoments:
         lo = g.p * math.log(2.0)
         assert lo < d.log_z < lo + 0.3 * g.num_edges
         assert np.abs(d.corr - d.corr.T).max() < 1e-12
+
+
+def _half_space_cases():
+    """(layout, p) for every split layout at p = 1, 2, 3, and at one and
+    two vertices past its lo bits, where the hi half is vertex p alone and
+    then two vertices."""
+    for layout in SPLIT_LAYOUTS:
+        for p in sorted({1, 2, 3, layout[0] + 1, layout[0] + 2}):
+            yield pytest.param(layout, p, id=f"lo{layout[0]}-slab{layout[1]}-p{p}")
+
+
+@functools.lru_cache(maxsize=None)
+def _half_space_instance(p):
+    """A graph on p vertices with couplings of both signs, and its
+    brute-force log Z and correlations."""
+    rng = np.random.default_rng(p)
+    pairs = [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
+    picked = rng.permutation(len(pairs))[: 2 * p]
+    couplings = {pairs[k]: float(rng.uniform(-1.5, 1.5)) for k in sorted(picked)}
+    g = Graph(p, set(couplings))
+    return g, couplings, naive_moments(g, couplings)
+
+
+class TestHalfSpace:
+    """Only the x_p = +1 half of the states is enumerated; every public
+    method must still be exact over all 2^p states."""
+
+    @pytest.mark.parametrize("layout, p", _half_space_cases())
+    def test_matches_brute_force(self, layout, p):
+        g, couplings, (log_z, corr) = _half_space_instance(p)
+        with split_layout(layout):
+            d = exact_moments(g, CouplingField.from_dict(p, couplings))
+            # [X_1 = +1] is neither even nor odd: E{X_v [X_1 = +1]} is
+            # (E{X_v} + E{X_v X_1}) / 2 = corr[v, 1] / 2
+            step = d.expectation_vector(lambda X: X[:, 0] > 0)
+            a = np.linspace(0.3, 1.1, p)
+            mixed = d.expectation_vector(lambda X: np.exp(X @ a) + X[:, -1])
+            with_p = (p, 1) if p > 1 else (p,)
+            without_p = tuple(range(1, min(p - 1, 3) + 1))
+            tables = {vs: d.marginal(vs) for vs in (with_p, without_p) if vs}
+        assert abs(d.log_z - log_z) < 1e-12
+        for (i, j), v in corr.items():
+            assert abs(d.corr[i - 1, j - 1] - v) < 1e-12
+        want = np.array([1.0] + [corr[(1, v)] for v in range(2, p + 1)]) / 2
+        assert np.abs(step - want).max() < 1e-12
+        ref = naive_expectation(
+            g, couplings, lambda x: np.array(x) * (math.exp(np.dot(a, x)) + x[-1])
+        )
+        assert np.abs(mixed - ref).max() < 1e-12
+        for vs, tbl in tables.items():
+            ref = naive_marginal(g, couplings, vs)
+            for key in itertools.product((1, -1), repeat=len(vs)):
+                idx = tuple(0 if x > 0 else 1 for x in key)
+                assert abs(tbl[idx] - ref.get(key, 0.0)) < 1e-12
+
+    @pytest.mark.parametrize("layout", SPLIT_LAYOUTS)
+    def test_down_count_pmf_with_shared_values(self, layout):
+        # coefficients that give many states each value of T, with a zero
+        # coefficient at vertex p
+        p = 7
+        g, couplings, _ = _half_space_instance(p)
+        coef = [1, 2, 0, 3, 1, 2, 0]
+        with split_layout(layout):
+            pmf = exact_moments(g, CouplingField.from_dict(p, couplings)).down_count_pmf(coef)
+
+        def one_hot(x):
+            out = np.zeros(sum(coef) + 1)
+            out[sum(c for c, v in zip(coef, x) if v < 0)] = 1.0
+            return out
+
+        assert pmf.shape == (sum(coef) + 1,)
+        assert np.abs(pmf - naive_expectation(g, couplings, one_hot)).max() < 1e-12
 
 
 def _bfs_distances(g):

@@ -709,6 +709,19 @@ class TestRunLearner:
         with pytest.raises(ValueError, match="unknown tau_rule 'bogus'"):
             LearnerConfig(alg="thr", tau_rule="bogus")
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"tol": 0.0}, "tol must be > 0"),
+            ({"tol": -1e-5}, "tol must be > 0"),
+            ({"tol": math.nan}, "tol must be > 0"),
+            ({"max_iter": 0}, "max_iter must be >= 1"),
+        ],
+    )
+    def test_bad_solver_settings(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            LearnerConfig(alg="rlr", **kw)
+
 
 class TestLearnerConfigResolved:
     def test_defaults(self):
