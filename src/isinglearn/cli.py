@@ -254,6 +254,12 @@ def _cmd_sweep(args) -> int:
         print(f"isinglearn: warning: {saturated} of {total} trials took burn-in and thin"
               f" from a mixing estimate that reached mixing_cap = {cfg.mixing_cap} sweeps",
               file=sys.stderr)
+    unconverged = sum(c.unconverged for c in res.cells)
+    if unconverged:
+        solves = sum(c.trials for c in res.cells)
+        print(f"isinglearn: warning: {unconverged} of {solves} rlr solves stopped at"
+              f" max_iter = {cfg.learner.max_iter} iterations without converging",
+              file=sys.stderr)
     if not cfg.out:
         for line in res.csv_lines(timestamp=False):
             print(line)

@@ -56,6 +56,10 @@ class SweepConfig:
             raise ValueError("grids must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not all(math.isfinite(t) for t in self.theta_grid):
+            raise ValueError(f"theta values must be finite, got {self.theta_grid}")
+        if min(self.n_grid) < 1:
+            raise ValueError(f"n values must be >= 1, got {self.n_grid}")
         if not all(math.isfinite(v) and v >= 0 for v in self.lambda0_grid):
             raise ValueError(f"lambda0 values must be finite and >= 0, got {self.lambda0_grid}")
         if not (math.isfinite(self.budget_units) and self.budget_units > 0):
@@ -75,6 +79,7 @@ class CellResult:
     p_vertex: float
     mean_runtime_ms: float
     sampler_saturated: int
+    unconverged: int  # trials whose rlr solve stopped at max_iter unconverged
 
 
 @dataclass
@@ -220,15 +225,18 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                     )
                     warm = res.theta
                     learned = res.graph
+                    unconverged = not res.all_converged
                 else:
                     learned = run_learner(cfg.learner, s, theta, g.max_degree or 1)
+                    unconverged = False
                 learn_ms = (time.perf_counter() - t_learn0) * 1000.0
                 key = (theta, lam0, n)
-                rec = acc.setdefault(key, [0, 0.0, 0.0, 0])
+                rec = acc.setdefault(key, [0, 0.0, 0.0, 0, 0])
                 rec[0] += learned.edges == g.edges
                 rec[1] += _vertex_success_rate(learned, g)
                 rec[2] += learn_ms + sample_ms / len(lam0s_desc)
                 rec[3] += 1
+                rec[4] += unconverged
                 sat_count[key] = sat_count.get(key, 0) + saturated
     finally:
         if pool:
@@ -238,7 +246,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         for lam0 in sorted(cfg.lambda0_grid):
             for n in cfg.n_grid:
                 key = (theta, lam0, n)
-                wins, vsum, ms, trials = acc[key]
+                wins, vsum, ms, trials, unconverged = acc[key]
                 out.cells.append(
                     CellResult(
                         theta=theta,
@@ -250,6 +258,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                         p_vertex=vsum / trials,
                         mean_runtime_ms=ms / trials,
                         sampler_saturated=sat_count[key],
+                        unconverged=unconverged,
                     )
                 )
     if cfg.out:

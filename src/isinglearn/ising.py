@@ -9,9 +9,11 @@ matrices, sample matrices) use column v-1 for vertex v.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
@@ -396,6 +398,15 @@ class _Glauber:
     from a per-site row of a lookup table, and a flip costs one XOR
     whatever the degree. The draws and comparisons are those of re-summing
     the neighbors at every update, so the chain is the same.
+
+    That loop also skips the draws that cannot move an aligned state.
+    With every spin +1, draw (i, u) keeps the state exactly when
+    u < rows[i][deg(i)], the loop's own comparison with every neighbor +1;
+    with every spin -1 it keeps it exactly when u >= rows[i][0]. Once the
+    state is aligned, one numpy comparison over the chunk finds the draws
+    that would move it, and the loop jumps to the next of them. The
+    draws are still taken from the rng in the same order, and the ones
+    jumped over change nothing, so the chain is the same.
     """
 
     _CHUNK = 128  # sweeps of randomness drawn per batch
@@ -417,63 +428,121 @@ class _Glauber:
                          for nb in nbrs]
             self.nbm = [sum(1 << j for j in nb) for nb in nbrs]
             self.bit = [1 << i for i in range(self.p)]
+            # P(+1) at each site with every neighbor +1, and with every one -1
+            self.top = np.array([r[-1] for r in self.rows])
+            self.bottom = np.array([r[0] for r in self.rows])
 
     def initial_state(self, rng) -> list:
         return (rng.integers(0, 2, self.p) * 2 - 1).tolist()
 
     def run(self, x: list, nsweeps: int, rng, stop_on_negative_mag: bool = False):
         """Advance the chain in place; returns (sweeps_run, stopped_early)."""
+        return next(self.blocks(x, (nsweeps,), rng, stop_on_negative_mag))
+
+    def blocks(self, x: list, sizes, rng, stop_on_negative_mag: bool = False):
+        """Advance the chain in place through blocks of sizes[0], sizes[1], ...
+        sweeps, yielding (sweeps_run, stopped_early) after each block with x
+        current; x must not be changed in between. Each block draws its
+        randomness in chunks of at most _CHUNK sweeps, the sites and then
+        the uniforms. With stop_on_negative_mag the chain stops after the
+        first sweep that leaves the magnetization negative, and that block
+        is the last."""
+        p = self.p
+        X = sum(b for b, s in zip(self.bit, x) if s > 0) if self.rows is not None else 0
+        for nsweeps in sizes:
+            done = 0
+            while done < nsweeps:
+                k = min(self._CHUNK, nsweeps - done)
+                sites = rng.integers(0, p, size=k * p)
+                us = rng.random(k * p)
+                if self.rows is None:
+                    ran, stopped = self._field_chunk(x, k, sites.tolist(), us.tolist(),
+                                                     stop_on_negative_mag)
+                else:
+                    ran, stopped, X = self._table_chunk(x, X, sites, us, stop_on_negative_mag)
+                done += ran
+                if stopped:
+                    yield done, True
+                    return
+            yield done, False
+
+    def _table_chunk(self, x, X, sites, us, stop):
+        """The homogeneous loop over one chunk of draws (numpy arrays), x
+        and its mask X advanced together; returns (sweeps_run,
+        stopped_early, X). The per-draw loop stops after a flip that aligns
+        the state, and the jump takes over. Draws become Python numbers
+        only from the first one the loop walks, so a chunk spent aligned
+        converts none."""
+        p = self.p
+        rows, nbm, bit, bc = self.rows, self.nbm, self.bit, int.bit_count
+        full = (1 << p) - 1
+        n_d = len(us)
+        moves = {}  # aligned mask -> indices of the chunk's draws that move it
+        pos = 0  # draws of the chunk taken so far
+        its = None  # the sites as Python ints, once the loop walks a draw
+        while pos < n_d:
+            if X == full or not X:
+                if X not in moves:
+                    moves[X] = np.flatnonzero(
+                        us >= self.top[sites] if X else us < self.bottom[sites]).tolist()
+                j = bisect.bisect_left(moves[X], pos)
+                nxt = moves[X][j] if j < len(moves[X]) else n_d
+                # all -1 fails the next magnetization check, so the jump stops
+                # there; all +1 passes every check it jumps over
+                check = pos - pos % p + p
+                if stop and not X and nxt >= check:
+                    return check // p, True, X
+                if nxt == n_d:
+                    break
+                if its is not None:
+                    next(itertools.islice(draws, nxt - pos, nxt - pos), None)
+                pos = nxt
+            if its is None:
+                its = iter(sites[pos:].tolist())
+                draws = zip(its, us[pos:].tolist())
+            end = pos - pos % p + p if stop else n_d
+            for i, u in itertools.islice(draws, end - pos) if stop else draws:
+                if u < rows[i][bc(X & nbm[i])]:
+                    if x[i] < 0:
+                        x[i] = 1
+                        X ^= bit[i]
+                        if X == full:
+                            break
+                elif x[i] > 0:
+                    x[i] = -1
+                    X ^= bit[i]
+                    if not X:
+                        break
+            pos = n_d - operator.length_hint(its)
+            if stop and pos == end and 2 * bc(X) < p:
+                return pos // p, True, X
+        return n_d // p, False, X
+
+    def _field_chunk(self, x, k, sites, us, stop):
+        """The per-edge loop over one chunk of k sweeps, re-summing each
+        local field; returns (sweeps_run, stopped_early)."""
         p = self.p
         nbrs = self.nbrs
-        mag = sum(x) if stop_on_negative_mag else 0
-        done = 0
-        rows = self.rows
-        if rows is not None:
-            nbm, bit, bc = self.nbm, self.bit, int.bit_count
-            X = sum(b for b, s in zip(bit, x) if s > 0)
-        while done < nsweeps:
-            k = min(self._CHUNK, nsweeps - done)
-            sites = rng.integers(0, p, size=k * p).tolist()
-            us = rng.random(k * p).tolist()
-            if rows is not None:
-                # sweeps walked between magnetization checks
-                per = 1 if stop_on_negative_mag else k
-                draws = zip(sites, us)
-                for _ in range(k // per):
-                    for i, u in itertools.islice(draws, per * p):
-                        if u < rows[i][bc(X & nbm[i])]:
-                            if x[i] < 0:
-                                x[i] = 1
-                                X ^= bit[i]
-                                mag += 2
-                        elif x[i] > 0:
-                            x[i] = -1
-                            X ^= bit[i]
-                            mag -= 2
-                    done += per
-                    if stop_on_negative_mag and mag < 0:
-                        return done, True
-            else:
-                idx = 0
-                ths = self.ths
-                for _ in range(k):
-                    for _ in range(p):
-                        i = sites[idx]
-                        u = us[idx]
-                        idx += 1
-                        h = 0.0
-                        nb = nbrs[i]
-                        tt = ths[i]
-                        for t in range(len(nb)):
-                            h += tt[t] * x[nb[t]]
-                        s = 1 if u < 1.0 / (1.0 + math.exp(-2.0 * h)) else -1
-                        if stop_on_negative_mag:
-                            mag += s - x[i]
-                        x[i] = s
-                    done += 1
-                    if stop_on_negative_mag and mag < 0:
-                        return done, True
-        return done, False
+        ths = self.ths
+        mag = sum(x) if stop else 0
+        idx = 0
+        for sweep in range(1, k + 1):
+            for _ in range(p):
+                i = sites[idx]
+                u = us[idx]
+                idx += 1
+                h = 0.0
+                nb = nbrs[i]
+                tt = ths[i]
+                for t in range(len(nb)):
+                    h += tt[t] * x[nb[t]]
+                s = 1 if u < 1.0 / (1.0 + math.exp(-2.0 * h)) else -1
+                if stop:
+                    mag += s - x[i]
+                x[i] = s
+            if stop and mag < 0:
+                return sweep, True
+        return k, False
 
 
 @dataclass(frozen=True)
@@ -554,10 +623,11 @@ def gibbs_sample(
     kern = _Glauber(fld)
     rng = np.random.default_rng(run_seed)
     x = kern.initial_state(rng)
-    kern.run(x, burn_in, rng)
     out = np.empty((n, g.p), dtype=np.int8)
-    for ell in range(n):
-        kern.run(x, thin, rng)
+    # one chain through the burn-in and then n blocks of thin sweeps
+    blocks = kern.blocks(x, itertools.chain((burn_in,), itertools.repeat(thin, n)), rng)
+    next(blocks)
+    for ell, _ in zip(range(n), blocks):
         out[ell] = x
     return SampleSet(out, seed=seed, burn_in=burn_in, thin=thin)
 

@@ -558,6 +558,54 @@ def test_sweep_rejects_bad_config_values(tmp_path, capsys, line, message):
     assert not out.exists()
 
 
+def _small_sweep_with(**changes) -> str:
+    """_SMALL_SWEEP with some keys set to other values, as file text."""
+    keys = dict(ln.split(" = ") for ln in _SMALL_SWEEP) | changes
+    return "".join(f"{k} = {v}\n" for k, v in keys.items())
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"learner": "rlr", "theta_grid": "nan"}, "theta values must be finite, got (nan,)"),
+        ({"theta_grid": "0.6,inf"}, "theta values must be finite, got (0.6, inf)"),
+        ({"n_grid": "0"}, "n values must be >= 1, got (0,)"),
+        ({"n_grid": "200,-3"}, "n values must be >= 1, got (200, -3)"),
+    ],
+    ids=["theta-nan-rlr", "theta-inf", "n-zero", "n-negative"],
+)
+def test_sweep_rejects_bad_grid_values(tmp_path, capsys, changes, message):
+    cfg = tmp_path / "sweep.cfg"
+    out = tmp_path / "sweep.csv"
+    cfg.write_text(_small_sweep_with(**changes))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep_config_from_file(cfg)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"isinglearn: error: {message}\n")
+    assert not out.exists()
+
+
+def test_sweep_warns_of_unconverged_rlr_solves(tmp_path, capsys):
+    # max_iter = 2 stops every solve short; the table keeps its columns
+    cfg = tmp_path / "sweep.cfg"
+    out = tmp_path / "sweep.csv"
+    rlr = dict(learner="rlr", lambda0_grid="1,2", trials=3)
+    cfg.write_text(_small_sweep_with(**rlr, max_iter=2))
+    warning = ("isinglearn: warning: 6 of 6 rlr solves stopped at max_iter = 2 iterations"
+               " without converging\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote {out}\n", warning)
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("# generated ")
+    assert lines[1] == "theta,lambda0,n,trials,p_succ,p_vertex,mean_runtime_ms"
+    assert [ln.split(",")[:4] for ln in lines[2:]] == [
+        ["0.6", "1", "200", "3"], ["0.6", "2", "200", "3"]]
+    # solves that converge print no warning
+    cfg.write_text(_small_sweep_with(**rlr, max_iter=4000))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote {out}\n", "")
+
+
 def test_sweep_warns_of_saturated_mixing_estimates(tmp_path, capsys):
     # 2 of the 4 trials at theta = 0.9 take burn-in and thin from a mixing
     # estimate that reached the cap; the table is unchanged by the warning

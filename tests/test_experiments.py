@@ -94,11 +94,26 @@ class TestRunSweep:
             ({"lambda0_grid": (1.0, math.nan)}, "lambda0 values must be finite and >= 0"),
             ({"lambda0_grid": (-0.5,)}, "lambda0 values must be finite and >= 0"),
             ({"lambda0_grid": (math.inf,)}, "lambda0 values must be finite and >= 0"),
+            ({"theta_grid": (math.nan,)}, "theta values must be finite"),
+            ({"theta_grid": (0.6, math.inf)}, "theta values must be finite"),
+            ({"theta_grid": (-math.inf,)}, "theta values must be finite"),
+            ({"n_grid": (0,)}, r"n values must be >= 1, got \(0,\)"),
+            ({"n_grid": (400, -3)}, r"n values must be >= 1, got \(400, -3\)"),
         ],
     )
     def test_rejects_bad_values(self, kw, message):
         with pytest.raises(ValueError, match=message):
             tiny_config(**kw)
+
+    def test_counts_unconverged_rlr_solves(self):
+        rlr = dict(theta_grid=(0.6,), n_grid=(300,), lambda0_grid=(0.5, 2.0), trials=3)
+        res = run_sweep(tiny_config(
+            learner=LearnerConfig(alg="rlr", rule="and", tol=1e-5, max_iter=2), **rlr))
+        assert [c.unconverged for c in res.cells] == [3, 3]
+        res = run_sweep(tiny_config(
+            learner=LearnerConfig(alg="rlr", rule="and", tol=1e-5, max_iter=4000), **rlr))
+        assert [c.unconverged for c in res.cells] == [0, 0]
+        assert [c.unconverged for c in run_sweep(tiny_config(trials=2)).cells] == [0]
 
     def test_budget_refusal_mentions_estimate(self):
         cfg = tiny_config(budget_units=10.0)

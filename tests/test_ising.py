@@ -356,7 +356,7 @@ def glauber_cases(draw):
     )
     nsweeps = draw(st.sampled_from([1, 127, 128, 129, 300]))
     stop = draw(st.booleans())
-    start = draw(st.sampled_from(["random", "plus"]))
+    start = draw(st.sampled_from(["random", "plus", "minus"]))
     seed = draw(st.integers(0, 2**32 - 1))
     return p, edges, theta, nsweeps, stop, start, seed
 
@@ -428,6 +428,30 @@ class TestHeatBathKernel:
                         before[v - 1] = want
                         assert x == before, (v, idx, u, start)
 
+    @pytest.mark.parametrize(
+        "p, edges, theta",
+        [(p, edges, th) for p, edges in _UPDATE_GRAPHS for th in (-0.65, 0.65)],
+    )
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_skip_boundary_is_exact(self, p, edges, theta, stop):
+        # From all +1 a draw moves the state exactly when u >= rows[i][deg(i)],
+        # and from all -1 exactly when u < rows[i][0]: a sweep of p draws at
+        # site i with u on either side of that value flips x[i] or keeps it.
+        # Vertex 5 of the path graph is isolated: both values are 1/2.
+        kern = ising._Glauber(CouplingField.homogeneous(Graph(p, set(edges)), theta))
+        for v in range(p):
+            for start, bound in ((1, kern.rows[v][-1]), (-1, kern.rows[v][0])):
+                below = float(np.nextafter(bound, 0.0))
+                # u = bound moves all +1 and keeps all -1; u just below it the reverse
+                for u, moved in ((bound, start > 0), (below, start < 0)):
+                    x = [start] * p
+                    want = list(x)
+                    if moved:
+                        want[v] = -start
+                    out = kern.run(x, 1, _FixedDraws(p, v, u), stop_on_negative_mag=stop)
+                    assert x == want, (v, start, u)
+                    assert out == (1, stop and sum(want) < 0), (v, start, u)
+
     @settings(max_examples=80, deadline=None)
     @given(case=glauber_cases())
     @example(case=(5, [], 0.65, 129, True, "random", 3))
@@ -443,6 +467,19 @@ class TestHeatBathKernel:
     @example(case=(64, _sparse_edges(64, 128, 3), 0.65, 300, False, "random", 8))
     @example(case=(70, _sparse_edges(70, 140, 4), 0.0, 129, True, "random", 9))
     @example(case=(70, _sparse_edges(70, 140, 4), 0.15, 300, False, "plus", 9))
+    # chains that spend most draws with every spin aligned, where the kernel
+    # jumps over the draws that cannot move the state
+    @example(case=(1, [], 0.0, 300, True, "plus", 10))
+    @example(case=(2, [(1, 2)], 1.5, 300, True, "plus", 11))
+    @example(case=(2, [(1, 2)], 3.0, 300, False, "plus", 12))
+    @example(case=(2, [(1, 2)], -3.0, 129, True, "plus", 13))
+    @example(case=(2, [(1, 2)], 3.0, 300, True, "minus", 14))
+    @example(case=(5, _sparse_edges(5, 7, 5), 1.5, 300, False, "plus", 15))
+    @example(case=(5, _sparse_edges(5, 7, 5), 1.5, 300, True, "plus", 16))
+    @example(case=(5, _sparse_edges(5, 10, 6), 3.0, 300, True, "plus", 17))
+    @example(case=(5, _sparse_edges(5, 10, 6), 3.0, 129, False, "minus", 18))
+    @example(case=(5, _sparse_edges(5, 4, 7), -3.0, 300, False, "plus", 19))
+    @example(case=(5, _sparse_edges(5, 4, 7), -3.0, 300, True, "plus", 20))
     def test_matches_reference_loop(self, case):
         p, edges, theta, nsweeps, stop, start, seed = case
         kern = ising._Glauber(CouplingField.homogeneous(Graph(p, set(edges)), theta))
@@ -451,12 +488,31 @@ class TestHeatBathKernel:
         if start == "random":
             x, x_ref = kern.initial_state(rng), kern.initial_state(ref_rng)
         else:
-            x, x_ref = [1] * p, [1] * p
+            s0 = 1 if start == "plus" else -1
+            x, x_ref = [s0] * p, [s0] * p
         out = kern.run(x, nsweeps, rng, stop_on_negative_mag=stop)
         ref = reference_glauber_run(p, edges, theta, x_ref, nsweeps, ref_rng, stop)
         assert out == ref
         assert x == x_ref
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("thin", [1, 128, 129, 300])
+    @pytest.mark.parametrize("theta", [0.15, 0.65, 1.5])
+    def test_gibbs_sample_matches_reference_runs(self, thin, theta):
+        # gibbs_sample keeps one chain through the burn-in and its thin blocks;
+        # the same recipe as separate reference runs gives the same samples
+        g = make_random_regular(8, 3, seed=4)
+        edges = g.sorted_edges()
+        n, burn_in, seed = 12, 130, 21
+        s = gibbs_sample(g, theta, n=n, burn_in=burn_in, thin=thin, seed=seed)
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+        x = (rng.integers(0, 2, g.p) * 2 - 1).tolist()
+        reference_glauber_run(g.p, edges, theta, x, burn_in, rng)
+        want = []
+        for _ in range(n):
+            reference_glauber_run(g.p, edges, theta, x, thin, rng)
+            want.append(list(x))
+        assert s.spins.tolist() == want
 
 
 class TestSampleSetRows:
