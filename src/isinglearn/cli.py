@@ -96,6 +96,11 @@ def _cmd_learn(args) -> int:
                     "neighbors": sorted(est.neighbors),
                 }
             )
+        unconverged = sum(not est.converged for est in res.estimates.values())
+        if unconverged:
+            print(f"isinglearn: warning: {unconverged} of {s.p} rlr roots stopped at"
+                  f" max_iter = {cfg.max_iter} iterations without converging",
+                  file=sys.stderr)
     write_graph(learned, args.out)
     with open(diag_path, "w") as fh:
         for d in diags:

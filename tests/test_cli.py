@@ -234,6 +234,49 @@ def test_learn_rejects_bad_solver_settings(tmp_path, capsys, path_samples, flags
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--alg", "ind", "--theta", "0.6", "--delta", "2", "--eps", "nan"],
+         "eps must be finite, got nan"),
+        (["--alg", "ind", "--theta", "0.6", "--delta", "2", "--eps", "inf"],
+         "eps must be finite, got inf"),
+        (["--alg", "indd", "--theta", "0.6", "--delta", "2", "--kappa", "nan"],
+         "kappa must be finite, got nan"),
+        (["--alg", "rlr", "--lambda", "nan"], "lam must be finite, got nan"),
+        (["--alg", "rlr", "--lambda", "inf"], "lam must be finite, got inf"),
+    ],
+    ids=["eps-nan", "eps-inf", "kappa-nan", "lambda-nan", "lambda-inf"],
+)
+def test_learn_rejects_non_finite_parameters(tmp_path, capsys, path_samples, flags, message):
+    capsys.readouterr()
+    out = tmp_path / "learned.txt"
+    assert main(["learn", "--samples", str(path_samples), "--out", str(out)] + flags) == 2
+    assert capsys.readouterr() == ("", f"isinglearn: error: {message}\n")
+    assert not out.exists()
+
+
+def test_learn_warns_of_unconverged_rlr_roots(tmp_path, capsys, path_samples):
+    out, diag = tmp_path / "learned.txt", tmp_path / "diag.jsonl"
+    argv = ["learn", "--alg", "rlr", "--lambda", "0.05", "--rule", "and",
+            "--samples", str(path_samples), "--out", str(out), "--diag", str(diag)]
+    capsys.readouterr()
+    assert main(argv + ["--max-iter", "2"]) == 0
+    recs = [json.loads(line) for line in diag.read_text().splitlines()]
+    stuck = sum(not r["converged"] for r in recs)
+    assert len(recs) == 7 and stuck > 0
+    edges = read_graph(out).num_edges
+    assert capsys.readouterr() == (
+        f"wrote {edges} edges to {out}; diagnostics in {diag}\n",
+        f"isinglearn: warning: {stuck} of 7 rlr roots stopped at max_iter = 2 iterations"
+        " without converging\n",
+    )
+    # roots that converge print no warning
+    assert main(argv) == 0
+    assert all(json.loads(line)["converged"] for line in diag.read_text().splitlines())
+    assert capsys.readouterr().err == ""
+
+
 def test_learn_diagnostics_record_resolved_parameters(tmp_path, path_samples):
     def diag(*flags):
         out = tmp_path / "learned.txt"

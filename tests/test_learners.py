@@ -242,6 +242,58 @@ def test_chunks_split_rows_unevenly():
     assert outputs[0][0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+def test_wht_matches_hadamard_matrix():
+    rng = np.random.default_rng(0)
+    for k in range(7):
+        cells = np.arange(1 << k)
+        parity = np.array([[bin(c & S).count("1") & 1 for S in cells] for c in cells])
+        x = rng.integers(-1000, 1000, size=(3, 1 << k))
+        expected = x @ (1 - 2 * parity)
+        assert np.array_equal(learners._wht(x), expected)
+
+
+def _table_sources(s, rows):
+    """Every table of `rows` from the dense transform and from bincount."""
+    dense = np.concatenate(list(learners._sample_tables(s)(rows)))
+    with mock.patch.object(learners, "_DENSE_MAX_P", 0):
+        counted = np.concatenate(list(learners._sample_tables(s)(rows)))
+    return dense, counted
+
+
+@pytest.mark.parametrize("chunk", CHUNK_CODES)
+@pytest.mark.parametrize(
+    "p, n, spins",
+    [
+        (1, 1, "random"),
+        (1, 13, "random"),
+        (6, 1, "random"),
+        (6, 203, "random"),
+        (6, 203, "up"),
+        (7, 64, "down"),
+        (learners._DENSE_MAX_P, 203, "random"),
+    ],
+)
+def test_dense_tables_match_bincount(chunk, p, n, spins):
+    rng = np.random.default_rng(1000 * p + n)
+    X = {
+        "random": rng.choice([-1, 1], size=(n, p)),
+        "up": np.ones((n, p)),
+        "down": -np.ones((n, p)),
+    }[spins]
+    s = SampleSet(X, seed=0, burn_in=1, thin=1)
+    for m in range(1, 8):
+        # rows of distinct vertices, as the learners ask for, and rows
+        # drawn with repeats, which both sources count the same way
+        distinct = np.argsort(rng.random((20, p)), axis=1)[:, :m] + 1
+        repeats = rng.integers(1, p + 1, size=(20, m))
+        rows = np.concatenate([distinct, repeats]) if m <= p else repeats
+        with mock.patch.object(learners, "_CHUNK_CODES", chunk):
+            dense, counted = _table_sources(s, rows)
+        assert dense.shape == (len(rows), 1 << m)
+        assert np.array_equal(dense, counted)
+        assert (np.rint(dense * n).sum(axis=1) == n).all()
+
+
 def test_shift_of_exactly_half_eps_does_not_clear():
     # root 1 given vertex 2: P(x1 = +1) is 1 at x2 = +1 and 1/2 at x2 = -1,
     # a shift of exactly 1/2; root 2 given vertex 1 shifts by 2/3
@@ -304,6 +356,12 @@ def test_batched_independence_matches_reference(
         assert pop.edges == reference_independence_test(
             d.marginal, p, delta, eps, gamma, rule, lambda r: everyone
         )
+
+
+def test_batched_independence_by_bincount_matches_reference():
+    # the same cases with every sample table counted by bincount
+    with mock.patch.object(learners, "_DENSE_MAX_P", 0):
+        test_batched_independence_matches_reference()
 
 
 class TestLocalIndependence:
@@ -397,6 +455,31 @@ def test_negative_lambda_rejected():
         rlr_graph(s, -0.1)
     with pytest.raises(ValueError, match="lam must be >= 0"):
         rlr_neighborhood(s, 2, -0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(value):
+    # each of these ran to an empty graph before it was refused
+    g = make_tree(4, "path")
+    s = gibbs_sample(g, 0.5, n=200, burn_in=50, thin=1, seed=0)
+    d = exact_moments(g, 0.5)
+    runs = {
+        "eps": (
+            lambda: local_independence_test(s, 2, value, 0.01),
+            lambda: local_independence_test_pruned(s, 2, value, 0.01, 0.4),
+            lambda: population_independence_test(d, 2, value, 0.01),
+        ),
+        "kappa": (lambda: local_independence_test_pruned(s, 2, 0.2, 0.01, value),),
+        "lam": (
+            lambda: rlr_graph(s, value),
+            lambda: rlr_neighborhood(s, 2, value),
+            lambda: population_rlr_gp(0.5, 5, value),
+        ),
+    }
+    for name, calls in runs.items():
+        for run in calls:
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+                run()
 
 
 class TestPrunedIndependence:
