@@ -370,6 +370,8 @@ class SampleSet:
         lexicographic order of np.unique on the float rows, and their
         frequencies counts/n as an (m, 1) column. Rows are compared bit-
         packed, most significant bit first, so -1 < +1 orders them alike."""
+        if not self.n:
+            raise ValueError("sample set has no rows")
         packed = np.packbits(self.spins > 0, axis=1)
         _, first, counts = np.unique(
             packed, axis=0, return_index=True, return_counts=True
@@ -389,20 +391,48 @@ class SampleSet:
         return self.spins.shape[1]
 
 
+# Most entries a per-edge row stores. A p=30 star's chain (hub degree 29,
+# 10^4 samples at thin 20) peaked at 61 MB when rows kept every mask, and
+# at 37 MB, as when rows store nothing, with 2^10. A full row computes.
+_ROW_ENTRIES = 1 << 10
+
+
+class _FieldRow(dict):
+    """P(+1) at one site of a per-edge field, keyed by the mask of its +1
+    neighbors and stored on first use while the row has room. h sums
+    theta_ij x_j from 0.0 in neighbor_data order, as a fresh sum would."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, nbrs, ths):
+        self.terms = tuple((1 << j, th) for j, th in zip(nbrs, ths))
+
+    def __missing__(self, mask):
+        h = 0.0
+        for b, th in self.terms:
+            h += th * (1 if mask & b else -1)
+        prob = 1.0 / (1.0 + math.exp(-2.0 * h))
+        if len(self) < _ROW_ENTRIES:
+            self[mask] = prob
+        return prob
+
+
 class _Glauber:
     """Single-site heat-bath dynamics with uniformly random scan order.
 
-    One sweep is p single-site updates. For homogeneous couplings the
-    spins are also kept as a bit mask of the +1 sites, so an update counts
-    its +1 neighbors with one popcount, reads its acceptance probability
-    from a per-site row of a lookup table, and a flip costs one XOR
-    whatever the degree. The draws and comparisons are those of re-summing
-    the neighbors at every update, so the chain is the same.
+    One sweep is p single-site updates. The spins are also kept as a bit
+    mask X of the +1 sites, so an update reads its acceptance probability
+    as rows[i][key(X & nbm[i])], and a flip costs one XOR whatever the
+    degree. With one coupling on every edge (or none) rows[i] is a tuple
+    indexed by the count of +1 neighbors and key is a popcount; with
+    per-edge couplings rows[i] is a _FieldRow keyed by the neighbor mask
+    itself. The draws and comparisons are those of re-summing the
+    neighbors at every update, so the chain is the same.
 
-    That loop also skips the draws that cannot move an aligned state.
+    The loop also skips the draws that cannot move an aligned state.
     With every spin +1, draw (i, u) keeps the state exactly when
-    u < rows[i][deg(i)], the loop's own comparison with every neighbor +1;
-    with every spin -1 it keeps it exactly when u >= rows[i][0]. Once the
+    u < top[i], the loop's own comparison with every neighbor +1; with
+    every spin -1 it keeps it exactly when u >= bottom[i]. Once the
     state is aligned, one numpy comparison over the chunk finds the draws
     that would move it, and the loop jumps to the next of them. The
     draws are still taken from the rng in the same order, and the ones
@@ -414,10 +444,7 @@ class _Glauber:
     def __init__(self, fld: CouplingField):
         self.p = fld.p
         nbrs, ths = fld.neighbor_data()
-        self.nbrs = [tuple(x) for x in nbrs]
-        self.ths = [tuple(x) for x in ths]
         theta0 = fld.homogeneous_value()
-        self.rows = None
         if theta0 is not None or not fld.couplings:
             maxdeg = max((len(x) for x in nbrs), default=0)
             t0 = 0.0 if theta0 is None else theta0
@@ -426,11 +453,15 @@ class _Glauber:
             # rows[i][c]: P(+1) at i when c neighbors are +1, a sum of 2c - deg(i)
             self.rows = [tuple(table[maxdeg + 2 * c - len(nb)] for c in range(len(nb) + 1))
                          for nb in nbrs]
-            self.nbm = [sum(1 << j for j in nb) for nb in nbrs]
-            self.bit = [1 << i for i in range(self.p)]
-            # P(+1) at each site with every neighbor +1, and with every one -1
-            self.top = np.array([r[-1] for r in self.rows])
-            self.bottom = np.array([r[0] for r in self.rows])
+            self.key = int.bit_count
+        else:
+            self.rows = [_FieldRow(nb, th) for nb, th in zip(nbrs, ths)]
+            self.key = operator.index
+        self.nbm = [sum(1 << j for j in nb) for nb in nbrs]
+        self.bit = [1 << i for i in range(self.p)]
+        # P(+1) at each site with every neighbor +1, and with every one -1
+        self.top = np.array([r[self.key(m)] for r, m in zip(self.rows, self.nbm)])
+        self.bottom = np.array([r[self.key(0)] for r in self.rows])
 
     def initial_state(self, rng) -> list:
         return (rng.integers(0, 2, self.p) * 2 - 1).tolist()
@@ -448,18 +479,14 @@ class _Glauber:
         first sweep that leaves the magnetization negative, and that block
         is the last."""
         p = self.p
-        X = sum(b for b, s in zip(self.bit, x) if s > 0) if self.rows is not None else 0
+        X = sum(b for b, s in zip(self.bit, x) if s > 0)
         for nsweeps in sizes:
             done = 0
             while done < nsweeps:
                 k = min(self._CHUNK, nsweeps - done)
                 sites = rng.integers(0, p, size=k * p)
                 us = rng.random(k * p)
-                if self.rows is None:
-                    ran, stopped = self._field_chunk(x, k, sites.tolist(), us.tolist(),
-                                                     stop_on_negative_mag)
-                else:
-                    ran, stopped, X = self._table_chunk(x, X, sites, us, stop_on_negative_mag)
+                ran, stopped, X = self._table_chunk(x, X, sites, us, stop_on_negative_mag)
                 done += ran
                 if stopped:
                     yield done, True
@@ -467,14 +494,13 @@ class _Glauber:
             yield done, False
 
     def _table_chunk(self, x, X, sites, us, stop):
-        """The homogeneous loop over one chunk of draws (numpy arrays), x
-        and its mask X advanced together; returns (sweeps_run,
-        stopped_early, X). The per-draw loop stops after a flip that aligns
-        the state, and the jump takes over. Draws become Python numbers
-        only from the first one the loop walks, so a chunk spent aligned
-        converts none."""
+        """The loop over one chunk of draws (numpy arrays), x and its mask X
+        advanced together; returns (sweeps_run, stopped_early, X). The
+        per-draw loop stops after a flip that aligns the state, and the
+        jump takes over. Draws become Python numbers only from the first
+        one the loop walks, so a chunk spent aligned converts none."""
         p = self.p
-        rows, nbm, bit, bc = self.rows, self.nbm, self.bit, int.bit_count
+        rows, nbm, bit, key = self.rows, self.nbm, self.bit, self.key
         full = (1 << p) - 1
         n_d = len(us)
         moves = {}  # aligned mask -> indices of the chunk's draws that move it
@@ -502,7 +528,7 @@ class _Glauber:
                 draws = zip(its, us[pos:].tolist())
             end = pos - pos % p + p if stop else n_d
             for i, u in itertools.islice(draws, end - pos) if stop else draws:
-                if u < rows[i][bc(X & nbm[i])]:
+                if u < rows[i][key(X & nbm[i])]:
                     if x[i] < 0:
                         x[i] = 1
                         X ^= bit[i]
@@ -514,35 +540,9 @@ class _Glauber:
                     if not X:
                         break
             pos = n_d - operator.length_hint(its)
-            if stop and pos == end and 2 * bc(X) < p:
+            if stop and pos == end and 2 * X.bit_count() < p:
                 return pos // p, True, X
         return n_d // p, False, X
-
-    def _field_chunk(self, x, k, sites, us, stop):
-        """The per-edge loop over one chunk of k sweeps, re-summing each
-        local field; returns (sweeps_run, stopped_early)."""
-        p = self.p
-        nbrs = self.nbrs
-        ths = self.ths
-        mag = sum(x) if stop else 0
-        idx = 0
-        for sweep in range(1, k + 1):
-            for _ in range(p):
-                i = sites[idx]
-                u = us[idx]
-                idx += 1
-                h = 0.0
-                nb = nbrs[i]
-                tt = ths[i]
-                for t in range(len(nb)):
-                    h += tt[t] * x[nb[t]]
-                s = 1 if u < 1.0 / (1.0 + math.exp(-2.0 * h)) else -1
-                if stop:
-                    mag += s - x[i]
-                x[i] = s
-            if stop and mag < 0:
-                return sweep, True
-        return k, False
 
 
 @dataclass(frozen=True)
@@ -563,9 +563,7 @@ def estimate_mixing(g: Graph, theta, seed: int, max_sweeps: int = 10_000) -> Mix
     rng = np.random.default_rng(seed)
     x = [1] * g.p
     done, stopped = kern.run(x, max_sweeps, rng, stop_on_negative_mag=True)
-    if stopped:
-        return MixingEstimate(done, False)
-    return MixingEstimate(max_sweeps, True)
+    return MixingEstimate(done, not stopped)
 
 
 # How a mixing estimate of t sweeps becomes burn-in and thin.
@@ -634,6 +632,8 @@ def gibbs_sample(
 
 def empirical_correlations(s: SampleSet) -> np.ndarray:
     """Symmetric p x p matrix of sample pair moments; diagonal exactly 1."""
+    if not s.n:
+        raise ValueError("sample set has no rows")
     X = s.spins.astype(np.float64)
     c = (X.T @ X) / s.n
     np.fill_diagonal(c, 1.0)

@@ -118,10 +118,16 @@ def _sample_tables(s: SampleSet):
     m-1-k is the spin of rows[:, k], 1 = spin -1; cells are counts / n.
 
     Up to _DENSE_MAX_P vertices the counts come from the transformed
-    histogram of _dense_tables, above it from one bincount per chunk; both
+    histogram of _dense_tables, above it from _bincount_tables; both
     count in exact integers, so the tables are the same."""
-    if s.p <= _DENSE_MAX_P:
-        return _dense_tables(s)
+    return _dense_tables(s) if s.p <= _DENSE_MAX_P else _bincount_tables(s)
+
+
+def _bincount_tables(s: SampleSet):
+    """_sample_tables by one bincount of the samples per chunk of rows,
+    which costs n per row and nothing up front."""
+    if not s.n:
+        raise ValueError("sample set has no rows")
     down = np.ascontiguousarray(s.spins.T < 0, dtype=np.uint8)  # (p, n)
     n = s.n
 
@@ -180,6 +186,8 @@ def _dense_tables(s: SampleSet):
     moment of the spins in S. A row's table is the inverse transform of
     the 2^m entries f[S] for S within the row, divided by 2^m; every step
     is exact integer arithmetic."""
+    if not s.n:
+        raise ValueError("sample set has no rows")
     n, p = s.n, s.p
     f = _wht(np.bincount((s.spins < 0) @ (1 << np.arange(p)), minlength=1 << p))
 
@@ -267,8 +275,11 @@ def _score(tables, p: int, r: int, U, delta: int, gamma: float) -> float:
 
 
 def score(s: SampleSet, r: int, U, delta: int, gamma: float) -> float:
-    """Empirical conditional-shift score of candidate neighborhood U at root r."""
-    return _score(_sample_tables(s), s.p, r, U, delta, gamma)
+    """Empirical conditional-shift score of candidate neighborhood U at root r.
+
+    One candidate reads a few rows, too few to pay for the dense transform,
+    so its tables come from bincount at every p."""
+    return _score(_bincount_tables(s), s.p, r, U, delta, gamma)
 
 
 def population_score(dist: ExactDistribution, r: int, U, delta: int, gamma: float) -> float:

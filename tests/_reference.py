@@ -6,6 +6,8 @@ The exceptions are `reference_rlr_neighborhood`, the package's earlier
 single-root l1 solver, kept whole as the reference for the batched one;
 `reference_glauber_run`, the earlier heat-bath loop that re-sums every
 neighbor at each update, kept as the reference for the incremental one;
+`reference_field_run`, the earlier per-edge-coupling heat-bath loop that
+re-sums every local field, kept as the reference for the per-edge rows;
 `reference_joint`, `reference_score` and `reference_independence_test`,
 the earlier independence test that scores one candidate set and one probe
 set at a time, kept as the reference for the batched one; and
@@ -298,6 +300,42 @@ def reference_glauber_run(p, edges, theta, x, nsweeps, rng, stop_on_negative_mag
             done += 1
             if stop_on_negative_mag and mag < 0:
                 return done, True
+    return done, False
+
+
+def reference_field_run(fld, x, nsweeps, rng, stop_on_negative_mag=False):
+    """Random-scan heat-bath sweeps under a CouplingField, advancing the
+    spin list x in place. Each site's local field is re-summed from 0.0 in
+    neighbor_data order at every update. Randomness is drawn per chunk of
+    128 sweeps: the sites, then the uniforms. Returns (sweeps_run,
+    stopped_early); with stop_on_negative_mag the run stops after the first
+    sweep that leaves the magnetization negative."""
+    p = fld.p
+    nbrs, ths = fld.neighbor_data()
+    done = 0
+    while done < nsweeps:
+        k = min(128, nsweeps - done)
+        sites = rng.integers(0, p, size=k * p).tolist()
+        us = rng.random(k * p).tolist()
+        mag = sum(x) if stop_on_negative_mag else 0
+        idx = 0
+        for sweep in range(1, k + 1):
+            for _ in range(p):
+                i = sites[idx]
+                u = us[idx]
+                idx += 1
+                h = 0.0
+                nb = nbrs[i]
+                tt = ths[i]
+                for t in range(len(nb)):
+                    h += tt[t] * x[nb[t]]
+                s = 1 if u < 1.0 / (1.0 + math.exp(-2.0 * h)) else -1
+                if stop_on_negative_mag:
+                    mag += s - x[i]
+                x[i] = s
+            if stop_on_negative_mag and mag < 0:
+                return done + sweep, True
+        done += k
     return done, False
 
 

@@ -256,6 +256,28 @@ def test_learn_rejects_non_finite_parameters(tmp_path, capsys, path_samples, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--alg", "thr", "--theta", "0.5"],
+        ["--alg", "ind", "--theta", "0.5", "--delta", "2"],
+        ["--alg", "indd", "--theta", "0.5", "--delta", "2"],
+        ["--alg", "rlr", "--lambda", "0.1"],
+    ],
+    ids=["thr", "ind", "indd", "rlr"],
+)
+def test_learn_rejects_empty_sample_file(tmp_path, capsys, flags):
+    # each learner wrote an empty graph from a file of no rows and exited 0
+    samples, out = tmp_path / "empty.samples", tmp_path / "learned.txt"
+    samples.write_text("0 5 0 1 1\n")
+    argv = ["learn", "--samples", str(samples), "--out", str(out)] + flags
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "isinglearn: error: sample set has no rows\n")
+    assert not out.exists()
+    assert not (tmp_path / "learned.txt.jsonl").exists()
+
+
 def test_learn_warns_of_unconverged_rlr_roots(tmp_path, capsys, path_samples):
     out, diag = tmp_path / "learned.txt", tmp_path / "diag.jsonl"
     argv = ["learn", "--alg", "rlr", "--lambda", "0.05", "--rule", "and",

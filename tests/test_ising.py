@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import operator
 import pickle
 import re
 import time
@@ -41,6 +42,7 @@ from _reference import (
     naive_expectation,
     naive_marginal,
     naive_moments,
+    reference_field_run,
     reference_glauber_run,
     reference_read_samples,
 )
@@ -369,6 +371,40 @@ def _sparse_edges(p, m, seed):
     return sorted(pairs[k] for k in pick)
 
 
+def _star(deg):
+    """The edges of a star with hub 1 and leaves 2..deg+1."""
+    return [(1, v) for v in range(2, deg + 2)]
+
+
+def _field(p, edges, scale, seed):
+    """Per-edge couplings scale * N(0, 1) on `edges`, drawn without a
+    hypothesis strategy so that an @example can hold them."""
+    ths = np.random.default_rng(seed).normal(size=len(edges)) * scale
+    return dict(zip(edges, ths.tolist()))
+
+
+@st.composite
+def field_cases(draw):
+    """(p, couplings, nsweeps, stop, start, seed, row_entries) for the kernel
+    on per-edge fields; row_entries None keeps the kernel's own bound on a
+    row's entries, a number replaces it."""
+    p = draw(st.integers(3, 13))
+    pairs = [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), min_size=2)))
+    scale = draw(st.sampled_from([0.1, 0.15, 0.65, 3.0]))
+    # distinct integers keep the couplings distinct, so no field is homogeneous
+    ks = draw(st.lists(st.integers(-64, 64), min_size=len(edges), max_size=len(edges),
+                       unique=True))
+    jitter = draw(st.floats(0.0, 0.5))
+    nsweeps = draw(st.sampled_from([1, 127, 128, 129, 300]))
+    stop = draw(st.booleans())
+    start = draw(st.sampled_from(["random", "plus", "minus"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    entries = draw(st.sampled_from([None, None, 1, 4]))
+    couplings = {e: scale * (k + jitter) / 64 for e, k in zip(edges, ks)}
+    return p, couplings, nsweeps, stop, start, seed, entries
+
+
 class _FixedDraws:
     """Stands in for the kernel's rng over one sweep: every one of the p
     updates goes to `site` with uniform `u`."""
@@ -430,17 +466,19 @@ class TestHeatBathKernel:
 
     @pytest.mark.parametrize(
         "p, edges, theta",
-        [(p, edges, th) for p, edges in _UPDATE_GRAPHS for th in (-0.65, 0.65)],
+        [(p, edges, th) for p, edges in _UPDATE_GRAPHS for th in (-0.65, 0.65)]
+        + [(6, _UPDATE_GRAPHS[0][1], _WHEEL_FIELD)],
     )
     @pytest.mark.parametrize("stop", [False, True])
     def test_skip_boundary_is_exact(self, p, edges, theta, stop):
-        # From all +1 a draw moves the state exactly when u >= rows[i][deg(i)],
-        # and from all -1 exactly when u < rows[i][0]: a sweep of p draws at
-        # site i with u on either side of that value flips x[i] or keeps it.
-        # Vertex 5 of the path graph is isolated: both values are 1/2.
-        kern = ising._Glauber(CouplingField.homogeneous(Graph(p, set(edges)), theta))
+        # From all +1 a draw moves the state exactly when u >= top[i], P(+1)
+        # with every neighbor +1, and from all -1 exactly when u < bottom[i]:
+        # a sweep of p draws at site i with u on either side of that value
+        # flips x[i] or keeps it. Vertex 5 of the path graph is isolated:
+        # both values are 1/2.
+        kern = ising._Glauber(ising._as_field(Graph(p, set(edges)), theta))
         for v in range(p):
-            for start, bound in ((1, kern.rows[v][-1]), (-1, kern.rows[v][0])):
+            for start, bound in ((1, kern.top[v]), (-1, kern.bottom[v])):
                 below = float(np.nextafter(bound, 0.0))
                 # u = bound moves all +1 and keeps all -1; u just below it the reverse
                 for u, moved in ((bound, start > 0), (below, start < 0)):
@@ -483,7 +521,7 @@ class TestHeatBathKernel:
     def test_matches_reference_loop(self, case):
         p, edges, theta, nsweeps, stop, start, seed = case
         kern = ising._Glauber(CouplingField.homogeneous(Graph(p, set(edges)), theta))
-        assert kern.rows is not None
+        assert kern.key is int.bit_count
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         if start == "random":
             x, x_ref = kern.initial_state(rng), kern.initial_state(ref_rng)
@@ -513,6 +551,53 @@ class TestHeatBathKernel:
             reference_glauber_run(g.p, edges, theta, x, thin, rng)
             want.append(list(x))
         assert s.spins.tolist() == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=field_cases())
+    @example(case=(3, _field(3, [(1, 2), (2, 3)], 1.0, 1), 300, True, "random", 1, None))
+    # a hub of degree 13 meets more neighbor masks than its row keeps, and
+    # rows of one and four entries are full almost at once
+    @example(case=(14, _field(14, _star(13), 0.1, 2), 3000, False, "random", 2, None))
+    @example(case=(14, _field(14, _star(13), 0.1, 3), 3000, True, "plus", 3, None))
+    @example(case=(12, _field(12, _sparse_edges(12, 40, 4), 0.15, 4), 1500, True, "random",
+                   4, None))
+    @example(case=(12, _field(12, _sparse_edges(12, 40, 5), 0.65, 5), 300, False, "minus",
+                   5, 1))
+    @example(case=(9, _field(9, _sparse_edges(9, 20, 6), 0.15, 6), 300, True, "random", 6, 4))
+    # aligned starts at large |theta|, where the kernel jumps over the draws
+    # that cannot move the state
+    @example(case=(5, _field(5, _sparse_edges(5, 7, 7), 3.0, 7), 300, True, "plus", 7, None))
+    @example(case=(5, _field(5, _sparse_edges(5, 7, 8), 3.0, 8), 300, False, "minus", 8, None))
+    @example(case=(5, _field(5, _sparse_edges(5, 7, 9), 3.0, 9), 129, True, "minus", 9, None))
+    @example(case=(6, {(1, 2): 2.5, (2, 3): 2.9, (3, 4): 2.7, (5, 6): -2.8}, 300, True, "plus",
+                   10, None))
+    @example(case=(4, {(1, 2): -2.0, (2, 3): -2.5, (3, 4): -3.0}, 300, True, "plus", 11, None))
+    def test_field_matches_reference_loop(self, case):
+        p, couplings, nsweeps, stop, start, seed, entries = case
+        fld = CouplingField.from_dict(p, couplings)
+        kern = ising._Glauber(fld)
+        assert kern.key is operator.index
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if start == "random":
+            x, x_ref = kern.initial_state(rng), kern.initial_state(ref_rng)
+        else:
+            s0 = 1 if start == "plus" else -1
+            x, x_ref = [s0] * p, [s0] * p
+        with mock.patch.object(ising, "_ROW_ENTRIES", entries or ising._ROW_ENTRIES):
+            out = kern.run(x, nsweeps, rng, stop_on_negative_mag=stop)
+        ref = reference_field_run(fld, x_ref, nsweeps, ref_rng, stop)
+        assert out == ref
+        assert x == x_ref
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_rows_keep_at_most_the_bound(self):
+        # the hub of a p=30 star meets about one new neighbor mask per update
+        g = make_star(30, 29)
+        fld = CouplingField.from_dict(30, {e: 0.05 + 0.01 * k for k, e in enumerate(g.sorted_edges())})
+        kern = ising._Glauber(fld)
+        rng = np.random.default_rng(0)
+        kern.run(kern.initial_state(rng), 3000, rng)
+        assert max(len(row) for row in kern.rows) == len(kern.rows[0]) == ising._ROW_ENTRIES
 
 
 class TestSampleSetRows:

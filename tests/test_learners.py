@@ -254,9 +254,8 @@ def test_wht_matches_hadamard_matrix():
 
 def _table_sources(s, rows):
     """Every table of `rows` from the dense transform and from bincount."""
-    dense = np.concatenate(list(learners._sample_tables(s)(rows)))
-    with mock.patch.object(learners, "_DENSE_MAX_P", 0):
-        counted = np.concatenate(list(learners._sample_tables(s)(rows)))
+    dense = np.concatenate(list(learners._dense_tables(s)(rows)))
+    counted = np.concatenate(list(learners._bincount_tables(s)(rows)))
     return dense, counted
 
 
@@ -480,6 +479,35 @@ def test_non_finite_parameters_rejected(value):
         for run in calls:
             with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
                 run()
+
+
+def test_empty_sample_set_rejected():
+    # each of these learned an empty graph, or a nan score, from no samples
+    s = SampleSet(np.empty((0, 5), dtype=np.int8), seed=0, burn_in=1, thin=1)
+    runs = (
+        lambda: run_learner(LearnerConfig("thr", tau=0.2), s, 0.5, 2),
+        lambda: local_independence_test(s, 2, 0.2, 0.01),
+        lambda: local_independence_test_pruned(s, 2, 0.2, 0.01, 0.4),
+        lambda: rlr_graph(s, 0.1),
+        lambda: score(s, 1, [2], 2, 0.01),
+    )
+    for run in runs:
+        with pytest.raises(ValueError, match="^sample set has no rows$"):
+            run()
+    with mock.patch.object(learners, "_DENSE_MAX_P", 0):
+        with pytest.raises(ValueError, match="^sample set has no rows$"):
+            local_independence_test(s, 2, 0.2, 0.01)
+
+
+def test_score_counts_by_bincount():
+    # one candidate reads a few rows, too few to pay for the histogram the
+    # learners transform: score builds none, and scores as the dense tables do
+    s = gibbs_sample(make_star(8, 4), 0.6, n=300, burn_in=50, thin=2, seed=3)
+    cases = ((1, [2]), (1, [2, 3]), (6, [7, 8]))
+    tables = learners._sample_tables(s)  # the dense source at p = 8
+    want = [learners._score(tables, s.p, r, U, 2, 0.01) for r, U in cases]
+    with mock.patch.object(learners, "_dense_tables", side_effect=AssertionError("dense")):
+        assert [score(s, r, U, 2, 0.01) for r, U in cases] == want
 
 
 class TestPrunedIndependence:
