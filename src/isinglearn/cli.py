@@ -64,7 +64,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_learn(args) -> int:
     flags = ("alg", "tau", "eps", "gamma", "kappa", "rule", "tol", "max_iter")
-    cfg = LearnerConfig(**{f: getattr(args, f) for f in flags}).resolved(args.theta, args.delta)
+    # a flag left unset takes LearnerConfig's default
+    given = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+    cfg = LearnerConfig(**given).resolved(args.theta, args.delta)
     if cfg.alg == "rlr" and args.lam is None:
         raise ValueError("learner 'rlr' needs lambda")
     s = read_samples(args.samples)
@@ -312,8 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="derive default parameters from the coupling")
     lp.add_argument("--delta", type=int, default=None)
     lp.add_argument("--rule", choices=("or", "and"), default="or")
-    lp.add_argument("--tol", type=float, default=1e-6)
-    lp.add_argument("--max-iter", dest="max_iter", type=int, default=5000)
+    lp.add_argument("--tol", type=float, default=None,
+                    help=f"rlr residual tolerance (default {LearnerConfig.tol:g})")
+    lp.add_argument("--max-iter", dest="max_iter", type=int, default=None,
+                    help=f"cap on rlr Newton steps (default {LearnerConfig.max_iter})")
     lp.add_argument("--diag", default=None, help="JSON-lines diagnostics path")
     lp.set_defaults(fn=_cmd_learn)
 

@@ -411,7 +411,10 @@ class _FieldRow(dict):
         h = 0.0
         for b, th in self.terms:
             h += th * (1 if mask & b else -1)
-        prob = 1.0 / (1.0 + math.exp(-2.0 * h))
+        try:
+            prob = 1.0 / (1.0 + math.exp(-2.0 * h))
+        except OverflowError:  # exp(-2h) past float range: P(+1) is 0, as in the tuple rows
+            prob = 0.0
         if len(self) < _ROW_ENTRIES:
             self[mask] = prob
         return prob
@@ -449,7 +452,8 @@ class _Glauber:
             maxdeg = max((len(x) for x in nbrs), default=0)
             t0 = 0.0 if theta0 is None else theta0
             ms = np.arange(-maxdeg, maxdeg + 1)
-            table = (1.0 / (1.0 + np.exp(-2.0 * t0 * ms))).tolist()
+            with np.errstate(over="ignore"):  # exp(-2h) = inf gives P(+1) = 0
+                table = (1.0 / (1.0 + np.exp(-2.0 * t0 * ms))).tolist()
             # rows[i][c]: P(+1) at i when c neighbors are +1, a sum of 2c - deg(i)
             self.rows = [tuple(table[maxdeg + 2 * c - len(nb)] for c in range(len(nb) + 1))
                          for nb in nbrs]

@@ -428,6 +428,8 @@ def pseudo_likelihood_objective(
     other vertices in ascending order. Evaluated as max(z, 0) +
     log1p(exp(-|z|)) with z = -2 x_r h, so large fields cannot overflow.
     """
+    if not s.n:
+        raise ValueError("sample set has no rows")
     if not 1 <= r <= s.p:
         raise ValueError(f"root {r} outside 1..{s.p}")
     theta_r = np.asarray(theta_r, dtype=np.float64)
@@ -441,10 +443,6 @@ def pseudo_likelihood_objective(
     work = np.empty((2, s.n))
     vals, G = _pl_kernel(X, X[:, [r - 1]].copy(), wgt, th, [r - 1], work)
     return float(vals[0]), np.delete(G[:, 0], r - 1)
-
-
-def _soft(v: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
 @dataclass(frozen=True)
@@ -469,6 +467,77 @@ class RlrGraphResult:
     theta: np.ndarray  # (p, p) coefficients, column r-1 for root r
 
 
+# Armijo's sufficient-decrease fraction; the most halvings a line search or
+# a proximal step tries before it gives up on a column; and the ridge, as a
+# fraction of H's diagonal, that keeps H_AA invertible where columns of the
+# working set coincide on every distinct row.
+_ARMIJO = 1e-4
+_HALVINGS = 30
+_RIDGE = 1e-10
+
+
+def _curvature(XT, wgt, th, out, tmp):
+    """The (k, m) Hessian row weights w sech^2(h), h = X th with XT = X^T,
+    of the smooth part of each column's objective, written to `out`; `tmp`
+    is scratch of the same shape. sech^2 h is taken as 4e / (1 + e)^2 with
+    e = exp(-2|h|), which cannot overflow."""
+    np.matmul(th.T, XT, out=out)
+    np.abs(out, out=out)
+    out *= -2.0
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=tmp)
+    np.square(tmp, out=tmp)
+    out *= 4.0
+    out /= tmp
+    out *= wgt.T
+
+
+def _newton_directions(XT, curv, theta, free, sgn, v, ridge):
+    """Orthant-wise Newton directions of the k columns: column c solves
+    (H_AA + ridge[c] I) d = -v_A over its working set A = free[:, c], with
+    H = X^T diag(curv[c]) X and XT = X^T, and is zero outside A. A
+    coefficient at zero whose direction points out of its orthant would only
+    be projected back, so it leaves A and the column is solved again. All
+    columns are solved in one np.linalg.solve on a stack padded with
+    identity rows to the largest working set. `curv` is overwritten."""
+    p, k = free.shape
+    size = free.sum(axis=0)
+    a = int(size.max(initial=0))
+    d = np.zeros((p + 1, k))  # row p takes the padding
+    if a == 0:
+        return d[:p]
+    pos = np.full((k, a), p)
+    hess = np.zeros((k, a, a))
+    np.sqrt(curv, out=curv)
+    for c in np.flatnonzero(size):
+        A = np.flatnonzero(free[:, c])
+        pos[c, : len(A)] = A
+        Y = XT[A]
+        Y *= curv[c]
+        hess[c, : len(A), : len(A)] = Y @ Y.T
+    pad = pos == p
+    diag = np.arange(a)
+    hess[:, diag, diag] += np.where(pad, 1.0, ridge[:, None])
+    cell = (np.minimum(pos, p - 1), np.arange(k)[:, None])
+    rhs = np.where(pad, 0.0, -v[cell])
+    at_zero = ~pad & (theta[cell] == 0.0)
+    orth = sgn[cell]
+    while True:
+        step = np.linalg.solve(hess, rhs[..., None])[..., 0]
+        out = at_zero & (step * orth <= 0.0)
+        if not out.any():
+            break
+        # drop the coefficient: its row and column become the identity's
+        c, i = np.nonzero(out)
+        hess[c, i, :] = 0.0
+        hess[c, :, i] = 0.0
+        hess[c, i, i] = 1.0
+        rhs[c, i] = 0.0
+        at_zero[c, i] = False
+    d[pos, cell[1]] = step
+    return d[:p]
+
+
 def _rlr_all_roots(
     Xu: np.ndarray,
     wgt: np.ndarray,
@@ -485,29 +554,36 @@ def _rlr_all_roots(
     Every objective is a weighted sum over rows, so this is exact.
 
     Column r-1 of the iterate holds root r's coefficients against all p
-    vertices, self-coefficient pinned to zero. Each column runs accelerated
-    proximal gradient with a 1/L step (L from the Gram matrix of all p
-    columns); a momentum step that would raise the column's penalized
-    objective is replaced by a plain proximal step from the current iterate
-    (momentum reset), so accepted iterates always descend. A column stops
-    once its subgradient optimality residual drops below tol.
+    vertices, self-coefficient pinned to zero. Each step is orthant-wise
+    Newton on every active column (Andrew and Gao, 2007; Byrd et al., 2016):
+    the working set is the nonzero coefficients plus every j with
+    |g_j| > lam, each held to the orthant of its sign, or at zero of -g_j;
+    the direction solves H_AA d = -(g_A + lam s_A), H the Hessian of the
+    smooth part; and an Armijo backtrack projected onto the orthant picks
+    the step. A column whose Newton step finds no decrease takes a
+    backtracking proximal gradient step instead, so accepted iterates
+    descend (a step to a residual below tol is accepted as it is). A column
+    stops once its subgradient optimality residual drops below tol, or,
+    unconverged, once neither step lowers its objective.
 
     Returns (Theta, objective, residual, iterations) per column, NaN outside
-    `roots`; a column's iteration count is the one at which it left the
-    active set, so the largest is the batch count. A `history` list receives
-    the active columns' penalized objectives after every update.
+    `roots`; a column's iteration count is the pass at which it left the
+    active set, after that many steps less one (max_iter steps for a
+    column stopped by the cap), so the largest is the batch count. A
+    `history` list receives the active columns' penalized objectives after
+    every step.
     """
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    p = Xu.shape[1]
-    gram = Xu.T @ (wgt * Xu)
-    lip = float(np.linalg.eigvalsh(gram)[-1])
-    step = 1.0 / max(lip, 1e-12)
+    m, p = Xu.shape
 
-    def f_and_g(th, cols):
-        vals, G = _pl_kernel(Xu, Xc, wgt, th, cols, work)
+    def f_and_g(th, cols, at):
+        """Penalized objectives and gradients of the columns at positions
+        `at` of the active set, whose coefficients are th."""
+        xc = Xc if len(at) == Xc.shape[1] else Xc[:, at]
+        vals, G = _pl_kernel(Xu, xc, wgt, th, cols[at], work)
         return vals + lam * np.abs(th).sum(axis=0), G
 
     def residuals(th, G, cols):
@@ -517,6 +593,67 @@ def _rlr_all_roots(
         out = np.maximum(r_on, r_off)
         _pin_self(out, cols)
         return out.max(axis=0)
+
+    def accept(ok, at, th, f, g):
+        idx = at[ok]
+        theta[:, idx], f_cur[idx], G[:, idx] = th[:, ok], f[ok], g[:, ok]
+        return at[~ok]
+
+    def newton():
+        """One projected Newton step of every active column; returns the
+        positions of the columns that found no decrease, and each
+        column's diagonal Hessian entry."""
+        k = len(cols)
+        curv, tmp = (w[: m * k].reshape(k, m) for w in work)
+        _curvature(XT, wgt, theta, curv, tmp)
+        diag = curv.sum(axis=1)  # every diagonal entry of a column's H
+        on = theta != 0.0
+        # a column whose every field is past float range has no curvature
+        # to take a Newton step on; it goes to the proximal step
+        free = (on | (np.abs(G) > lam)) & (diag > 0.0)
+        _pin_self(free, cols)
+        sgn = np.where(on, np.sign(theta), -np.sign(G))
+        v = np.where(free, G + lam * sgn, 0.0)  # the orthant's smooth gradient
+        d = _newton_directions(XT, curv, theta, free, sgn, v, _RIDGE * diag)
+        at, alpha = np.arange(k), 1.0
+        for _ in range(_HALVINGS):
+            th = theta[:, at] + alpha * d[:, at]
+            th[th * sgn[:, at] < 0.0] = 0.0  # projection onto the orthant
+            f, g = f_and_g(th, cols, at)
+            slope = ((th - theta[:, at]) * v[:, at]).sum(axis=0)
+            armijo = (f < f_cur[at]) & (f <= f_cur[at] + _ARMIJO * slope)
+            # near the optimum the objective's rounding can hide the last
+            # step's decrease; a step that reaches tol is taken regardless
+            at = accept(armijo | (residuals(th, g, cols[at]) < tol), at, th, f, g)
+            if at.size == 0:
+                break
+            alpha *= 0.5
+        return at, diag
+
+    def proximal(at, diag):
+        """Backtracking proximal gradient steps of the columns at `at`,
+        from step 1/trace(H); returns the positions of those that found no
+        decrease. The gradient of the smooth part is Lipschitz with
+        constant (p-1) sum(w), as sech^2 <= 1, so the first step is capped
+        where its last halving reaches 1/((p-1) sum(w)), a step that
+        always descends."""
+        floor = wgt.sum() * 0.5 ** (_HALVINGS - 1)
+        t = 1.0 / (max(p - 1, 1) * np.maximum(diag, floor))
+        for _ in range(_HALVINGS):
+            th0, g0 = theta[:, at], G[:, at]
+            th = th0 - t * g0
+            th = np.sign(th) * np.maximum(np.abs(th) - t * lam, 0.0)
+            _pin_self(th, cols[at])
+            f, g = f_and_g(th, cols, at)
+            diff = th - th0
+            smooth = f - lam * np.abs(th).sum(axis=0)
+            bound = f_cur[at] - lam * np.abs(th0).sum(axis=0)
+            bound += (g0 * diff).sum(axis=0) + (diff * diff).sum(axis=0) / (2.0 * t)
+            ok = (smooth <= bound) & (f < f_cur[at])
+            at, t = accept(ok, at, th, f, g), 0.5 * t[~ok]
+            if at.size == 0:
+                break
+        return at
 
     theta_full = np.zeros((p, p)) if theta0 is None else theta0.copy()
     np.fill_diagonal(theta_full, 0.0)
@@ -528,15 +665,15 @@ def _rlr_all_roots(
     cols = np.arange(p) if roots is None else np.asarray(roots, dtype=np.int64)
     # the root columns, copied only for a subset of roots
     Xc = Xu if roots is None else Xu[:, cols].copy()
+    XT = Xu.T.copy()  # rows of it build the Hessians
     work = np.empty((2, Xc.size))
     theta = theta_full[:, cols].copy()
-    prev = theta.copy()
-    t_mom = np.ones(len(cols))
-    f_cur, G = f_and_g(theta, cols)
-    # the pass after the last update freezes the columns still active
+    f_cur, G = f_and_g(theta, cols, np.arange(len(cols)))
+    stuck = np.zeros(len(cols), dtype=bool)
+    # the pass after the last step freezes the columns still active
     for it in range(1, max_iter + 2):
         res = residuals(theta, G, cols)
-        done = (res < tol) | (it > max_iter)
+        done = (res < tol) | (it > max_iter) | stuck
         if done.any():
             idx = cols[done]
             theta_full[:, idx] = theta[:, done]
@@ -548,30 +685,13 @@ def _rlr_all_roots(
             if cols.size == 0:
                 break
             Xc = Xu[:, cols].copy()
-            theta = theta[:, keep]
-            prev = prev[:, keep]
-            t_mom = t_mom[keep]
-            f_cur = f_cur[keep]
-            G = G[:, keep]
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        y = theta + ((t_mom - 1.0) / t_next) * (theta - prev)
-        _pin_self(y, cols)
-        _, grad_y = _pl_kernel(Xu, Xc, wgt, y, cols, work, value=False)
-        cand = _soft(y - step * grad_y, step * lam)
-        _pin_self(cand, cols)
-        f_cand, g_cand = f_and_g(cand, cols)
-        bad = f_cand > f_cur
-        if bad.any():
-            cand2 = _soft(theta - step * G, step * lam)
-            _pin_self(cand2, cols)
-            f2, g2 = f_and_g(cand2, cols)
-            cand[:, bad] = cand2[:, bad]
-            f_cand[bad] = f2[bad]
-            g_cand[:, bad] = g2[:, bad]
-            t_next = np.where(bad, 1.0, t_next)
-        prev, theta, f_cur, G, t_mom = theta, cand, f_cand, g_cand, t_next
+            theta, f_cur, G = theta[:, keep], f_cur[keep], G[:, keep]
+        failed, diag = newton()
+        stuck = np.zeros(len(cols), dtype=bool)
+        if failed.size:
+            stuck[proximal(failed, diag[failed])] = True
         if history is not None:
-            history.append(f_cur)
+            history.append(f_cur.copy())
     return theta_full, f_full, res_full, iters
 
 
@@ -722,7 +842,8 @@ def run_learner(
 
 
 _POPULATION_MAX_P = 18  # the 2^p x p float design is 38 MB at p = 18
-_POPULATION_MAX_ITER = 20_000  # the slowest known solve (p=7, theta=1) takes 7,780
+# a cap on Newton steps; the slowest known solve (p=14, theta=0.65, lam=1e-4) takes 13
+_POPULATION_MAX_ITER = 100
 _POPULATION_TOL = 1e-10  # bound on the solve's subgradient optimality residual
 
 
@@ -744,7 +865,7 @@ def population_rlr_gp(theta: float, p: int, lam: float) -> tuple[float, float]:
 
     The batched l1 solver runs on all 2^p states weighted by their exact
     probabilities, and a solve whose residual is still at or above
-    _POPULATION_TOL after _POPULATION_MAX_ITER iterations raises
+    _POPULATION_TOL after _POPULATION_MAX_ITER Newton steps raises
     RuntimeError. By symmetry every spoke coefficient is the same.
     Returns (t13_hat, t12_hat), the hub's coefficients toward spoke 3 and
     toward the opposite hub.

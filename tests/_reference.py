@@ -10,10 +10,13 @@ neighbor at each update, kept as the reference for the incremental one;
 re-sums every local field, kept as the reference for the per-edge rows;
 `reference_joint`, `reference_score` and `reference_independence_test`,
 the earlier independence test that scores one candidate set and one probe
-set at a time, kept as the reference for the batched one; and
+set at a time, kept as the reference for the batched one;
 `reference_read_samples`, the earlier sample-file reader that splits and
 converts one line at a time, kept as the reference for the vectorised one;
-and `reference_population_rlr_gp`, the earlier population regression on
+`reference_rlr_all_roots`, the earlier batched l1 solver (accelerated
+proximal gradient on the package's pseudo-likelihood kernel), kept as the
+reference for the orthant-wise Newton one; and
+`reference_population_rlr_gp`, the earlier population regression on
 the double-hub graph by alternating one-dimensional bisections over its
 two-parameter symmetric reduction, kept as the reference for the batched
 l1 solver run on the exact state probabilities (its tables come from
@@ -24,6 +27,8 @@ import math
 import types
 
 import numpy as np
+
+from isinglearn import learners
 
 
 def naive_moments(g, couplings):
@@ -188,6 +193,111 @@ def reference_rlr_neighborhood(spins, r, lam, tol=1e-6, max_iter=5000):
         prev, theta, f_cur, grad, t_mom = theta, cand, f_cand, grad_cand, t_next
     return theta, f_cur, kkt(theta, grad) < tol, it
 
+
+def _pin_self_ref(mat, cols):
+    mat[cols, np.arange(len(cols))] = 0.0  # self-coefficients stay 0
+
+
+def _soft_ref(v, t):
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def reference_rlr_all_roots(Xu, wgt, lam, tol, max_iter, theta0, roots=None, history=None):
+    """The package's earlier batched l1 solver, accelerated proximal
+    gradient (FISTA), kept whole. Solves the l1 problem of every root at
+    once, or of the 0-based columns in `roots`, over distinct sample rows `Xu` weighted by their
+    frequencies `wgt` (an (m, 1) column, as SampleSet.distinct_rows gives).
+    Every objective is a weighted sum over rows, so this is exact.
+
+    Column r-1 of the iterate holds root r's coefficients against all p
+    vertices, self-coefficient pinned to zero. Each column runs accelerated
+    proximal gradient with a 1/L step (L from the Gram matrix of all p
+    columns); a momentum step that would raise the column's penalized
+    objective is replaced by a plain proximal step from the current iterate
+    (momentum reset), so accepted iterates always descend. A column stops
+    once its subgradient optimality residual drops below tol.
+
+    Returns (Theta, objective, residual, iterations) per column, NaN outside
+    `roots`; a column's iteration count is the one at which it left the
+    active set, so the largest is the batch count. A `history` list receives
+    the active columns' penalized objectives after every update.
+    """
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
+    p = Xu.shape[1]
+    gram = Xu.T @ (wgt * Xu)
+    lip = float(np.linalg.eigvalsh(gram)[-1])
+    step = 1.0 / max(lip, 1e-12)
+
+    def f_and_g(th, cols):
+        vals, G = learners._pl_kernel(Xu, Xc, wgt, th, cols, work)
+        return vals + lam * np.abs(th).sum(axis=0), G
+
+    def residuals(th, G, cols):
+        on = th != 0.0
+        r_on = np.where(on, np.abs(G + lam * np.sign(th)), 0.0)
+        r_off = np.where(~on, np.maximum(np.abs(G) - lam, 0.0), 0.0)
+        out = np.maximum(r_on, r_off)
+        _pin_self_ref(out, cols)
+        return out.max(axis=0)
+
+    theta_full = np.zeros((p, p)) if theta0 is None else theta0.copy()
+    np.fill_diagonal(theta_full, 0.0)
+    f_full = np.full(p, np.nan)
+    res_full = np.full(p, np.nan)
+    iters = np.zeros(p, dtype=np.int64)
+
+    # roots whose residual still exceeds tol; frozen columns are final
+    cols = np.arange(p) if roots is None else np.asarray(roots, dtype=np.int64)
+    # the root columns, copied only for a subset of roots
+    Xc = Xu if roots is None else Xu[:, cols].copy()
+    work = np.empty((2, Xc.size))
+    theta = theta_full[:, cols].copy()
+    prev = theta.copy()
+    t_mom = np.ones(len(cols))
+    f_cur, G = f_and_g(theta, cols)
+    # the pass after the last update freezes the columns still active
+    for it in range(1, max_iter + 2):
+        res = residuals(theta, G, cols)
+        done = (res < tol) | (it > max_iter)
+        if done.any():
+            idx = cols[done]
+            theta_full[:, idx] = theta[:, done]
+            f_full[idx] = f_cur[done]
+            res_full[idx] = res[done]
+            iters[idx] = min(it, max_iter)
+            keep = ~done
+            cols = cols[keep]
+            if cols.size == 0:
+                break
+            Xc = Xu[:, cols].copy()
+            theta = theta[:, keep]
+            prev = prev[:, keep]
+            t_mom = t_mom[keep]
+            f_cur = f_cur[keep]
+            G = G[:, keep]
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        y = theta + ((t_mom - 1.0) / t_next) * (theta - prev)
+        _pin_self_ref(y, cols)
+        _, grad_y = learners._pl_kernel(Xu, Xc, wgt, y, cols, work, value=False)
+        cand = _soft_ref(y - step * grad_y, step * lam)
+        _pin_self_ref(cand, cols)
+        f_cand, g_cand = f_and_g(cand, cols)
+        bad = f_cand > f_cur
+        if bad.any():
+            cand2 = _soft_ref(theta - step * G, step * lam)
+            _pin_self_ref(cand2, cols)
+            f2, g2 = f_and_g(cand2, cols)
+            cand[:, bad] = cand2[:, bad]
+            f_cand[bad] = f2[bad]
+            g_cand[:, bad] = g2[:, bad]
+            t_next = np.where(bad, 1.0, t_next)
+        prev, theta, f_cur, G, t_mom = theta, cand, f_cand, g_cand, t_next
+        if history is not None:
+            history.append(f_cur)
+    return theta_full, f_full, res_full, iters
 
 
 def naive_gp_tables(theta, p):

@@ -1,10 +1,12 @@
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from isinglearn import cli
 from isinglearn.cli import main, sweep_config_from_file
 from isinglearn.experiments import SweepConfig
 from isinglearn.graphs import GraphFamilySpec, make_tree, read_graph, write_graph
@@ -276,6 +278,24 @@ def test_learn_rejects_empty_sample_file(tmp_path, capsys, flags):
     assert capsys.readouterr() == ("", "isinglearn: error: sample set has no rows\n")
     assert not out.exists()
     assert not (tmp_path / "learned.txt.jsonl").exists()
+
+
+def test_learn_rlr_solver_defaults_come_from_learner_config(tmp_path, path_samples):
+    # learn used its own 1e-6 and 5000 where sweep files use LearnerConfig's
+    seen = []
+    solve = cli.rlr_graph
+
+    def spy(s, lam, **kw):
+        seen.append((kw["tol"], kw["max_iter"]))
+        return solve(s, lam, **kw)
+
+    argv = ["learn", "--alg", "rlr", "--lambda", "0.05", "--samples", str(path_samples),
+            "--out", str(tmp_path / "learned.txt")]
+    with mock.patch.object(cli, "rlr_graph", spy):
+        assert main(argv) == 0
+        assert main(argv + ["--tol", "1e-7", "--max-iter", "40"]) == 0
+    assert seen == [(LearnerConfig.tol, LearnerConfig.max_iter), (1e-7, 40)]
+    assert seen[0] == (1e-5, 3000)
 
 
 def test_learn_warns_of_unconverged_rlr_roots(tmp_path, capsys, path_samples):

@@ -464,6 +464,30 @@ class TestHeatBathKernel:
                         before[v - 1] = want
                         assert x == before, (v, idx, u, start)
 
+    def test_fields_past_exp_range_saturate(self):
+        # per-edge rows raised OverflowError from math.exp where one coupling
+        # on every edge gave P(+1) = 0 with a numpy overflow warning
+        g = Graph(3, {(1, 2), (2, 3)})
+        couplings = {(1, 2): 400.0, (2, 3): 399.0}
+        fld = CouplingField.from_dict(3, couplings)
+        for field in (fld, 400.0):
+            s = gibbs_sample(g, field, n=20, burn_in=5, thin=1, seed=3)
+            assert s.n == 20 and abs(s.spins.sum(axis=1)).min() == 3
+        kern = ising._Glauber(fld)
+        for v in (1, 2, 3):
+            nb = sorted(g.neighbors(v))
+            for up in itertools.product((0, 1), repeat=len(nb)):
+                mask = sum(1 << (w - 1) for w, u in zip(nb, up) if u)
+                h = sum(couplings[min(v, w), max(v, w)] * (2 * u - 1) for w, u in zip(nb, up))
+                prob = kern.rows[v - 1][mask]
+                if abs(h) > 100.0:
+                    assert prob == (1.0 if h > 0 else 0.0), (v, up)
+                else:
+                    assert 0.0 < prob < 1.0
+        homogeneous = ising._Glauber(CouplingField.homogeneous(g, 400.0))
+        assert homogeneous.rows[1] == (0.0, 0.5, 1.0)
+        assert homogeneous.rows[0] == (0.0, 1.0)
+
     @pytest.mark.parametrize(
         "p, edges, theta",
         [(p, edges, th) for p, edges in _UPDATE_GRAPHS for th in (-0.65, 0.65)]

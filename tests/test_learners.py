@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from isinglearn import learners
+from isinglearn import experiments, learners
 from isinglearn.graphs import (
     Graph,
     make_random_regular,
@@ -50,6 +50,7 @@ from _reference import (
     reference_independence_test,
     reference_joint,
     reference_population_rlr_gp,
+    reference_rlr_all_roots,
     reference_rlr_neighborhood,
     reference_score,
 )
@@ -482,7 +483,8 @@ def test_non_finite_parameters_rejected(value):
 
 
 def test_empty_sample_set_rejected():
-    # each of these learned an empty graph, or a nan score, from no samples
+    # each of these learned an empty graph, or a nan score, from no samples;
+    # the objective divided by zero
     s = SampleSet(np.empty((0, 5), dtype=np.int8), seed=0, burn_in=1, thin=1)
     runs = (
         lambda: run_learner(LearnerConfig("thr", tau=0.2), s, 0.5, 2),
@@ -490,6 +492,7 @@ def test_empty_sample_set_rejected():
         lambda: local_independence_test_pruned(s, 2, 0.2, 0.01, 0.4),
         lambda: rlr_graph(s, 0.1),
         lambda: score(s, 1, [2], 2, 0.01),
+        lambda: pseudo_likelihood_objective(np.zeros(4), s, 1),
     )
     for run in runs:
         with pytest.raises(ValueError, match="^sample set has no rows$"):
@@ -780,16 +783,19 @@ class TestRlrGraph:
             )
 
     def test_shrinking_active_set_matches_single_roots(self):
-        # the roots of a star converge at many different iterations, so
-        # the batch drops roots, and regathers their columns, many times
+        # the roots of a star converge at many different steps, so the
+        # batch drops roots, and regathers their columns, many times; a
+        # small penalty keeps most coefficients free, which spreads the
+        # step counts
         g = make_star(10, 5)
         s = gibbs_sample(g, 0.5, n=3000, burn_in=300, thin=2, seed=4)
-        res = rlr_graph(s, lam=0.03, tol=1e-8)
+        lam = 0.005
+        res = rlr_graph(s, lam=lam, tol=1e-8)
         assert len({e.iterations for e in res.estimates.values()}) >= 5
         # one column and many round their products differently, so the
         # iteration counts may differ by a few; the solutions agree
         for r, e in res.estimates.items():
-            one = rlr_neighborhood(s, r, lam=0.03, tol=1e-8)
+            one = rlr_neighborhood(s, r, lam=lam, tol=1e-8)
             assert one.converged and e.converged
             assert one.neighbors == e.neighbors
             assert abs(one.objective - e.objective) <= 1e-12 * e.objective
@@ -803,6 +809,128 @@ class TestRlrGraph:
             res = rlr_graph(s, lam=0.08, rule="or")
             wins += res.graph.edges == g.edges
         assert wins >= 4
+
+
+def _sweep_lambda(theta, lam0, n, p=30):
+    """run_sweep's lambda at regularization level lam0."""
+    return 2.0 * lam0 * theta * math.sqrt(math.log(p) / n)
+
+
+def _seed(seed, *key):
+    """The benchmark's sub-seed of `seed` at `key`."""
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
+
+
+@pytest.fixture(scope="module")
+def regression_inputs():
+    """(samples, lambda) of the benchmark's three solver inputs at seed 0,
+    and of criterion 10's strong arm at its pinned seed, trial 11, at
+    lambda0 = 7.5: an orthant-wise Newton loop with neither the sign check
+    nor the proximal fallback stalled there at root 15, residual 6.1e-4
+    after 4,000 steps."""
+    weak, strong = experiments.recipe_regular_sweep(seed=0)
+    reg = make_random_regular(30, 4, _seed(0, 1))
+    return {
+        "sweep-weak": (experiments._sample_trial(weak, 0, 0, 0)[1],
+                       _sweep_lambda(0.15, 7.0, 2000)),
+        "sweep-strong": (experiments._sample_trial(strong, 0, 0, 0)[1],
+                         _sweep_lambda(0.65, 7.0, 10_000)),
+        "learn-cli": (gibbs_sample(reg, 0.15, n=10_000, burn_in=1000, thin=10, seed=_seed(0, 3)),
+                      _sweep_lambda(0.15, 10.0, 10_000)),
+        "strong-trial-11": (experiments._sample_trial(strong, 0, 0, 11)[1],
+                            _sweep_lambda(0.65, 7.5, 10_000)),
+    }
+
+
+class TestNewtonSolver:
+    def test_strong_arm_stall_input_converges(self, regression_inputs):
+        s, lam = regression_inputs["strong-trial-11"]
+        _, _, res, iters = _rlr_all_roots(*s.distinct_rows, lam, 1e-5, 40, None)
+        assert (res < 1e-5).all()
+        assert iters.max() < 40
+
+    @pytest.mark.parametrize(
+        "name", ["sweep-weak", "sweep-strong", "learn-cli", "strong-trial-11"]
+    )
+    def test_matches_reference_at_the_optimum(self, regression_inputs, name):
+        s, lam = regression_inputs[name]
+        rows = s.distinct_rows
+        want, _, want_res, _ = reference_rlr_all_roots(*rows, lam, 1e-11, 100_000, None)
+        assert (want_res < 1e-11).all()
+        got, _, res, _ = _rlr_all_roots(*rows, lam, 1e-11, 100, None)
+        assert (res < 1e-11).all()
+        assert np.abs(got - want).max() < 1e-7
+        chosen = want > learners._SELECTION_THRESHOLD
+        assert np.array_equal(got > learners._SELECTION_THRESHOLD, chosen)
+        # the recipes' tol already stops on the optimum's selection
+        at_tol, _, res, _ = _rlr_all_roots(*rows, lam, 1e-5, 4000, None)
+        assert (res < 1e-5).all()
+        assert np.array_equal(at_tol > learners._SELECTION_THRESHOLD, chosen)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_on_small_inputs(self, data):
+        # every state carries a positive weight, so the design has full
+        # column rank and each root's optimum is unique
+        p = data.draw(st.integers(2, 5))
+        X = 1.0 - 2.0 * ((np.arange(1 << p)[:, None] >> np.arange(p)) & 1)
+        w = np.array(data.draw(st.lists(st.floats(0.02, 1.0), min_size=1 << p, max_size=1 << p)))
+        wgt = (w / w.sum())[:, None]
+        lam = data.draw(st.floats(0.02, 0.5))
+        roots = data.draw(
+            st.none() | st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True)
+        )
+        want = reference_rlr_all_roots(X, wgt, lam, 1e-11, 100_000, None, roots)
+        got = _rlr_all_roots(X, wgt, lam, 1e-11, 100, None, roots)
+        cols = list(range(p)) if roots is None else roots
+        assert (want[2][cols] < 1e-11).all() and (got[2][cols] < 1e-11).all()
+        assert np.abs(got[0][:, cols] - want[0][:, cols]).max() < 1e-7
+        assert np.abs(got[1][cols] - want[1][cols]).max() < 1e-12
+        thr = learners._SELECTION_THRESHOLD
+        assert np.array_equal(got[0][:, cols] > thr, want[0][:, cols] > thr)
+
+    def test_proximal_fallback_alone_converges(self):
+        # reversed Newton directions find no decrease at any step length, so
+        # every step is the backtracking proximal gradient fallback's; its
+        # steps stop lowering the objective measurably near residual 2e-8
+        g = make_tree(6, "path")
+        s = gibbs_sample(g, 0.6, n=2000, burn_in=200, thin=2, seed=7)
+        want = rlr_graph(s, 0.05, tol=1e-10)
+        newton = learners._newton_directions
+        with mock.patch.object(learners, "_newton_directions", lambda *a: -newton(*a)):
+            got = rlr_graph(s, 0.05, tol=1e-7)
+        assert want.all_converged and got.all_converged
+        for r, e in got.estimates.items():
+            assert e.iterations > 10 * want.estimates[r].iterations
+            assert e.neighbors == want.estimates[r].neighbors
+            assert np.abs(e.theta - want.estimates[r].theta).max() < 1e-6
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.05])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, -1, 1, 1]] * 5,  # one distinct row: every column coincides
+            [[1, 1, 1, -1], [-1, -1, -1, 1], [1, 1, -1, 1], [-1, -1, 1, 1], [1, 1, 1, 1]],
+        ],
+        ids=["one-row", "twin-columns"],
+    )
+    def test_singular_hessians_solve(self, rows, lam):
+        # columns that coincide on every distinct row make H_AA singular,
+        # which np.linalg.solve refused before the ridge
+        s = SampleSet(np.array(rows), seed=0, burn_in=1, thin=1)
+        res = rlr_graph(s, lam, tol=1e-6, max_iter=200)
+        assert res.all_converged
+        assert max(e.iterations for e in res.estimates.values()) < 50
+
+    def test_root_that_no_step_lowers_stops_unconverged(self):
+        # at tol 0 a zero residual does not count as converged; above
+        # lambda_max the zero start is optimal, so neither step can lower
+        # the objective, and every root stops after its first try
+        s = gibbs_sample(make_tree(5, "path"), 0.5, n=500, burn_in=100, thin=2, seed=1)
+        theta, _, res, iters = _rlr_all_roots(*s.distinct_rows, 5.0, 0.0, 4000, None)
+        assert not theta.any()
+        assert (res == 0.0).all()
+        assert (iters == 2).all()
 
 
 class TestRunLearner:
@@ -1014,6 +1142,7 @@ class TestPrimalDualWitness:
         pytest.param(make_toy_gp(5), 0.65, 1, 1.149, id="gp5-0.65-r1"),
         pytest.param(make_toy_gp(5), 0.65, 5, 0.862, id="gp5-0.65-r5"),
         pytest.param(make_random_regular(12, 4, 3), 0.3, 1, 0.824, id="4reg12-0.3-r1"),
+        pytest.param(make_random_regular(14, 4, 2), 0.55, 1, 1.060, id="4reg14-0.55-r1"),
     ]
 
     @pytest.mark.parametrize("g, theta, r, norm", WITNESS_CASES)
