@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, experiments
-from .graphs import GraphFamilySpec, read_graph, write_graph
+from .graphs import GenerationFailure, GraphFamilySpec, read_graph, write_graph
 from .ising import (
     empirical_correlations,
     gibbs_sample,
@@ -67,8 +67,6 @@ def _cmd_learn(args) -> int:
     # a flag left unset takes LearnerConfig's default
     given = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
     cfg = LearnerConfig(**given).resolved(args.theta, args.delta)
-    if cfg.alg == "rlr" and args.lam is None:
-        raise ValueError("learner 'rlr' needs lambda")
     s = read_samples(args.samples)
     diag_path = args.diag or (str(args.out) + ".jsonl")
     diags = []
@@ -100,8 +98,8 @@ def _cmd_learn(args) -> int:
             )
         unconverged = sum(not est.converged for est in res.estimates.values())
         if unconverged:
-            print(f"isinglearn: warning: {unconverged} of {s.p} rlr roots stopped at"
-                  f" max_iter = {cfg.max_iter} iterations without converging",
+            print(f"isinglearn: warning: {unconverged} of {s.p} rlr roots did not reach"
+                  f" tol = {cfg.tol:g} within max_iter = {cfg.max_iter} Newton steps",
                   file=sys.stderr)
     write_graph(learned, args.out)
     with open(diag_path, "w") as fh:
@@ -264,8 +262,8 @@ def _cmd_sweep(args) -> int:
     unconverged = sum(c.unconverged for c in res.cells)
     if unconverged:
         solves = sum(c.trials for c in res.cells)
-        print(f"isinglearn: warning: {unconverged} of {solves} rlr solves stopped at"
-              f" max_iter = {cfg.learner.max_iter} iterations without converging",
+        print(f"isinglearn: warning: {unconverged} of {solves} rlr solves did not reach"
+              f" tol = {cfg.learner.tol:g} within max_iter = {cfg.learner.max_iter} Newton steps",
               file=sys.stderr)
     if not cfg.out:
         for line in res.csv_lines(timestamp=False):
@@ -313,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--theta", type=float, default=None,
                     help="derive default parameters from the coupling")
     lp.add_argument("--delta", type=int, default=None)
-    lp.add_argument("--rule", choices=("or", "and"), default="or")
+    lp.add_argument("--rule", choices=("or", "and"), default=None,
+                    help=f"edge rule (default {LearnerConfig.rule})")
     lp.add_argument("--tol", type=float, default=None,
                     help=f"rlr residual tolerance (default {LearnerConfig.tol:g})")
     lp.add_argument("--max-iter", dest="max_iter", type=int, default=None,
@@ -353,7 +352,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError, experiments.BudgetExceeded) as exc:  # input that cannot be run
+    # input that cannot be run, or a graph family that cannot be drawn
+    except (OSError, ValueError, experiments.BudgetExceeded, GenerationFailure) as exc:
         print(f"isinglearn: error: {exc}", file=sys.stderr)
         return 2
 

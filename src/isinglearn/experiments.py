@@ -56,8 +56,8 @@ class SweepConfig:
             raise ValueError("grids must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not all(math.isfinite(t) for t in self.theta_grid):
-            raise ValueError(f"theta values must be finite, got {self.theta_grid}")
+        if not all(0 < t < math.inf for t in self.theta_grid):
+            raise ValueError(f"theta values must be finite and > 0, got {self.theta_grid}")
         if min(self.n_grid) < 1:
             raise ValueError(f"n values must be >= 1, got {self.n_grid}")
         if not all(math.isfinite(v) and v >= 0 for v in self.lambda0_grid):

@@ -327,7 +327,7 @@ def exact_moments(g: Graph, theta) -> ExactDistribution:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """n samples of p spins with the sampler settings that produced them.
+    """n >= 1 samples of p >= 1 spins with the sampler settings that produced them.
 
     Two sets are equal when their spins and sampler settings are; like a
     numpy array, a SampleSet is not hashable.
@@ -345,6 +345,10 @@ class SampleSet:
         object.__setattr__(self, "spins", spins)
         if spins.ndim != 2:
             raise ValueError("spins must be an (n, p) matrix")
+        if not spins.shape[0]:
+            raise ValueError("sample set has no rows")
+        if not spins.shape[1]:
+            raise ValueError("sample set has no spins")
         if not np.all(np.abs(spins) == 1):
             raise ValueError("spins must be +1 or -1")
 
@@ -370,8 +374,6 @@ class SampleSet:
         lexicographic order of np.unique on the float rows, and their
         frequencies counts/n as an (m, 1) column. Rows are compared bit-
         packed, most significant bit first, so -1 < +1 orders them alike."""
-        if not self.n:
-            raise ValueError("sample set has no rows")
         packed = np.packbits(self.spins > 0, axis=1)
         _, first, counts = np.unique(
             packed, axis=0, return_index=True, return_counts=True
@@ -636,8 +638,6 @@ def gibbs_sample(
 
 def empirical_correlations(s: SampleSet) -> np.ndarray:
     """Symmetric p x p matrix of sample pair moments; diagonal exactly 1."""
-    if not s.n:
-        raise ValueError("sample set has no rows")
     X = s.spins.astype(np.float64)
     c = (X.T @ X) / s.n
     np.fill_diagonal(c, 1.0)
@@ -677,8 +677,9 @@ def read_samples(path) -> SampleSet:
     spaces and tabs. Lines end in `\\n` or `\\r\\n`, the last may lack it,
     and lines after row n are ignored. A bad header, a header whose n x p
     array cannot be allocated, a file with fewer than n rows, a row with
-    the wrong token count and any other token raise a ValueError; the row
-    errors name the 0-based row. The body is read as bytes once, a block
+    the wrong token count, any other token, and a file with n = 0 or
+    p = 0 (which SampleSet refuses) raise a ValueError; the row errors
+    name the 0-based row. The body is read as bytes once, a block
     at a time, and each block's whole lines are parsed with numpy.
     """
     with open(path, "rb") as fh:

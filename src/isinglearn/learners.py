@@ -126,8 +126,6 @@ def _sample_tables(s: SampleSet):
 def _bincount_tables(s: SampleSet):
     """_sample_tables by one bincount of the samples per chunk of rows,
     which costs n per row and nothing up front."""
-    if not s.n:
-        raise ValueError("sample set has no rows")
     down = np.ascontiguousarray(s.spins.T < 0, dtype=np.uint8)  # (p, n)
     n = s.n
 
@@ -186,8 +184,6 @@ def _dense_tables(s: SampleSet):
     moment of the spins in S. A row's table is the inverse transform of
     the 2^m entries f[S] for S within the row, divided by 2^m; every step
     is exact integer arithmetic."""
-    if not s.n:
-        raise ValueError("sample set has no rows")
     n, p = s.n, s.p
     f = _wht(np.bincount((s.spins < 0) @ (1 << np.arange(p)), minlength=1 << p))
 
@@ -428,8 +424,6 @@ def pseudo_likelihood_objective(
     other vertices in ascending order. Evaluated as max(z, 0) +
     log1p(exp(-|z|)) with z = -2 x_r h, so large fields cannot overflow.
     """
-    if not s.n:
-        raise ValueError("sample set has no rows")
     if not 1 <= r <= s.p:
         raise ValueError(f"root {r} outside 1..{s.p}")
     theta_r = np.asarray(theta_r, dtype=np.float64)
@@ -571,8 +565,10 @@ def _rlr_all_roots(
     active set, after that many steps less one (max_iter steps for a
     column stopped by the cap), so the largest is the batch count. A
     `history` list receives the active columns' penalized objectives after
-    every step.
+    every step. A lam of None is refused: the rlr learner needs one.
     """
+    if lam is None:
+        raise ValueError("learner 'rlr' needs lambda")
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     if lam < 0:
@@ -695,73 +691,6 @@ def _rlr_all_roots(
     return theta_full, f_full, res_full, iters
 
 
-# A coefficient above this selects its vertex as a neighbor.
-_SELECTION_THRESHOLD = 1e-6
-
-
-def _estimate(r, solved, tol):
-    """Root r's NeighborhoodEstimate from the outputs of _rlr_all_roots."""
-    theta, f_cur, res, iters = solved
-    col = theta[:, r - 1]
-    labels = tuple(v for v in range(1, theta.shape[0] + 1) if v != r)
-    return NeighborhoodEstimate(
-        root=r,
-        labels=labels,
-        theta=np.array([col[v - 1] for v in labels]),
-        neighbors=frozenset(v for v in labels if col[v - 1] > _SELECTION_THRESHOLD),
-        converged=bool(res[r - 1] < tol),
-        iterations=int(iters[r - 1]),
-        objective=float(f_cur[r - 1]),
-        residual=float(res[r - 1]),
-    )
-
-
-def rlr_neighborhood(
-    s: SampleSet,
-    r: int,
-    lam: float,
-    tol: float = 1e-6,
-    max_iter: int = 5000,
-    theta0: np.ndarray | None = None,
-) -> NeighborhoodEstimate:
-    """Minimize root r's penalized conditional log-likelihood with the
-    batched solver restricted to that root, and select neighbors with
-    coefficients above _SELECTION_THRESHOLD.
-
-    `theta0` gives starting coefficients against the other vertices in
-    ascending order. A non-converged result carries converged=False rather
-    than raising.
-    """
-    if not 1 <= r <= s.p:
-        raise ValueError(f"root {r} outside 1..{s.p}")
-    warm = np.zeros((s.p, s.p))
-    if theta0 is not None:
-        warm[np.arange(s.p) != r - 1, r - 1] = theta0
-    solved = _rlr_all_roots(*s.distinct_rows, lam, tol, max_iter, warm, [r - 1])
-    return _estimate(r, solved, tol)
-
-
-def rlr_graph(
-    s: SampleSet,
-    lam: float,
-    rule: str = "or",
-    tol: float = 1e-6,
-    max_iter: int = 5000,
-    warm: np.ndarray | None = None,
-) -> RlrGraphResult:
-    """Regularized regression at every vertex, combined by the OR or AND
-    rule. `warm` is a (p, p) matrix of starting coefficients (column r-1
-    for root r), e.g. the `theta` of the result at a nearby regularization
-    level."""
-    solved = _rlr_all_roots(*s.distinct_rows, lam, tol, max_iter, warm)
-    estimates = {r: _estimate(r, solved, tol) for r in range(1, s.p + 1)}
-    hoods = {r: e.neighbors for r, e in estimates.items()}
-    g = _edges_from_neighborhoods(s.p, hoods, rule)
-    return RlrGraphResult(
-        g, estimates, all(e.converged for e in estimates.values()), solved[0]
-    )
-
-
 # the parameters each learner needs; LearnerConfig.resolved derives them when unset
 _NEEDED = {"thr": ("tau",), "ind": ("eps", "gamma"), "indd": ("eps", "gamma", "kappa"), "rlr": ()}
 
@@ -789,8 +718,9 @@ class LearnerConfig:
             raise ValueError(f"unknown learner {self.alg!r}")
         if self.tau_rule not in ("tree", "degree"):
             raise ValueError(f"unknown tau_rule {self.tau_rule!r}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        _edges_from_neighborhoods(1, {}, self.rule)  # refuses an unknown edge rule
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be > 0 and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -817,14 +747,81 @@ class LearnerConfig:
         return replace(self, **{k: d for k, d in defaults if getattr(self, k) is None})
 
 
+# A coefficient above this selects its vertex as a neighbor.
+_SELECTION_THRESHOLD = 1e-6
+
+
+def _estimate(r, solved, tol):
+    """Root r's NeighborhoodEstimate from the outputs of _rlr_all_roots."""
+    theta, f_cur, res, iters = solved
+    col = theta[:, r - 1]
+    labels = tuple(v for v in range(1, theta.shape[0] + 1) if v != r)
+    return NeighborhoodEstimate(
+        root=r,
+        labels=labels,
+        theta=np.array([col[v - 1] for v in labels]),
+        neighbors=frozenset(v for v in labels if col[v - 1] > _SELECTION_THRESHOLD),
+        converged=bool(res[r - 1] < tol),
+        iterations=int(iters[r - 1]),
+        objective=float(f_cur[r - 1]),
+        residual=float(res[r - 1]),
+    )
+
+
+def rlr_neighborhood(
+    s: SampleSet,
+    r: int,
+    lam: float,
+    tol: float = LearnerConfig.tol,
+    max_iter: int = LearnerConfig.max_iter,
+    theta0: np.ndarray | None = None,
+) -> NeighborhoodEstimate:
+    """Minimize root r's penalized conditional log-likelihood with the
+    batched solver restricted to that root, and select neighbors with
+    coefficients above _SELECTION_THRESHOLD.
+
+    `theta0` gives starting coefficients against the other vertices in
+    ascending order. A non-converged result carries converged=False rather
+    than raising.
+    """
+    if not 1 <= r <= s.p:
+        raise ValueError(f"root {r} outside 1..{s.p}")
+    warm = np.zeros((s.p, s.p))
+    if theta0 is not None:
+        warm[np.arange(s.p) != r - 1, r - 1] = theta0
+    solved = _rlr_all_roots(*s.distinct_rows, lam, tol, max_iter, warm, [r - 1])
+    return _estimate(r, solved, tol)
+
+
+def rlr_graph(
+    s: SampleSet,
+    lam: float,
+    rule: str = "or",
+    tol: float = LearnerConfig.tol,
+    max_iter: int = LearnerConfig.max_iter,
+    warm: np.ndarray | None = None,
+) -> RlrGraphResult:
+    """Regularized regression at every vertex, combined by the OR or AND
+    rule. `warm` is a (p, p) matrix of starting coefficients (column r-1
+    for root r), e.g. the `theta` of the result at a nearby regularization
+    level."""
+    solved = _rlr_all_roots(*s.distinct_rows, lam, tol, max_iter, warm)
+    estimates = {r: _estimate(r, solved, tol) for r in range(1, s.p + 1)}
+    hoods = {r: e.neighbors for r, e in estimates.items()}
+    g = _edges_from_neighborhoods(s.p, hoods, rule)
+    return RlrGraphResult(
+        g, estimates, all(e.converged for e in estimates.values()), solved[0]
+    )
+
+
 def run_learner(
     cfg: LearnerConfig,
     s: SampleSet,
     theta: float,
     delta: int,
-    lam: float = 0.0,
+    lam: float | None = None,
 ) -> Graph:
-    """Dispatch a configured learner on a sample set."""
+    """Dispatch a configured learner on a sample set; rlr needs `lam`."""
     cfg = cfg.resolved(theta, delta)
     if cfg.alg == "thr":
         return thresholding(empirical_correlations(s), cfg.tau)
@@ -853,8 +850,6 @@ def _population_rows(dist: ExactDistribution):
     _rlr_all_roots. Row s has spin -1 at vertex k+1 where bit p-1-k of s is
     set, the order of dist.marginal over every vertex."""
     p = dist.graph.p
-    if p > _POPULATION_MAX_P:
-        raise ValueError(f"population rows need p <= {_POPULATION_MAX_P}, got p={p}")
     bits = (np.arange(1 << p)[:, None] >> np.arange(p - 1, -1, -1)) & 1
     return 1.0 - 2.0 * bits, dist.marginal(range(1, p + 1)).reshape(-1, 1)
 
@@ -876,10 +871,6 @@ def population_rlr_gp(theta: float, p: int, lam: float) -> tuple[float, float]:
         raise ValueError(f"p must be <= {_POPULATION_MAX_P}")
     if theta <= 0:
         raise ValueError("theta must be positive")
-    if not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam}")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
     rows = _population_rows(exact_moments(make_toy_gp(p), theta))
     coef, _, res, _ = _rlr_all_roots(
         *rows, lam, _POPULATION_TOL, _POPULATION_MAX_ITER, None, roots=[0]

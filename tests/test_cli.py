@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 from unittest import mock
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from isinglearn import cli
+from isinglearn import cli, experiments
 from isinglearn.cli import main, sweep_config_from_file
 from isinglearn.experiments import SweepConfig
-from isinglearn.graphs import GraphFamilySpec, make_tree, read_graph, write_graph
+from isinglearn.graphs import FAMILIES, GraphFamilySpec, make_tree, read_graph, write_graph
 from isinglearn.ising import read_samples
 from isinglearn.learners import LearnerConfig, default_ind_params, tau_tree
 
@@ -220,8 +226,8 @@ def test_learn_names_missing_parameter(tmp_path, capsys, path_samples, flags, me
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--tol", "-1"], "tol must be > 0, got -1.0"),
-        (["--tol", "nan"], "tol must be > 0, got nan"),
+        (["--tol", "-1"], "tol must be > 0 and finite, got -1.0"),
+        (["--tol", "nan"], "tol must be > 0 and finite, got nan"),
         (["--max-iter", "0"], "max_iter must be >= 1, got 0"),
     ],
     ids=["tol-negative", "tol-nan", "max-iter-zero"],
@@ -281,21 +287,37 @@ def test_learn_rejects_empty_sample_file(tmp_path, capsys, flags):
 
 
 def test_learn_rlr_solver_defaults_come_from_learner_config(tmp_path, path_samples):
-    # learn used its own 1e-6 and 5000 where sweep files use LearnerConfig's
+    # learn used its own 1e-6 and 5000 where sweep files use LearnerConfig's;
+    # its --rule default was its own copy of LearnerConfig's
     seen = []
     solve = cli.rlr_graph
 
     def spy(s, lam, **kw):
-        seen.append((kw["tol"], kw["max_iter"]))
+        seen.append((kw["tol"], kw["max_iter"], kw["rule"]))
         return solve(s, lam, **kw)
 
     argv = ["learn", "--alg", "rlr", "--lambda", "0.05", "--samples", str(path_samples),
             "--out", str(tmp_path / "learned.txt")]
     with mock.patch.object(cli, "rlr_graph", spy):
         assert main(argv) == 0
-        assert main(argv + ["--tol", "1e-7", "--max-iter", "40"]) == 0
-    assert seen == [(LearnerConfig.tol, LearnerConfig.max_iter), (1e-7, 40)]
-    assert seen[0] == (1e-5, 3000)
+        assert main(argv + ["--tol", "1e-7", "--max-iter", "40", "--rule", "and"]) == 0
+    assert seen == [(LearnerConfig.tol, LearnerConfig.max_iter, LearnerConfig.rule),
+                    (1e-7, 40, "and")]
+    assert seen[0] == (1e-5, 3000, "or")
+    assert cli.build_parser().parse_args(argv).rule is None
+
+
+def test_learn_rejects_sample_file_of_no_spins(tmp_path, capsys):
+    # numpy's "zero-size array to reduction operation maximum which has no
+    # identity" was the message
+    samples, out = tmp_path / "nospins.samples", tmp_path / "learned.txt"
+    samples.write_text("3 0 0 1 1\n\n\n\n")
+    argv = ["learn", "--alg", "rlr", "--lambda", "0.1", "--samples", str(samples),
+            "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "isinglearn: error: sample set has no spins\n")
+    assert not out.exists()
 
 
 def test_learn_warns_of_unconverged_rlr_roots(tmp_path, capsys, path_samples):
@@ -310,8 +332,8 @@ def test_learn_warns_of_unconverged_rlr_roots(tmp_path, capsys, path_samples):
     edges = read_graph(out).num_edges
     assert capsys.readouterr() == (
         f"wrote {edges} edges to {out}; diagnostics in {diag}\n",
-        f"isinglearn: warning: {stuck} of 7 rlr roots stopped at max_iter = 2 iterations"
-        " without converging\n",
+        f"isinglearn: warning: {stuck} of 7 rlr roots did not reach tol = 1e-05"
+        " within max_iter = 2 Newton steps\n",
     )
     # roots that converge print no warning
     assert main(argv) == 0
@@ -624,13 +646,16 @@ def test_sweep_rejects_unknown_tau_rule(tmp_path, capsys):
         ("lambda0_grid = 1,nan", "lambda0 values must be finite and >= 0, got (1.0, nan)"),
         ("lambda0_grid = 2,-1", "lambda0 values must be finite and >= 0, got (2.0, -1.0)"),
         ("lambda0_grid = inf", "lambda0 values must be finite and >= 0, got (inf,)"),
-        ("tol = -1", "tol must be > 0, got -1.0"),
-        ("tol = 0", "tol must be > 0, got 0.0"),
-        ("tol = nan", "tol must be > 0, got nan"),
+        ("tol = -1", "tol must be > 0 and finite, got -1.0"),
+        ("tol = 0", "tol must be > 0 and finite, got 0.0"),
+        ("tol = nan", "tol must be > 0 and finite, got nan"),
+        ("tol = inf", "tol must be > 0 and finite, got inf"),
         ("max_iter = 0", "max_iter must be >= 1, got 0"),
+        ("rule = xor", "unknown edge rule 'xor'"),
     ],
     ids=["budget-nan", "budget-negative", "budget-inf", "lambda0-nan", "lambda0-negative",
-         "lambda0-inf", "tol-negative", "tol-zero", "tol-nan", "max-iter-zero"],
+         "lambda0-inf", "tol-negative", "tol-zero", "tol-nan", "tol-inf", "max-iter-zero",
+         "rule-unknown"],
 )
 def test_sweep_rejects_bad_config_values(tmp_path, capsys, line, message):
     cfg = tmp_path / "sweep.cfg"
@@ -652,12 +677,17 @@ def _small_sweep_with(**changes) -> str:
 @pytest.mark.parametrize(
     "changes, message",
     [
-        ({"learner": "rlr", "theta_grid": "nan"}, "theta values must be finite, got (nan,)"),
-        ({"theta_grid": "0.6,inf"}, "theta values must be finite, got (0.6, inf)"),
+        ({"learner": "rlr", "theta_grid": "nan"},
+         "theta values must be finite and > 0, got (nan,)"),
+        ({"theta_grid": "0.6,inf"}, "theta values must be finite and > 0, got (0.6, inf)"),
+        ({"learner": "rlr", "theta_grid": "-0.3"},
+         "theta values must be finite and > 0, got (-0.3,)"),
+        ({"theta_grid": "0"}, "theta values must be finite and > 0, got (0.0,)"),
         ({"n_grid": "0"}, "n values must be >= 1, got (0,)"),
         ({"n_grid": "200,-3"}, "n values must be >= 1, got (200, -3)"),
     ],
-    ids=["theta-nan-rlr", "theta-inf", "n-zero", "n-negative"],
+    ids=["theta-nan-rlr", "theta-inf", "theta-negative-rlr", "theta-zero", "n-zero",
+         "n-negative"],
 )
 def test_sweep_rejects_bad_grid_values(tmp_path, capsys, changes, message):
     cfg = tmp_path / "sweep.cfg"
@@ -676,8 +706,8 @@ def test_sweep_warns_of_unconverged_rlr_solves(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rlr = dict(learner="rlr", lambda0_grid="1,2", trials=3)
     cfg.write_text(_small_sweep_with(**rlr, max_iter=2))
-    warning = ("isinglearn: warning: 6 of 6 rlr solves stopped at max_iter = 2 iterations"
-               " without converging\n")
+    warning = ("isinglearn: warning: 6 of 6 rlr solves did not reach tol = 1e-05"
+               " within max_iter = 2 Newton steps\n")
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     assert capsys.readouterr() == (f"wrote {out}\n", warning)
     lines = out.read_text().splitlines()
@@ -745,6 +775,19 @@ def test_sweep_over_budget_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_unbuildable_family_is_usage_error(tmp_path, capsys):
+    # the configuration model finds no simple 6-regular graph on 8 vertices
+    # in its restarts; GenerationFailure escaped as a traceback with exit 1
+    cfg = tmp_path / "sweep.cfg"
+    out = tmp_path / "sweep.csv"
+    cfg.write_text(_small_sweep_with(family="random-regular", p=8, delta=6))
+    with mock.patch.object(experiments, "_available_cpus", return_value=1):
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "isinglearn: error: no simple 6-regular graph on"
+                                       " 8 vertices found in 10000 restarts\n")
+    assert not out.exists()
+
+
 def test_sweep_keys_left_out_take_dataclass_defaults(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("family = tree\ntheta_grid = 0.6\nn_grid = 200\n")
@@ -762,3 +805,95 @@ def test_reproduce_cli(tmp_path):
     rc = main(["reproduce", "thresholds", "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "thresholds.md").exists()
+
+
+# Values for each sweep-file key: valid ones, the edges of their ranges,
+# and junk. `out` is left out, so every run writes where the test says.
+_JUNK = ("", "x", "nan", "inf", "-1", "0", "1e400", "1,2", "ture", "0x10")
+
+
+def _values(*good):
+    """One of `good`, a typical value first and then boundary ones, or
+    junk about one time in 16 (a middle draw, which Hypothesis favours
+    least)."""
+    good = tuple(str(v) for v in good)
+    return st.integers(0, 15).flatmap(lambda i: st.sampled_from(_JUNK if i == 7 else good))
+
+
+_SWEEP_VALUES = {
+    "family": _values(*FAMILIES),
+    "p": _values(6, 1, 2, 3, 9),
+    "delta": _values(2, 1, 3, 4, 7),
+    "deg": _values(2, 1, 4, 7),
+    "side": _values(3, 1, 2),
+    "periodic": _values("yes", "no"),
+    "rho": _values(0.3, 1, 1.5, -0.1),
+    "shape": _values("path", "balanced", "ring"),
+    "branching": _values(2, 1, 3),
+    "learner": _values("thr", "ind", "indd", "rlr", "RLR"),
+    "tau": _values(0.3, 0.99, 1),
+    "tau_rule": _values("tree", "degree", "none"),
+    "eps": _values(0.1, 2),
+    "gamma": _values(0.01, 0.5, 1),
+    "kappa": _values(0.3, 2),
+    "rule": _values("or", "and", "xor"),
+    "tol": _values(1e-5, 1e-2, 1e300),
+    "max_iter": _values(1, 2, 50),
+    "theta_grid": _values(0.3, "0.3,0.6", 0.05, 50, "0.3,0", -0.3),
+    "n_grid": _values(40, "20,60", 1, 2),
+    "lambda0_grid": _values(1, "0.5,3"),
+    "trials": _values(2, 1),
+    "seed": _values(3, 2**32, 2**70),
+    "fresh_graph": _values("yes", "no"),
+    "burn_in": _values(1, 20),
+    "thin": _values(1, 3),
+    "mixing_cap": _values(1, 30),
+    "budget_units": _values("2e6", "3e5", 1),
+}
+
+
+# the keys that size each family's graph
+_FAMILY_KEYS = {"tree": ("p",), "star": ("p", "deg"), "grid": ("side",),
+                "diluted-grid": ("side", "rho"), "random-regular": ("p", "delta"),
+                "regular-plus-edge": ("p", "delta"), "toy-gp": ("p",), "toy-gp-prime": ("p",)}
+
+
+@st.composite
+def sweep_files(draw):
+    """A sweep file's text: the required keys, the keys that size its
+    family, trials and budget_units (each left out about one time in 16),
+    and any of the other keys, in any order."""
+    family = draw(_SWEEP_VALUES["family"])
+    keys = ["budget_units", "trials", *cli._SWEEP_REQUIRED, *_FAMILY_KEYS.get(family, ())]
+    keys = [k for k in keys if draw(st.integers(0, 15)) != 7]
+    keys += draw(st.lists(st.sampled_from(list(_SWEEP_VALUES)), unique=True, max_size=6))
+    keys = draw(st.permutations(list(dict.fromkeys(keys))))
+    values = {k: family if k == "family" else draw(_SWEEP_VALUES[k]) for k in keys}
+    return "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=sweep_files())
+def test_sweep_file_boundary(text):
+    """Every sweep file either runs, writing the table the library run of
+    the same config gives, or is refused with one `isinglearn: error:` line
+    (exit 2) and no table."""
+    assert _SWEEP_VALUES.keys() == cli._SWEEP_KEYS.keys() - {"out"}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        experiments, "_available_cpus", return_value=1
+    ):
+        cfg, out = Path(tmp) / "sweep.cfg", Path(tmp) / "sweep.csv"
+        cfg.write_text(text)
+        printed, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(err):
+            rc = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        if rc == 2:
+            assert re.fullmatch(r"isinglearn: error: [^\n]*\n", err.getvalue())
+            assert printed.getvalue() == "" and not out.exists()
+            return
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# generated ")
+        want = experiments.run_sweep(sweep_config_from_file(cfg)).csv_lines(timestamp=False)
+        assert [ln.rsplit(",", 1)[0] for ln in lines[1:]] == [
+            ln.rsplit(",", 1)[0] for ln in want]

@@ -99,6 +99,10 @@ class TestRunSweep:
             ({"theta_grid": (-math.inf,)}, "theta values must be finite"),
             ({"n_grid": (0,)}, r"n values must be >= 1, got \(0,\)"),
             ({"n_grid": (400, -3)}, r"n values must be >= 1, got \(400, -3\)"),
+            # rlr refused a coupling <= 0 by its lambda, thr and ind after
+            # sampling, and rlr at lambda0 = 0 ran it
+            ({"theta_grid": (0.6, 0.0)}, r"finite and > 0, got \(0.6, 0.0\)"),
+            ({"theta_grid": (-0.3,)}, r"finite and > 0, got \(-0.3,\)"),
         ],
     )
     def test_rejects_bad_values(self, kw, message):

@@ -806,10 +806,13 @@ class TestSampleFiles:
         return read_samples(path)
 
     def test_no_rows(self, tmp_path):
+        # a file of no rows, or of rows of no spins, was read as an empty
+        # SampleSet; SampleSet refuses both, so the reader does
         for text in ("0 3 1 2 3\n", "0 3 1 2 3", "0 3 1 2 3\nnot a row\n"):
-            s = self._read(tmp_path, text)
-            assert s.spins.shape == (0, 3)
-            assert (s.seed, s.burn_in, s.thin) == (1, 2, 3)
+            with pytest.raises(ValueError, match="^sample set has no rows$"):
+                self._read(tmp_path, text)
+        with pytest.raises(ValueError, match="^sample set has no spins$"):
+            self._read(tmp_path, "3 0 0 1 1\n\n\n\n")
 
     def test_crlf_tabs_and_no_final_newline(self, tmp_path):
         want = np.array([[1, -1, 1], [-1, -1, 1]], dtype=np.int8)
@@ -930,8 +933,9 @@ def test_read_samples_matches_reference_reader(tmp_path_factory, text, block):
     ValueError. The deliberate differences lie outside what is drawn here:
     other spellings of +-1, such as `01` (see
     TestSampleFiles.test_other_spellings_of_one_are_rejected), separators
-    other than spaces and tabs and lone `\\r` line ends are now rejected,
-    and a p = 0 file must hold its n empty lines."""
+    other than spaces and tabs and lone `\\r` line ends are now rejected.
+    Both readers build a SampleSet, so both refuse a file with n = 0 or
+    p = 0."""
     path = tmp_path_factory.getbasetemp() / "differential.samples"
     path.write_bytes(text.encode())
     with mock.patch.object(ising, "_READ_BLOCK_BYTES", block):

@@ -1,3 +1,4 @@
+import inspect
 import math
 from unittest import mock
 
@@ -455,6 +456,8 @@ def test_negative_lambda_rejected():
         rlr_graph(s, -0.1)
     with pytest.raises(ValueError, match="lam must be >= 0"):
         rlr_neighborhood(s, 2, -0.1)
+    with pytest.raises(ValueError, match="lam must be >= 0"):
+        population_rlr_gp(0.5, 5, -0.1)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -483,23 +486,39 @@ def test_non_finite_parameters_rejected(value):
 
 
 def test_empty_sample_set_rejected():
-    # each of these learned an empty graph, or a nan score, from no samples;
-    # the objective divided by zero
-    s = SampleSet(np.empty((0, 5), dtype=np.int8), seed=0, burn_in=1, thin=1)
-    runs = (
-        lambda: run_learner(LearnerConfig("thr", tau=0.2), s, 0.5, 2),
-        lambda: local_independence_test(s, 2, 0.2, 0.01),
-        lambda: local_independence_test_pruned(s, 2, 0.2, 0.01, 0.4),
-        lambda: rlr_graph(s, 0.1),
-        lambda: score(s, 1, [2], 2, 0.01),
-        lambda: pseudo_likelihood_objective(np.zeros(4), s, 1),
-    )
-    for run in runs:
-        with pytest.raises(ValueError, match="^sample set has no rows$"):
-            run()
+    # the learners learned an empty graph, or a nan score, from no samples,
+    # and then each refused them itself; SampleSet now refuses a set of no
+    # rows or no spins, so no learner is handed one, and every learner
+    # runs on the smallest set it can be handed
+    for shape, what in (((0, 5), "rows"), ((5, 0), "spins")):
+        with pytest.raises(ValueError, match=f"^sample set has no {what}$"):
+            SampleSet(np.empty(shape, dtype=np.int8), seed=0, burn_in=1, thin=1)
+    s = SampleSet(np.ones((1, 1)), seed=0, burn_in=1, thin=1)
+    for cfg, lam in ((LearnerConfig("thr", tau=0.2), None), (LearnerConfig("ind"), None),
+                     (LearnerConfig("indd"), None), (LearnerConfig("rlr"), 0.1)):
+        assert run_learner(cfg, s, 0.5, 1, lam=lam) == Graph(1, set())
     with mock.patch.object(learners, "_DENSE_MAX_P", 0):
-        with pytest.raises(ValueError, match="^sample set has no rows$"):
-            local_independence_test(s, 2, 0.2, 0.01)
+        assert local_independence_test(s, 1, 0.2, 0.01) == Graph(1, set())
+    value, grad = pseudo_likelihood_objective(np.zeros(0), s, 1)
+    assert value == pytest.approx(math.log(2.0)) and grad.shape == (0,)
+
+
+def test_run_learner_rlr_needs_lambda():
+    # with no lambda it solved without a penalty: 17 edges on a 7-edge path
+    s = gibbs_sample(make_tree(8, "path"), 0.5, n=300, burn_in=50, thin=2, seed=1)
+    for run in (lambda: run_learner(LearnerConfig("rlr"), s, 0.5, 2),
+                lambda: rlr_graph(s, None)):
+        with pytest.raises(ValueError, match="^learner 'rlr' needs lambda$"):
+            run()
+
+
+def test_rlr_solver_defaults_come_from_learner_config():
+    # rlr_graph and rlr_neighborhood defaulted to 1e-6 and 5000, where
+    # LearnerConfig, run_learner, sweep files and `learn` use 1e-5 and 3000
+    for fn in (rlr_graph, rlr_neighborhood):
+        params = inspect.signature(fn).parameters
+        assert params["tol"].default == LearnerConfig.tol == 1e-5
+        assert params["max_iter"].default == LearnerConfig.max_iter == 3000
 
 
 def test_score_counts_by_bincount():
@@ -730,7 +749,7 @@ class TestRlrGraph:
         wins = 0
         for sd in range(10):
             s = gibbs_sample(Graph(8, set()), 0.0, n=2000, burn_in=10, thin=1, seed=sd)
-            res = rlr_graph(s, lam=0.2)
+            res = rlr_graph(s, lam=0.2, tol=1e-6)
             wins += res.graph.num_edges == 0
         assert wins >= 9
 
@@ -738,8 +757,8 @@ class TestRlrGraph:
         g = make_tree(8, "balanced", branching=2)
         s = gibbs_sample(g, 0.7, n=3000, burn_in=300, thin=2, seed=3)
         for lam in (0.01, 0.05, 0.15):
-            a = rlr_graph(s, lam, rule="and").graph.edges
-            o = rlr_graph(s, lam, rule="or").graph.edges
+            a = rlr_graph(s, lam, rule="and", tol=1e-6).graph.edges
+            o = rlr_graph(s, lam, rule="or", tol=1e-6).graph.edges
             assert a <= o
 
     def test_iterations_are_per_root(self):
@@ -806,7 +825,7 @@ class TestRlrGraph:
         wins = 0
         for sd in range(5):
             s = gibbs_sample(g, 0.6, n=8000, burn_in=400, thin=3, seed=sd)
-            res = rlr_graph(s, lam=0.08, rule="or")
+            res = rlr_graph(s, lam=0.08, rule="or", tol=1e-6)
             wins += res.graph.edges == g.edges
         assert wins >= 4
 
@@ -955,6 +974,10 @@ class TestRunLearner:
             ({"tol": -1e-5}, "tol must be > 0"),
             ({"tol": math.nan}, "tol must be > 0"),
             ({"max_iter": 0}, "max_iter must be >= 1"),
+            # tol = inf stopped every root at its start: no edges, all converged
+            ({"tol": math.inf}, "tol must be > 0 and finite, got inf"),
+            # refused only once a learner combined neighborhoods, after sampling
+            ({"rule": "xor"}, "unknown edge rule 'xor'"),
         ],
     )
     def test_bad_solver_settings(self, kw, message):
@@ -1122,9 +1145,12 @@ class TestPopulationRows:
         assert X[16].tolist() == [-1.0, 1.0, 1.0, 1.0, 1.0]
 
     def test_refuses_more_than_18_vertices(self):
-        dist = exact_moments(make_tree(19, "path"), 0.3)
-        with pytest.raises(ValueError, match="p <= 18"):
-            learners._population_rows(dist)
+        # the cap is population_rlr_gp's alone, checked before any row is
+        # built; _population_rows kept a copy of it
+        with mock.patch.object(learners, "_population_rows") as build_rows:
+            with pytest.raises(ValueError, match="^p must be <= 18$"):
+                population_rlr_gp(0.3, 19, 0.1)
+        build_rows.assert_not_called()
 
 
 class TestPrimalDualWitness:
