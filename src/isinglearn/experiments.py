@@ -56,6 +56,10 @@ class SweepConfig:
             raise ValueError("grids must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.mixing_cap < 1:
+            raise ValueError(f"mixing_cap must be >= 1, got {self.mixing_cap}")
         if not all(0 < t < math.inf for t in self.theta_grid):
             raise ValueError(f"theta values must be finite and > 0, got {self.theta_grid}")
         if min(self.n_grid) < 1:

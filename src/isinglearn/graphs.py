@@ -266,13 +266,19 @@ def write_graph(g: Graph, path) -> None:
 
 
 def _record_ints(tok: list, lineno: int, count: int, short: str) -> list:
-    """The `count` integers after a record's tag; `short` names the lack."""
+    """The `count` integers after a record's tag; `short` names the lack.
+    Each is ASCII digits with an optional sign: int() alone would also read
+    `1_0` as 10 and other scripts' digits."""
     if len(tok) != count + 1:
         raise ValueError(f"line {lineno}: {short if len(tok) <= count else 'extra tokens'}")
     try:
-        return [int(t) for t in tok[1:]]
+        vals = [int(t) for t in tok[1:]]
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
+    for t in tok[1:]:
+        if not t.isascii() or "_" in t:
+            raise ValueError(f"line {lineno}: {t!r} is not an integer of ASCII digits")
+    return vals
 
 
 def read_graph(path) -> Graph:

@@ -373,13 +373,21 @@ class SampleSet:
         """(rows, weights): the distinct sample rows as float64, in the
         lexicographic order of np.unique on the float rows, and their
         frequencies counts/n as an (m, 1) column. Rows are compared bit-
-        packed, most significant bit first, so -1 < +1 orders them alike."""
+        packed, most significant bit first, so -1 < +1 orders them alike:
+        the packed bytes, zero-padded to whole words, read as big-endian
+        uint64 keys that one stable lexsort orders, first word first."""
+        n = self.n
         packed = np.packbits(self.spins > 0, axis=1)
-        _, first, counts = np.unique(
-            packed, axis=0, return_index=True, return_counts=True
-        )
+        padded = np.zeros((n, -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+        padded[:, :packed.shape[1]] = packed
+        keys = padded.view(">u8")
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+        first = order[starts]
+        counts = np.diff(np.r_[starts, n])
         rows = self.spins[first].astype(np.float64)
-        wgt = (counts / self.n)[:, None]
+        wgt = (counts / n)[:, None]
         rows.flags.writeable = False
         wgt.flags.writeable = False
         return rows, wgt
@@ -438,10 +446,10 @@ class _Glauber:
     With every spin +1, draw (i, u) keeps the state exactly when
     u < top[i], the loop's own comparison with every neighbor +1; with
     every spin -1 it keeps it exactly when u >= bottom[i]. Once the
-    state is aligned, one numpy comparison over the chunk finds the draws
-    that would move it, and the loop jumps to the next of them. The
-    draws are still taken from the rng in the same order, and the ones
-    jumped over change nothing, so the chain is the same.
+    state is aligned, one numpy comparison over the rest of the chunk
+    finds the draws that would move it, and the loop jumps to the next of
+    them. The draws are still taken from the rng in the same order, and
+    the ones jumped over change nothing, so the chain is the same.
     """
 
     _CHUNK = 128  # sweeps of randomness drawn per batch
@@ -468,6 +476,8 @@ class _Glauber:
         # P(+1) at each site with every neighbor +1, and with every one -1
         self.top = np.array([r[self.key(m)] for r, m in zip(self.rows, self.nbm)])
         self.bottom = np.array([r[self.key(0)] for r in self.rows])
+        # draws the first window of a walk converts in _table_chunk
+        self.window = 2 * self.p
 
     def initial_state(self, rng) -> list:
         return (rng.integers(0, 2, self.p) * 2 - 1).tolist()
@@ -503,22 +513,30 @@ class _Glauber:
         """The loop over one chunk of draws (numpy arrays), x and its mask X
         advanced together; returns (sweeps_run, stopped_early, X). The
         per-draw loop stops after a flip that aligns the state, and the
-        jump takes over. Draws become Python numbers only from the first
-        one the loop walks, so a chunk spent aligned converts none."""
+        jump takes over. Draws become Python numbers only as far as the
+        loop walks: a walk converts a window of self.window draws, then
+        windows twice as long while it goes on, except that a walk from a
+        chunk start more than two flips from alignment converts the whole
+        chunk (it seldom aligns soon, and one window costs least)."""
         p = self.p
         rows, nbm, bit, key = self.rows, self.nbm, self.bit, self.key
         full = (1 << p) - 1
         n_d = len(us)
-        moves = {}  # aligned mask -> indices of the chunk's draws that move it
+        moves = {}  # aligned mask -> (base, offsets from base of the draws that move it)
         pos = 0  # draws of the chunk taken so far
-        its = None  # the sites as Python ints, once the loop walks a draw
+        hi = 0  # draws converted so far; those from pos on wait in `draws`
+        c = X.bit_count()
+        width = self.window if min(c, p - c) <= 2 else n_d  # the next window's draws
         while pos < n_d:
             if X == full or not X:
                 if X not in moves:
-                    moves[X] = np.flatnonzero(
-                        us >= self.top[sites] if X else us < self.bottom[sites]).tolist()
-                j = bisect.bisect_left(moves[X], pos)
-                nxt = moves[X][j] if j < len(moves[X]) else n_d
+                    # draws before pos are spent, and a later visit starts later
+                    s, u = sites[pos:], us[pos:]
+                    moves[X] = pos, (
+                        u >= self.top[s] if X else u < self.bottom[s]).nonzero()[0].tolist()
+                base, mv = moves[X]
+                j = bisect.bisect_left(mv, pos - base)
+                nxt = base + mv[j] if j < len(mv) else n_d
                 # all -1 fails the next magnetization check, so the jump stops
                 # there; all +1 passes every check it jumps over
                 check = pos - pos % p + p
@@ -526,12 +544,13 @@ class _Glauber:
                     return check // p, True, X
                 if nxt == n_d:
                     break
-                if its is not None:
-                    next(itertools.islice(draws, nxt - pos, nxt - pos), None)
-                pos = nxt
-            if its is None:
-                its = iter(sites[pos:].tolist())
-                draws = zip(its, us[pos:].tolist())
+                pos = hi = nxt
+                width = self.window
+            if pos == hi:
+                hi = min(n_d, pos + width)
+                width *= 2
+                its = iter(sites[pos:hi].tolist())
+                draws = zip(its, us[pos:hi].tolist())
             end = pos - pos % p + p if stop else n_d
             for i, u in itertools.islice(draws, end - pos) if stop else draws:
                 if u < rows[i][key(X & nbm[i])]:
@@ -545,7 +564,7 @@ class _Glauber:
                     X ^= bit[i]
                     if not X:
                         break
-            pos = n_d - operator.length_hint(its)
+            pos = hi - operator.length_hint(its)
             if stop and pos == end and 2 * X.bit_count() < p:
                 return pos // p, True, X
         return n_d // p, False, X

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from isinglearn import cli, experiments
+from isinglearn import analysis, cli, experiments
 from isinglearn.cli import main, sweep_config_from_file
 from isinglearn.experiments import SweepConfig
 from isinglearn.graphs import FAMILIES, GraphFamilySpec, make_tree, read_graph, write_graph
-from isinglearn.ising import read_samples
+from isinglearn.ising import gibbs_sample, read_samples, write_samples
 from isinglearn.learners import LearnerConfig, default_ind_params, tau_tree
 
 
@@ -453,6 +453,7 @@ _ISOLATED_ROOT = ("p 3\ne 0 1\n", "root 3 has no neighbors")
 _NOT_INT = ("p 3\ne 0 x\n", "line 2: invalid literal for int() with base 10: 'x'")
 _EXTRA_INDEX = ("p 3\ne 0 1 2\n", "line 2: extra tokens")
 _P_ZERO = ("p 0\n", "line 1: vertex count must be >= 1, got 0")
+_UNDERSCORE = ("p 12\ne 0 1_0\n", "line 2: '1_0' is not an integer of ASCII digits")
 _INCOHERENCE = ["analyze", "incoherence", "--theta", "0.3", "--root", "3"]
 _SAMPLE = ["sample", "--theta", "0.3", "--n", "10", "--burn-in", "5", "--thin", "1"]
 
@@ -470,11 +471,14 @@ _SAMPLE = ["sample", "--theta", "0.3", "--n", "10", "--burn-in", "5", "--thin", 
         (["analyze", "incoherence-sweep", "--points", "2", "--root", "3"], _ISOLATED_ROOT),
         (_INCOHERENCE, _P_ZERO),
         (_SAMPLE, _P_ZERO),
+        (_INCOHERENCE, _UNDERSCORE),
+        (_SAMPLE, _UNDERSCORE),
     ],
     ids=["incoherence-p-count", "incoherence-e-index", "sample-p-count",
          "sample-e-index", "sample-e-not-int", "sample-e-extra",
          "incoherence-isolated-root", "sweep-isolated-root",
-         "incoherence-p-zero", "sample-p-zero"],
+         "incoherence-p-zero", "sample-p-zero", "incoherence-e-underscore",
+         "sample-e-underscore"],
 )
 def test_unusable_graph_is_usage_error(tmp_path, capsys, argv, record):
     text, message = record
@@ -652,10 +656,13 @@ def test_sweep_rejects_unknown_tau_rule(tmp_path, capsys):
         ("tol = inf", "tol must be > 0 and finite, got inf"),
         ("max_iter = 0", "max_iter must be >= 1, got 0"),
         ("rule = xor", "unknown edge rule 'xor'"),
+        ("seed = -1", "seed must be >= 0, got -1"),
+        ("mixing_cap = 0", "mixing_cap must be >= 1, got 0"),
+        ("mixing_cap = -4", "mixing_cap must be >= 1, got -4"),
     ],
     ids=["budget-nan", "budget-negative", "budget-inf", "lambda0-nan", "lambda0-negative",
          "lambda0-inf", "tol-negative", "tol-zero", "tol-nan", "tol-inf", "max-iter-zero",
-         "rule-unknown"],
+         "rule-unknown", "seed-negative", "mixing-cap-zero", "mixing-cap-negative"],
 )
 def test_sweep_rejects_bad_config_values(tmp_path, capsys, line, message):
     cfg = tmp_path / "sweep.cfg"
@@ -872,6 +879,14 @@ def sweep_files(draw):
     return "".join(f"{k} = {v}\n" for k, v in values.items())
 
 
+def _run_cli(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one cli.main call."""
+    printed, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, printed.getvalue(), err.getvalue()
+
+
 @settings(max_examples=400, deadline=None)
 @given(text=sweep_files())
 def test_sweep_file_boundary(text):
@@ -884,12 +899,10 @@ def test_sweep_file_boundary(text):
     ):
         cfg, out = Path(tmp) / "sweep.cfg", Path(tmp) / "sweep.csv"
         cfg.write_text(text)
-        printed, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(err):
-            rc = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        rc, printed, err = _run_cli(["sweep", "--config", str(cfg), "--out", str(out)])
         if rc == 2:
-            assert re.fullmatch(r"isinglearn: error: [^\n]*\n", err.getvalue())
-            assert printed.getvalue() == "" and not out.exists()
+            assert re.fullmatch(r"isinglearn: error: [^\n]*\n", err)
+            assert printed == "" and not out.exists()
             return
         assert rc == 0
         lines = out.read_text().splitlines()
@@ -897,3 +910,71 @@ def test_sweep_file_boundary(text):
         want = experiments.run_sweep(sweep_config_from_file(cfg)).csv_lines(timestamp=False)
         assert [ln.rsplit(",", 1)[0] for ln in lines[1:]] == [
             ln.rsplit(",", 1)[0] for ln in want]
+
+
+# Graph-file lines: `p` and `e` records with valid, boundary and junk
+# counts and indices, and lines that are no record at all. A vertex count
+# of 27 is one past the enumeration limit; sampling reads it at n = 3.
+_COUNT_TOKENS = ("1", "2", "27", "0", "-2", "x", "2.5", "1e1", "1_0", "٣", "3 4", "")
+_INDEX_TOKENS = ("-1", "+1", "007", "26", "x", "1.0", "1e1", "1_0", "٣", "")
+_OTHER_LINES = ("", "# a comment", "   ", "\t", "q 1 2", "E 0 1", "e", "p", "pe 1",
+                "\ufeffp 3", "e 0 1 # x", "\x00", "p 5", "e 0 0", "e 1 0")
+_RARELY = st.integers(0, 15).map(lambda i: i == 7)  # a middle draw, favoured least
+
+
+@st.composite
+def graph_files(draw):
+    """A graph file's text: usually a `p` line with a valid count, then
+    distinct in-range edges, vertex 0's first; rarely a junk count or
+    index, a junk line, a shuffled order or CRLF line ends."""
+    p = draw(st.sampled_from((3, 5, 6)))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)).filter(lambda e: e[0] != e[1]),
+        unique_by=frozenset, max_size=8))
+    root_edge = (0, draw(st.integers(1, p - 1)))  # analyze's root 1 has a neighbor
+    if not draw(_RARELY) and {0, root_edge[1]} not in map(set, edges):
+        edges.insert(0, root_edge)
+
+    def tok(v, junk):
+        return draw(st.sampled_from(junk)) if draw(_RARELY) else str(v)
+
+    lines = [] if draw(_RARELY) else [f"p {tok(p, _COUNT_TOKENS)}"]
+    for i, j in edges:
+        if draw(_RARELY):
+            lines.append(draw(st.sampled_from(_OTHER_LINES)))
+        lines.append(f"e {tok(i, _INDEX_TOKENS)} {tok(j, _INDEX_TOKENS)}")
+    if draw(_RARELY):
+        lines = draw(st.permutations(lines))
+    end = "\r\n" if draw(_RARELY) else "\n"
+    return "".join(line + end for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=graph_files())
+def test_graph_file_boundary(text):
+    """Every graph file either gives `analyze incoherence` and a tiny
+    `sample` run the outputs that the library gives on read_graph's graph,
+    or is refused with one `isinglearn: error:` line (exit 2) and no file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        inc, samples = Path(tmp) / "inc.json", Path(tmp) / "s.txt"
+        for argv, out in (
+            (["analyze", "incoherence", "--theta", "0.3"], inc),
+            (["sample", "--theta", "0.3", "--n", "3", "--burn-in", "2", "--thin", "1"], samples),
+        ):
+            rc, printed, err = _run_cli(argv + ["--graph", str(path), "--out", str(out)])
+            if rc == 2:
+                assert re.fullmatch(r"isinglearn: error: [^\n]*\n", err)
+                assert printed == "" and not out.exists()
+                continue
+            assert rc == 0 and err == ""
+            g = read_graph(path)
+            if out is inc:
+                rep = analysis.graph_incoherence(g, 0.3, 1)
+                got = json.loads(out.read_text())
+                assert got["norm"] == rep.norm and got["neighbors"] == sorted(rep.neighbors)
+            else:
+                want = Path(tmp) / "want.txt"
+                write_samples(gibbs_sample(g, 0.3, n=3, burn_in=2, thin=1, seed=0), want)
+                assert out.read_bytes() == want.read_bytes()

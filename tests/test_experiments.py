@@ -103,6 +103,12 @@ class TestRunSweep:
             # sampling, and rlr at lambda0 = 0 ran it
             ({"theta_grid": (0.6, 0.0)}, r"finite and > 0, got \(0.6, 0.0\)"),
             ({"theta_grid": (-0.3,)}, r"finite and > 0, got \(-0.3,\)"),
+            # numpy's seed message named no key; with burn_in and thin given
+            # mixing_cap went unused, and without them estimate_mixing named
+            # its own parameter
+            ({"seed": -1}, r"seed must be >= 0, got -1"),
+            ({"mixing_cap": -4}, r"mixing_cap must be >= 1, got -4"),
+            ({"mixing_cap": 0, "burn_in": None, "thin": None}, r"mixing_cap must be >= 1, got 0"),
         ],
     )
     def test_rejects_bad_values(self, kw, message):

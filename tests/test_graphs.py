@@ -256,13 +256,16 @@ class TestGraphFile:
             ("p 3\ne 0 1 2\n", "line 2: extra tokens"),
             ("# comment\np 0\n", "line 2: vertex count must be >= 1, got 0"),
             ("p -3\ne 0 1\n", "line 1: vertex count must be >= 1, got -3"),
+            # int() read these as 10 and 3
+            ("p 12\ne 0 1_0\n", "line 2: '1_0' is not an integer of ASCII digits"),
+            ("p \u0663\n", "line 1: '\u0663' is not an integer of ASCII digits"),
         ],
         ids=["p-count", "e-index", "p-not-int", "e-not-int", "p-extra", "e-extra",
-             "p-zero", "p-negative"],
+             "p-zero", "p-negative", "e-underscore", "p-other-digits"],
     )
     def test_rejects_short_record(self, tmp_path, text, message):
         path = tmp_path / "short.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError) as exc:
             read_graph(path)
         assert str(exc.value) == message

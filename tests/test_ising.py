@@ -383,6 +383,15 @@ def _field(p, edges, scale, seed):
     return dict(zip(edges, ths.tolist()))
 
 
+# A random 4-regular graph on 30 vertices, as in criterion 10, and a
+# ferromagnetic per-edge field on it with distinct couplings near theta.
+_REG30 = make_random_regular(30, 4, seed=7).sorted_edges()
+
+
+def _ferro(theta):
+    return {e: theta + 0.001 * k for k, e in enumerate(_REG30)}
+
+
 @st.composite
 def field_cases(draw):
     """(p, couplings, nsweeps, stop, start, seed, row_entries) for the kernel
@@ -542,6 +551,16 @@ class TestHeatBathKernel:
     @example(case=(5, _sparse_edges(5, 10, 6), 3.0, 129, False, "minus", 18))
     @example(case=(5, _sparse_edges(5, 4, 7), -3.0, 300, False, "plus", 19))
     @example(case=(5, _sparse_edges(5, 4, 7), -3.0, 300, True, "plus", 20))
+    # criterion 10's graph on both sides of theta_thr(4) = 0.4203: walks from
+    # an aligned state run past 2p, 4p and 8p draws, across window edges
+    @example(case=(30, _REG30, 0.45, 300, False, "plus", 21))
+    @example(case=(30, _REG30, 0.45, 300, True, "plus", 22))
+    @example(case=(30, _REG30, 0.45, 300, False, "minus", 23))
+    @example(case=(30, _REG30, 0.45, 300, True, "minus", 24))
+    @example(case=(30, _REG30, 0.65, 300, False, "plus", 25))
+    @example(case=(30, _REG30, 0.65, 300, True, "plus", 26))
+    @example(case=(30, _REG30, 0.65, 300, False, "minus", 27))
+    @example(case=(30, _REG30, 0.65, 300, True, "minus", 28))
     def test_matches_reference_loop(self, case):
         p, edges, theta, nsweeps, stop, start, seed = case
         kern = ising._Glauber(CouplingField.homogeneous(Graph(p, set(edges)), theta))
@@ -596,6 +615,15 @@ class TestHeatBathKernel:
     @example(case=(6, {(1, 2): 2.5, (2, 3): 2.9, (3, 4): 2.7, (5, 6): -2.8}, 300, True, "plus",
                    10, None))
     @example(case=(4, {(1, 2): -2.0, (2, 3): -2.5, (3, 4): -3.0}, 300, True, "plus", 11, None))
+    # long walks from aligned states across window edges, as above
+    @example(case=(30, _ferro(0.45), 300, False, "plus", 12, None))
+    @example(case=(30, _ferro(0.45), 300, True, "plus", 13, None))
+    @example(case=(30, _ferro(0.45), 300, False, "minus", 14, None))
+    @example(case=(30, _ferro(0.45), 300, True, "minus", 15, None))
+    @example(case=(30, _ferro(0.65), 300, False, "plus", 16, None))
+    @example(case=(30, _ferro(0.65), 300, True, "plus", 17, None))
+    @example(case=(30, _ferro(0.65), 300, False, "minus", 18, None))
+    @example(case=(30, _ferro(0.65), 300, True, "minus", 19, None))
     def test_field_matches_reference_loop(self, case):
         p, couplings, nsweeps, stop, start, seed, entries = case
         fld = CouplingField.from_dict(p, couplings)
@@ -613,6 +641,34 @@ class TestHeatBathKernel:
         assert out == ref
         assert x == x_ref
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("theta", [0.45, 0.65])
+    @pytest.mark.parametrize("per_edge", [False, True])
+    @pytest.mark.parametrize("window", [None, 1])
+    def test_windowed_walks_match_reference_runs(self, theta, per_edge, window):
+        # blocks of 25 sweeps, compared block by block, because chains that
+        # share their draws meet again soon after a wrong draw in this phase;
+        # a first window of one draw (window = 1) puts window edges in every
+        # walk, at 1, 3, 7, 15, ... draws after it starts
+        g = Graph(30, set(_REG30))
+        fld = ising._as_field(g, CouplingField.from_dict(30, _ferro(theta)) if per_edge else theta)
+        kern = ising._Glauber(fld)
+        for k, (start, stop) in enumerate(itertools.product(("plus", "minus", "random"),
+                                                            (False, True))):
+            rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+            if start == "random":
+                x, x_ref = kern.initial_state(rng), kern.initial_state(ref_rng)
+            else:
+                x = [1 if start == "plus" else -1] * 30
+                x_ref = list(x)
+            with mock.patch.object(kern, "window", window or kern.window):
+                for out in kern.blocks(x, (25,) * 12, rng, stop):
+                    if per_edge:
+                        ref = reference_field_run(fld, x_ref, 25, ref_rng, stop)
+                    else:
+                        ref = reference_glauber_run(30, _REG30, theta, x_ref, 25, ref_rng, stop)
+                    assert out == ref and x == x_ref, (start, stop)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_rows_keep_at_most_the_bound(self):
         # the hub of a p=30 star meets about one new neighbor mask per update
@@ -632,13 +688,18 @@ class TestSampleSetRows:
         if kind == "identical":
             return np.tile(rng.choice([-1, 1], size=p), (40, 1))
         patterns = rng.choice([-1, 1], size=(12, p))
-        if p <= 9:
+        if kind == "tail differs":
+            # rows agree but in their last three spins, so past p = 64 only
+            # a later key word orders them
+            patterns[:, : max(p - 3, 0)] = patterns[0, : max(p - 3, 0)]
+        elif p <= 9:
             # every row of p spins, so the order crosses the byte boundary
             patterns = 1 - 2 * ((np.arange(1 << p)[:, None] >> np.arange(p)) & 1)
         return patterns[rng.integers(0, len(patterns), 3 * len(patterns))]
 
-    @pytest.mark.parametrize("p", [1, 7, 8, 9, 30, 70])
-    @pytest.mark.parametrize("kind", ["one row", "identical", "repeated"])
+    # 63, 64 and 65 sit at the edge of one 64-bit key word, 128 fills two
+    @pytest.mark.parametrize("p", [1, 7, 8, 9, 30, 63, 64, 65, 70, 128])
+    @pytest.mark.parametrize("kind", ["one row", "identical", "repeated", "tail differs"])
     def test_distinct_rows_match_float_unique(self, p, kind):
         spins = self._spins(p, kind, np.random.default_rng(p))
         s = SampleSet(spins, seed=0, burn_in=1, thin=1)
