@@ -12,6 +12,7 @@ import numpy as np
 from . import analysis, experiments
 from .graphs import GenerationFailure, GraphFamilySpec, read_graph, write_graph
 from .ising import (
+    _seeded_settings,
     empirical_correlations,
     gibbs_sample,
     read_samples,
@@ -45,15 +46,15 @@ def _jsonable(obj):
 
 def _cmd_sample(args) -> int:
     g = read_graph(args.graph)
-    s = gibbs_sample(
-        g,
-        args.theta,
-        n=args.n,
-        burn_in=args.burn_in,
-        thin=args.thin,
-        seed=args.seed,
-        mixing_cap=args.mixing_cap,
+    burn_in, thin, est, _ = _seeded_settings(
+        g, args.theta, args.burn_in, args.thin, args.seed, args.mixing_cap
     )
+    s = gibbs_sample(g, args.theta, n=args.n, burn_in=burn_in, thin=thin, seed=args.seed)
+    if est is not None and est.saturated:
+        unset = " and ".join(k for k, v in (("burn-in", args.burn_in), ("thin", args.thin))
+                             if v is None)
+        print(f"isinglearn: warning: {unset} came from a mixing estimate that reached"
+              f" mixing_cap = {args.mixing_cap} sweeps", file=sys.stderr)
     write_samples(s, args.out)
     if args.corr_out:
         write_correlations_csv(empirical_correlations(s), args.corr_out)
@@ -123,10 +124,7 @@ def _cmd_analyze(args) -> int:
     if args.report == "incoherence":
         g = read_graph(args.graph)
         rep = analysis.graph_incoherence(g, args.theta, args.root)
-        payload = _jsonable(rep)
-        payload["q_ss"] = np.asarray(rep.q_ss).tolist()
-        payload["q_scs"] = np.asarray(rep.q_scs).tolist()
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(args.out).write_text(json.dumps(_jsonable(rep), indent=2) + "\n")
     elif args.report == "tree-limit":
         rep = analysis.tree_limit_report(args.delta, args.theta)
         Path(args.out).write_text(json.dumps(_jsonable(rep), indent=2) + "\n")
@@ -352,9 +350,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    # input that cannot be run, or a graph family that cannot be drawn
-    except (OSError, ValueError, experiments.BudgetExceeded, GenerationFailure) as exc:
-        print(f"isinglearn: error: {exc}", file=sys.stderr)
+    # input that cannot be run, a graph family that cannot be drawn, or a
+    # size that does not fit in memory (whose MemoryError may carry no text)
+    except (OSError, ValueError, MemoryError, experiments.BudgetExceeded,
+            GenerationFailure) as exc:
+        print(f"isinglearn: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

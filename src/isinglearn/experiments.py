@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .graphs import Graph, GraphFamilySpec, build_graph
+from .graphs import GraphFamilySpec, build_graph
 from .ising import _settings_from_sweeps, default_sampler_settings, gibbs_sample
 from .learners import LearnerConfig, rlr_graph, run_learner
 
@@ -137,17 +137,6 @@ def estimate_seconds(cfg: SweepConfig) -> float:
     return estimate_work_units(cfg) * SECONDS_PER_UNIT
 
 
-def _neighborhoods_of(g: Graph) -> dict:
-    return {v: set(g.neighbors(v)) for v in range(1, g.p + 1)}
-
-
-def _vertex_success_rate(learned: Graph, truth: Graph) -> float:
-    lv = _neighborhoods_of(learned)
-    tv = _neighborhoods_of(truth)
-    ok = sum(1 for v in tv if lv[v] == tv[v])
-    return ok / truth.p
-
-
 def _available_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
     has one, else the machine's count."""
@@ -195,8 +184,9 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         )
     p = cfg.family.num_vertices
     lam0s_desc = sorted(cfg.lambda0_grid, reverse=True)
-    acc: dict = {}
-    sat_count: dict = {}
+    # (theta, lambda0, n) -> one record per trial: exact recovery, vertex
+    # rate, runtime share, sampler saturated, unconverged
+    tally: dict = {}
     keys = list(itertools.product(
         range(len(cfg.theta_grid)), range(len(cfg.n_grid)), range(cfg.trials)
     ))
@@ -234,37 +224,23 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                     learned = run_learner(cfg.learner, s, theta, g.max_degree or 1)
                     unconverged = False
                 learn_ms = (time.perf_counter() - t_learn0) * 1000.0
-                key = (theta, lam0, n)
-                rec = acc.setdefault(key, [0, 0.0, 0.0, 0, 0])
-                rec[0] += learned.edges == g.edges
-                rec[1] += _vertex_success_rate(learned, g)
-                rec[2] += learn_ms + sample_ms / len(lam0s_desc)
-                rec[3] += 1
-                rec[4] += unconverged
-                sat_count[key] = sat_count.get(key, 0) + saturated
+                tally.setdefault((theta, lam0, n), []).append((
+                    learned.edges == g.edges,
+                    sum(learned.neighbors(v) == g.neighbors(v) for v in range(1, g.p + 1)) / g.p,
+                    learn_ms + sample_ms / len(lam0s_desc),
+                    saturated,
+                    unconverged,
+                ))
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
     out = SweepResult()
-    for theta in cfg.theta_grid:
-        for lam0 in sorted(cfg.lambda0_grid):
-            for n in cfg.n_grid:
-                key = (theta, lam0, n)
-                wins, vsum, ms, trials, unconverged = acc[key]
-                out.cells.append(
-                    CellResult(
-                        theta=theta,
-                        lambda0=lam0,
-                        n=n,
-                        trials=trials,
-                        successes=wins,
-                        p_succ=wins / trials,
-                        p_vertex=vsum / trials,
-                        mean_runtime_ms=ms / trials,
-                        sampler_saturated=sat_count[key],
-                        unconverged=unconverged,
-                    )
-                )
+    for key in itertools.product(cfg.theta_grid, sorted(cfg.lambda0_grid), cfg.n_grid):
+        wins, rates, ms, saturated, unconverged = map(sum, zip(*tally[key]))
+        t = len(tally[key])
+        out.cells.append(CellResult(*key, trials=t, successes=wins, p_succ=wins / t,
+                                    p_vertex=rates / t, mean_runtime_ms=ms / t,
+                                    sampler_saturated=saturated, unconverged=unconverged))
     if cfg.out:
         out.write_csv(cfg.out)
     return out

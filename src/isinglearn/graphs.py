@@ -9,7 +9,7 @@ Serialized graph files use 0-based vertex indices; in-memory graphs are
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable
 
@@ -198,21 +198,30 @@ def make_toy_gp_prime(p: int) -> Graph:
     return Graph(p, frozenset({(1, 2)}))
 
 
-FAMILIES = (
-    "tree",
-    "star",
-    "grid",
-    "diluted-grid",
-    "random-regular",
-    "regular-plus-edge",
-    "toy-gp",
-    "toy-gp-prime",
-)
+def _diluted_grid(side: int, periodic: bool, dilution: float, seed: int) -> Graph:
+    return dilute(make_grid(side, periodic), dilution, seed)
+
+
+# family -> (builder, the GraphFamilySpec fields it takes, in order, and
+# whether the seed follows them). The one list of families and of the
+# fields each one reads.
+_FAMILY_TABLE = {
+    "tree": (make_tree, ("p", "shape", "branching"), False),
+    "star": (make_star, ("p", "deg"), False),
+    "grid": (make_grid, ("side", "periodic"), False),
+    "diluted-grid": (_diluted_grid, ("side", "periodic", "dilution"), True),
+    "random-regular": (make_random_regular, ("p", "delta"), True),
+    "regular-plus-edge": (make_regular_plus_edge, ("p", "delta"), True),
+    "toy-gp": (make_toy_gp, ("p",), False),
+    "toy-gp-prime": (make_toy_gp_prime, ("p",), False),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 @dataclass(frozen=True)
 class GraphFamilySpec:
-    """Declarative description of one graph-family instance."""
+    """Declarative description of one graph-family instance. A field the
+    family does not read must keep its default."""
 
     family: str
     p: int = 0
@@ -227,34 +236,22 @@ class GraphFamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        reads = _FAMILY_TABLE[self.family][1]
+        for f in fields(self)[1:]:
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ValueError(f"family {self.family!r} does not read {f.name}"
+                                 f" (got {getattr(self, f.name)!r})")
 
     @property
     def num_vertices(self) -> int:
-        if self.family in ("grid", "diluted-grid"):
-            return self.side * self.side
-        return self.p
+        return self.p if "p" in _FAMILY_TABLE[self.family][1] else self.side * self.side
 
 
 def build_graph(spec: GraphFamilySpec, seed: int) -> Graph:
     """Materialize a family spec; `seed` drives the random families."""
-    f = spec.family
-    if f == "tree":
-        return make_tree(spec.p, spec.shape, spec.branching)
-    if f == "star":
-        return make_star(spec.p, spec.deg)
-    if f == "grid":
-        return make_grid(spec.side, spec.periodic)
-    if f == "diluted-grid":
-        return dilute(make_grid(spec.side, spec.periodic), spec.dilution, seed)
-    if f == "random-regular":
-        return make_random_regular(spec.p, spec.delta, seed)
-    if f == "regular-plus-edge":
-        return make_regular_plus_edge(spec.p, spec.delta, seed)
-    if f == "toy-gp":
-        return make_toy_gp(spec.p)
-    if f == "toy-gp-prime":
-        return make_toy_gp_prime(spec.p)
-    raise AssertionError(f)
+    builder, reads, seeded = _FAMILY_TABLE[spec.family]
+    args = [getattr(spec, f) for f in reads]
+    return builder(*args, seed) if seeded else builder(*args)
 
 
 def write_graph(g: Graph, path) -> None:

@@ -134,12 +134,18 @@ class ExactDistribution:
     pairwise and there is no external field, so x and -x have the same
     energy, and every expectation over all states is read from that half:
     each method below says how.
+
+    Built from a graph and its coupling field, it computes log_z and corr
+    at once: weights are taken relative to the running maximum energy (a
+    streaming log-sum-exp over slabs), so none overflows and the largest
+    is 1. The half holds half of Z and the same pair moments as the whole,
+    so log Z gains log 2 and corr is the half's.
     """
 
     graph: Graph
     field: CouplingField
-    log_z: float
-    corr: np.ndarray
+    log_z: float = dc_field(init=False)
+    corr: np.ndarray = dc_field(init=False)
     _x_lo: np.ndarray = dc_field(init=False, repr=False)
     _x_hi: np.ndarray = dc_field(init=False, repr=False)
     _h_lo: np.ndarray = dc_field(init=False, repr=False)
@@ -148,6 +154,10 @@ class ExactDistribution:
 
     def __post_init__(self):
         p = self.graph.p
+        if p > ENUMERATION_MAX_P:
+            raise EnumerationTooLarge(
+                f"p={p} exceeds the enumeration budget of {ENUMERATION_MAX_P}"
+            )
         b = min(p - 1, _LO_BITS)
         j_up = np.zeros((p, p))
         for i, j, th in self.field.couplings:
@@ -160,6 +170,23 @@ class ExactDistribution:
         # every lo vertex precedes every hi vertex, so the cross couplings
         # sit in the upper-right block; row k is hi vertex k's field per lo
         self._cross = j_up[:b, b:].T @ x_lo.T
+        shift = -math.inf
+        z = 0.0
+        s = np.zeros((p, p))
+        for rows, e in self._slabs():
+            top = float(e.max())
+            if top > shift:
+                scale = math.exp(shift - top)
+                z *= scale
+                s *= scale
+                shift = top
+            e -= shift
+            w = np.exp(e, out=e)
+            z += float(w.sum())
+            s += self._pair_sums(rows, w)
+        self.log_z = shift + math.log(z) + math.log(2.0)
+        self.corr = s / z
+        np.fill_diagonal(self.corr, 1.0)
 
     def _slabs(self):
         """Yield (rows, E): a slice of hi indices and the energies of those
@@ -290,39 +317,9 @@ class ExactDistribution:
 
 
 def exact_moments(g: Graph, theta) -> ExactDistribution:
-    """Exact partition function and pair correlations by full enumeration.
-
-    Stable for arbitrary couplings: weights are taken relative to the
-    running maximum energy (a streaming log-sum-exp over slabs), so none
-    overflows and the largest is 1. The x_p = +1 half holds half of Z and
-    the same pair moments as the whole, so log Z gains log 2 and corr is
-    the half's.
-    """
-    if g.p > ENUMERATION_MAX_P:
-        raise EnumerationTooLarge(
-            f"p={g.p} exceeds the enumeration budget of {ENUMERATION_MAX_P}"
-        )
-    fld = _as_field(g, theta)
-    dist = ExactDistribution(g, fld, log_z=math.nan, corr=np.empty(0))
-    shift = -math.inf
-    z = 0.0
-    s = np.zeros((g.p, g.p))
-    for rows, e in dist._slabs():
-        top = float(e.max())
-        if top > shift:
-            scale = math.exp(shift - top)
-            z *= scale
-            s *= scale
-            shift = top
-        e -= shift
-        w = np.exp(e, out=e)
-        z += float(w.sum())
-        s += dist._pair_sums(rows, w)
-    dist.log_z = shift + math.log(z) + math.log(2.0)
-    corr = s / z
-    np.fill_diagonal(corr, 1.0)
-    dist.corr = corr
-    return dist
+    """Exact partition function and pair correlations of g under theta (a
+    CouplingField or one coupling on every edge) by full enumeration."""
+    return ExactDistribution(g, _as_field(g, theta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -618,6 +615,15 @@ def default_sampler_settings(
     return b if burn_in is None else burn_in, t if thin is None else thin, est
 
 
+def _seeded_settings(g: Graph, theta, burn_in, thin, seed: int, mixing_cap: int):
+    """(burn_in, thin, estimate, chain seed) of gibbs_sample at `seed`: the
+    mixing estimate and the chain each take one child of the seed."""
+    mix_seed, run_seed = np.random.SeedSequence(seed).spawn(2)
+    return *default_sampler_settings(
+        g, theta, burn_in, thin, mix_seed.generate_state(1)[0], mixing_cap
+    ), run_seed
+
+
 def gibbs_sample(
     g: Graph,
     theta,
@@ -635,11 +641,7 @@ def gibbs_sample(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ss = np.random.SeedSequence(seed)
-    mix_seed, run_seed = ss.spawn(2)
-    burn_in, thin, _ = default_sampler_settings(
-        g, theta, burn_in, thin, mix_seed.generate_state(1)[0], mixing_cap
-    )
+    burn_in, thin, _, run_seed = _seeded_settings(g, theta, burn_in, thin, seed, mixing_cap)
     if burn_in < 1 or thin < 1:
         raise ValueError("burn_in and thin must be >= 1")
     fld = _as_field(g, theta)

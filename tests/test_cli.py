@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import re
@@ -12,10 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from isinglearn import analysis, cli, experiments
+from isinglearn import analysis, cli, experiments, ising
 from isinglearn.cli import main, sweep_config_from_file
 from isinglearn.experiments import SweepConfig
-from isinglearn.graphs import FAMILIES, GraphFamilySpec, make_tree, read_graph, write_graph
+from isinglearn.graphs import (
+    FAMILIES, Graph, GraphFamilySpec, make_tree, read_graph, write_graph,
+)
 from isinglearn.ising import gibbs_sample, read_samples, write_samples
 from isinglearn.learners import LearnerConfig, default_ind_params, tau_tree
 
@@ -558,6 +561,46 @@ def test_analyze_sweeps(tmp_path, tree_graph_file):
     assert float(val) == pytest.approx(math.tanh(float(th)), abs=1e-9)
 
 
+def test_sample_warns_of_saturated_mixing_estimate(tmp_path, capsys):
+    # on the complete graph K12 at theta = 0.5 the mixing estimate reaches
+    # mixing_cap = 30 sweeps; sample wrote burn_in = 300, thin = 3 silently
+    graph, out, want = tmp_path / "k12.txt", tmp_path / "s.txt", tmp_path / "want.txt"
+    k12 = Graph.from_edges(12, itertools.combinations(range(1, 13), 2))
+    write_graph(k12, graph)
+    argv = ["sample", "--graph", str(graph), "--theta", "0.5", "--n", "20",
+            "--mixing-cap", "30", "--out", str(out)]
+    for given, unset in (([], "burn-in and thin"), (["--burn-in", "7"], "thin"),
+                         (["--thin", "2"], "burn-in")):
+        assert main(argv + given) == 0
+        printed, err = capsys.readouterr()
+        assert err == (f"isinglearn: warning: {unset} came from a mixing estimate that"
+                       " reached mixing_cap = 30 sweeps\n")
+        s = read_samples(out)
+        assert printed == f"wrote 20 samples of p=12 to {out} (burn_in={s.burn_in}, thin={s.thin})\n"
+        flags = dict(zip(given[::2], map(int, given[1::2])))
+        write_samples(gibbs_sample(k12, 0.5, n=20, mixing_cap=30, burn_in=flags.get("--burn-in"),
+                                   thin=flags.get("--thin")), want)
+        assert out.read_bytes() == want.read_bytes()
+    assert (s.burn_in, s.thin) == (300, 2)
+    # settings given or an estimate under the cap: no warning
+    for extra in (["--burn-in", "7", "--thin", "2"], ["--mixing-cap", "1000", "--theta", "0.1"]):
+        assert main(argv + extra) == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_out_of_memory_is_usage_error(tmp_path, capsys, tree_graph_file):
+    # a graph file of `p 100000000` and one edge ran out of memory in
+    # CouplingField.neighbor_data, and the MemoryError escaped as a traceback
+    out = tmp_path / "s.txt"
+    with mock.patch.object(ising.CouplingField, "neighbor_data", side_effect=MemoryError):
+        assert main(_SAMPLE + ["--graph", str(tree_graph_file), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "isinglearn: error: out of memory\n")
+    assert not out.exists()
+    with mock.patch.object(cli, "write_samples", side_effect=MemoryError("no room")):
+        assert main(_SAMPLE + ["--graph", str(tree_graph_file), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "isinglearn: error: no room\n")
+
+
 def test_sweep_from_config_file(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     out = tmp_path / "sweep.csv"
@@ -792,6 +835,27 @@ def test_sweep_unbuildable_family_is_usage_error(tmp_path, capsys):
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", "isinglearn: error: no simple 6-regular graph on"
                                        " 8 vertices found in 10000 restarts\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"delta": 4}, "family 'tree' does not read delta (got 4)"),
+        ({"rho": 0.3}, "family 'tree' does not read dilution (got 0.3)"),
+        ({"family": "grid", "side": 3}, "family 'grid' does not read p (got 6)"),
+        ({"family": "random-regular", "delta": 3, "shape": "balanced"},
+         "family 'random-regular' does not read shape (got 'balanced')"),
+    ],
+    ids=["tree-delta", "tree-rho", "grid-p", "regular-shape"],
+)
+def test_sweep_refuses_keys_the_family_does_not_read(tmp_path, capsys, changes, message):
+    # family = tree with delta = 4 ran and ignored delta
+    cfg = tmp_path / "sweep.cfg"
+    out = tmp_path / "sweep.csv"
+    cfg.write_text(_small_sweep_with(**changes))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"isinglearn: error: {message}\n")
     assert not out.exists()
 
 

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from isinglearn.graphs import (
+    FAMILIES,
     Graph,
     GraphFamilySpec,
     GenerationFailure,
@@ -213,6 +216,64 @@ def test_families_build_simple_deterministic(family, seed):
     b = build_graph(spec, seed=seed)
     assert a.edges == b.edges
     assert_simple(a)
+
+
+# one spec of each family, setting only the fields that family reads
+_SPECS = {
+    "tree": GraphFamilySpec(family="tree", p=9, shape="balanced", branching=3),
+    "star": GraphFamilySpec(family="star", p=8, deg=5),
+    "grid": GraphFamilySpec(family="grid", side=4, periodic=True),
+    "diluted-grid": GraphFamilySpec(family="diluted-grid", side=4, dilution=0.3),
+    "random-regular": GraphFamilySpec(family="random-regular", p=12, delta=3),
+    "regular-plus-edge": GraphFamilySpec(family="regular-plus-edge", p=12, delta=3),
+    "toy-gp": GraphFamilySpec(family="toy-gp", p=7),
+    "toy-gp-prime": GraphFamilySpec(family="toy-gp-prime", p=7),
+}
+
+
+def test_family_specs_build_their_makers_graphs():
+    assert tuple(_SPECS) == FAMILIES
+    want = {
+        "tree": make_tree(9, "balanced", 3),
+        "star": make_star(8, 5),
+        "grid": make_grid(4, periodic=True),
+        "diluted-grid": dilute(make_grid(4), 0.3, seed=5),
+        "random-regular": make_random_regular(12, 3, seed=5),
+        "regular-plus-edge": make_regular_plus_edge(12, 3, seed=5),
+        "toy-gp": make_toy_gp(7),
+        "toy-gp-prime": make_toy_gp_prime(7),
+    }
+    for family, spec in _SPECS.items():
+        g = build_graph(spec, seed=5)
+        assert g == want[family], family
+        assert spec.num_vertices == g.p
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        # a sweep file of family = tree, p = 6, delta = 4 ran and ignored delta
+        ({"family": "tree", "p": 6, "delta": 4}, "family 'tree' does not read delta (got 4)"),
+        ({"family": "grid", "side": 3, "p": 9}, "family 'grid' does not read p (got 9)"),
+        ({"family": "grid", "side": 3, "dilution": 0.3},
+         "family 'grid' does not read dilution (got 0.3)"),
+        ({"family": "star", "p": 5, "deg": 2, "shape": "balanced"},
+         "family 'star' does not read shape (got 'balanced')"),
+        ({"family": "random-regular", "p": 6, "delta": 3, "periodic": True},
+         "family 'random-regular' does not read periodic (got True)"),
+        ({"family": "toy-gp", "p": 5, "branching": 3},
+         "family 'toy-gp' does not read branching (got 3)"),
+    ],
+)
+def test_spec_refuses_fields_its_family_does_not_read(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GraphFamilySpec(**kwargs)
+
+
+def test_spec_takes_defaults_in_fields_its_family_does_not_read():
+    spec = GraphFamilySpec(family="toy-gp", p=5, delta=0, deg=0, side=0, periodic=False,
+                           dilution=0.0, shape="path", branching=2)
+    assert build_graph(spec, seed=0) == make_toy_gp(5)
 
 
 class TestGraphFile:

@@ -26,6 +26,7 @@ from isinglearn.ising import (
     ENUMERATION_MAX_P,
     CouplingField,
     EnumerationTooLarge,
+    ExactDistribution,
     MixingEstimate,
     SampleSet,
     empirical_correlations,
@@ -143,6 +144,19 @@ class TestExactMoments:
     def test_enumeration_budget(self):
         with pytest.raises(EnumerationTooLarge):
             exact_moments(Graph(27, set()), 0.1)
+        with pytest.raises(EnumerationTooLarge):
+            ExactDistribution(Graph(27, set()), CouplingField(27, ()))
+
+    @pytest.mark.parametrize("theta", [0.2, 0.65, 3.0])
+    @pytest.mark.parametrize("p", [2, 3, 9, 14, 15, 20])
+    def test_constructor_computes_exact_moments(self, p, theta):
+        # the constructor takes the graph and its field alone and fills in
+        # log_z and corr, the same numbers exact_moments gives
+        g = make_tree(p, "balanced", branching=3)
+        d = ExactDistribution(g, CouplingField.homogeneous(g, theta))
+        want = exact_moments(g, theta)
+        assert d.log_z == want.log_z
+        assert np.array_equal(d.corr, want.corr)
 
     @pytest.mark.parametrize("layout", SPLIT_LAYOUTS)
     def test_frustrated_triangle_strong_coupling(self, layout):
@@ -414,6 +428,15 @@ def field_cases(draw):
     return p, couplings, nsweeps, stop, start, seed, entries
 
 
+def _compared_blocks(nsweeps):
+    """Block sizes for a differential kernel test: the whole run, which
+    spans the 128-sweep chunks, then as many sweeps again in blocks of at
+    most 10. Chains that share their draws meet again soon after a wrong
+    draw in the ordered phase, so only a comparison after every short
+    block shows a draw lost or taken twice."""
+    return (nsweeps,) + (10,) * (nsweeps // 10) + ((nsweeps % 10,) if nsweeps % 10 else ())
+
+
 class _FixedDraws:
     """Stands in for the kernel's rng over one sweep: every one of the p
     updates goes to `site` with uniform `u`."""
@@ -571,10 +594,10 @@ class TestHeatBathKernel:
         else:
             s0 = 1 if start == "plus" else -1
             x, x_ref = [s0] * p, [s0] * p
-        out = kern.run(x, nsweeps, rng, stop_on_negative_mag=stop)
-        ref = reference_glauber_run(p, edges, theta, x_ref, nsweeps, ref_rng, stop)
-        assert out == ref
-        assert x == x_ref
+        sizes = _compared_blocks(nsweeps)
+        for size, out in zip(sizes, kern.blocks(x, sizes, rng, stop_on_negative_mag=stop)):
+            ref = reference_glauber_run(p, edges, theta, x_ref, size, ref_rng, stop)
+            assert out == ref and x == x_ref, size
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("thin", [1, 128, 129, 300])
@@ -635,11 +658,11 @@ class TestHeatBathKernel:
         else:
             s0 = 1 if start == "plus" else -1
             x, x_ref = [s0] * p, [s0] * p
+        sizes = _compared_blocks(nsweeps)
         with mock.patch.object(ising, "_ROW_ENTRIES", entries or ising._ROW_ENTRIES):
-            out = kern.run(x, nsweeps, rng, stop_on_negative_mag=stop)
-        ref = reference_field_run(fld, x_ref, nsweeps, ref_rng, stop)
-        assert out == ref
-        assert x == x_ref
+            for size, out in zip(sizes, kern.blocks(x, sizes, rng, stop_on_negative_mag=stop)):
+                ref = reference_field_run(fld, x_ref, size, ref_rng, stop)
+                assert out == ref and x == x_ref, size
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("theta", [0.45, 0.65])
