@@ -68,7 +68,15 @@ class SweepConfig:
             raise ValueError(f"lambda0 values must be finite and >= 0, got {self.lambda0_grid}")
         if not (math.isfinite(self.budget_units) and self.budget_units > 0):
             raise ValueError(f"budget_units must be finite and > 0, got {self.budget_units}")
-        if self.learner.alg != "rlr":
+        # trials are tallied by grid value and seeded by grid index, so a
+        # repeated value would merge two cells into one
+        rlr = self.learner.alg == "rlr"
+        for name in ("theta_grid", "n_grid") + (("lambda0_grid",) if rlr else ()):
+            grid = getattr(self, name)
+            repeated = next((v for i, v in enumerate(grid) if v in grid[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"{name} repeats {repeated}: {grid}")
+        if not rlr:
             self.lambda0_grid = (0.0,)
 
 

@@ -27,6 +27,8 @@ ENUMERATION_MAX_P = 26
 # Most vertices in the lo half of the split enumeration. Vertex p is always
 # a hi vertex, because only its +1 states are walked: at the largest p the
 # two halves are equal, and below 15 vertices vertex p is the hi half.
+# field_moments grows the hi half up to as many vertices, so no table of
+# a split is larger than the constructor's at the largest p.
 _LO_BITS = ENUMERATION_MAX_P // 2
 # States per slab, hi rows times every lo column: 2^18 ran as fast as 2^20
 # at p = 22..26 with a quarter of the memory.
@@ -115,8 +117,132 @@ def _as_field(g: Graph, theta) -> CouplingField:
 def _spin_table(n: int) -> np.ndarray:
     """(2^n, n) spins of every n-bit index: bit k of the index gives
     column k, +1 for bit 0."""
-    idx = np.arange(1 << n)
-    return 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)
+    table = np.ones((1 << n, n))
+    for k in range(n):
+        # bit k is set in the second half of each block of 2^(k+1) indices
+        table.reshape(-1, 2 << k, n)[:, 1 << k:, k] = -1.0
+    return table
+
+
+@dataclass(frozen=True, eq=False)
+class _Split:
+    """Tables of one split enumeration. Split position k holds the 0-based
+    vertex order[k]; positions 0..b-1 are the lo half, position k being
+    bit k of the lo index, and the rest are the hi half. The last position
+    is the top bit of the hi index, and only its +1 rows are kept. A state
+    is a (hi, lo) pair with energy h_hi[hi] + h_lo[lo] + (x_hi @
+    cross)[hi, lo]."""
+
+    order: np.ndarray
+    x_lo: np.ndarray  # (2^b, b)
+    x_hi: np.ndarray  # (2^(p-b-1), p - b)
+    h_lo: np.ndarray
+    h_hi: np.ndarray
+    cross: np.ndarray  # (p - b, 2^b): hi position k's field per lo index
+
+
+def _split_tables(fld: CouplingField, order, x_lo: np.ndarray) -> _Split:
+    """The split of fld's states over the vertex order `order`, whose
+    first b vertices form the lo half of the (2^b, b) spin table x_lo."""
+    p = fld.p
+    b = x_lo.shape[1]
+    pos = np.argsort(order).tolist()
+    j_up = np.zeros((p, p))  # couplings by split position, upper triangle
+    for i, j, th in fld.couplings:
+        j_up[min(pos[i - 1], pos[j - 1]), max(pos[i - 1], pos[j - 1])] = th
+    # the last position, the top bit of the hi index, is +1 on every row kept
+    x_hi = np.ones((1 << (p - b - 1), p - b))
+    x_hi[:, :-1] = _spin_table(p - b - 1)
+    return _Split(
+        order=np.asarray(order),
+        x_lo=x_lo,
+        x_hi=x_hi,
+        h_lo=((x_lo @ j_up[:b, :b]) * x_lo).sum(axis=1),
+        h_hi=((x_hi @ j_up[b:, b:]) * x_hi).sum(axis=1),
+        # every lo position precedes every hi one, so the cross couplings
+        # sit in the upper-right block
+        cross=j_up[:b, b:].T @ x_lo.T,
+    )
+
+
+class _PairSums:
+    """Running sums over one pass of slabs of u x x^T, with u the slab's
+    weights times per-state factors. Each slab is reduced to one product
+    of its weighted hi spins with it, the column sums of u against each
+    hi spin, and to its row sums; the last hi position is +1 on every
+    row, so its row of the product is the plain column sums. The hi-lo
+    and lo-lo blocks are formed once, from those sums, when the pass is
+    read."""
+
+    def __init__(self, split: _Split):
+        hi = split.x_hi.shape[1]
+        self.split = split
+        self.cols = np.zeros((hi, len(split.x_lo)))
+        self.hh = np.zeros((hi, hi))
+
+    def add(self, rows, w: np.ndarray, g: np.ndarray | None = None) -> None:
+        """Add the slab of hi rows `rows` with weights w (rows, 2^b) times
+        g[hi, lo % m] for g of shape (rows, m), or times 1 when g is None.
+        With m > 1 this scales w in place."""
+        x = x_hi = self.split.x_hi[rows]
+        if g is not None and g.shape[1] > 1:  # a factor that varies along rows
+            w3 = w.reshape(len(w), -1, g.shape[1])
+            w3 *= g[:, None, :]
+        elif g is not None:  # a row factor scales the hi spins instead
+            x = x * g
+        self.cols += x.T @ w
+        self.hh += (x.T * w.sum(axis=1)) @ x_hi
+
+    def scale(self, f: float) -> None:
+        self.cols *= f
+        self.hh *= f
+
+    def sums(self) -> np.ndarray:
+        """The (p, p) sums of u x x^T, in vertex order."""
+        x_lo = self.split.x_lo
+        b = x_lo.shape[1]
+        p = b + len(self.hh)
+        s = np.empty((p, p))
+        s[:b, :b] = x_lo.T @ (x_lo * self.cols[-1][:, None])
+        s[b:, :b] = self.cols @ x_lo
+        s[:b, b:] = s[b:, :b].T
+        s[b:, b:] = self.hh
+        pos = np.argsort(self.split.order)
+        return s[np.ix_(pos, pos)]
+
+
+class _FirstSums:
+    """Running sums over one pass of slabs of u x, with u the slab's
+    weights times g[hi, lo % m], a factor that changes only with the hi
+    index and the lowest log2(m) lo bits. The sums over those low bits
+    need the slab summed over the other lo bits, and the sums over the
+    other lo bits need it summed against g, so no state is scaled."""
+
+    def __init__(self, split: _Split, m: int = 1):
+        self.split = split
+        self.low = np.zeros(m)
+        self.high = np.zeros(len(split.x_lo) // m)
+        self.hi = np.zeros(split.x_hi.shape[1])
+
+    def add(self, rows, w: np.ndarray, g: np.ndarray | None = None) -> None:
+        """Add the slab of hi rows `rows` with weights w (rows, 2^b) times
+        g (rows, m), or times 1 when g is None."""
+        w3 = w.reshape(len(w), -1, len(self.low))
+        if g is None:
+            g = np.ones((len(w), len(self.low)))
+        self.high += np.einsum("rfj,rj->f", w3, g)
+        gr = w3.sum(axis=1)
+        gr *= g
+        self.low += gr.sum(axis=0)
+        self.hi += self.split.x_hi[rows].T @ gr.sum(axis=1)
+
+    def sums(self) -> np.ndarray:
+        """The length-p sums of u x, in vertex order."""
+        x_lo = self.split.x_lo
+        m = len(self.low)
+        k = m.bit_length() - 1
+        f = np.concatenate((x_lo[:m, :k].T @ self.low, x_lo[::m, k:].T @ self.high, self.hi))
+        return f[np.argsort(self.split.order)]
 
 
 @dataclass
@@ -128,7 +254,12 @@ class ExactDistribution:
     b+1..p the hi half, so a state is a (hi, lo) pair with energy
     H_hi[hi] + H_lo[lo] + x_hi J x_lo^T. Slabs of hi rows against every lo
     column are reduced by matrix products, which costs O(p 2^p) and keeps
-    memory bounded by the slab size whatever p is.
+    memory bounded by the slab size whatever p is. A pass of pair sums
+    reduces each slab to one product of the hi spins with it and to its
+    row sums, and forms the hi-lo and lo-lo blocks once, at the end of
+    the pass.
+    field_moments streams a split of its own, with the root's support
+    first into the hi half, so its local field is constant along hi rows.
 
     Only the 2^(p-1) states with x_p = +1 are walked. The couplings are
     pairwise and there is no external field, so x and -x have the same
@@ -137,20 +268,17 @@ class ExactDistribution:
 
     Built from a graph and its coupling field, it computes log_z and corr
     at once: weights are taken relative to the running maximum energy (a
-    streaming log-sum-exp over slabs), so none overflows and the largest
-    is 1. The half holds half of Z and the same pair moments as the whole,
-    so log Z gains log 2 and corr is the half's.
+    streaming log-sum-exp over slabs, the sums so far rescaled whenever
+    the maximum rises), so none overflows and the largest is 1. The half
+    holds half of Z and the same pair moments as the whole, so log Z
+    gains log 2 and corr is the half's.
     """
 
     graph: Graph
     field: CouplingField
     log_z: float = dc_field(init=False)
     corr: np.ndarray = dc_field(init=False)
-    _x_lo: np.ndarray = dc_field(init=False, repr=False)
-    _x_hi: np.ndarray = dc_field(init=False, repr=False)
-    _h_lo: np.ndarray = dc_field(init=False, repr=False)
-    _h_hi: np.ndarray = dc_field(init=False, repr=False)
-    _cross: np.ndarray = dc_field(init=False, repr=False)
+    _split: _Split = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.graph.p
@@ -158,73 +286,46 @@ class ExactDistribution:
             raise EnumerationTooLarge(
                 f"p={p} exceeds the enumeration budget of {ENUMERATION_MAX_P}"
             )
-        b = min(p - 1, _LO_BITS)
-        j_up = np.zeros((p, p))
-        for i, j, th in self.field.couplings:
-            j_up[i - 1, j - 1] = th
-        self._x_lo = x_lo = _spin_table(b)
-        # vertex p is the top bit of the hi index: its +1 rows come first
-        self._x_hi = x_hi = _spin_table(p - b)[: 1 << (p - b - 1)]
-        self._h_lo = ((x_lo @ j_up[:b, :b]) * x_lo).sum(axis=1)
-        self._h_hi = ((x_hi @ j_up[b:, b:]) * x_hi).sum(axis=1)
-        # every lo vertex precedes every hi vertex, so the cross couplings
-        # sit in the upper-right block; row k is hi vertex k's field per lo
-        self._cross = j_up[:b, b:].T @ x_lo.T
+        # vertex p is the top bit of the hi index: its +1 rows are walked
+        self._split = _split_tables(self.field, np.arange(p), _spin_table(min(p - 1, _LO_BITS)))
         shift = -math.inf
         z = 0.0
-        s = np.zeros((p, p))
-        for rows, e in self._slabs():
+        acc = _PairSums(self._split)
+        for rows, e in self._slabs(self._split):
             top = float(e.max())
             if top > shift:
                 scale = math.exp(shift - top)
                 z *= scale
-                s *= scale
+                acc.scale(scale)
                 shift = top
             e -= shift
             w = np.exp(e, out=e)
             z += float(w.sum())
-            s += self._pair_sums(rows, w)
+            acc.add(rows, w)
+        s = acc.sums()
         self.log_z = shift + math.log(z) + math.log(2.0)
         self.corr = s / z
         np.fill_diagonal(self.corr, 1.0)
 
-    def _slabs(self):
-        """Yield (rows, E): a slice of hi indices and the energies of those
-        rows against every lo index, shape (rows, 2^b). The one reduction
-        that every expectation streams through; it covers the x_p = +1
-        half of the states."""
-        rows_per_slab = max(1, _SLAB_STATES // len(self._x_lo))
-        for start in range(0, len(self._x_hi), rows_per_slab):
+    def _slabs(self, split: _Split):
+        """Yield (rows, E): a slice of hi indices of the split and the
+        energies of those rows against every lo index, shape (rows, 2^b).
+        The one reduction that every expectation streams through; it
+        covers the half of the states whose last split vertex is +1."""
+        rows_per_slab = max(1, _SLAB_STATES // len(split.x_lo))
+        for start in range(0, len(split.x_hi), rows_per_slab):
             rows = slice(start, start + rows_per_slab)
-            e = self._x_hi[rows] @ self._cross
-            e += self._h_hi[rows, None]
-            e += self._h_lo
+            e = split.x_hi[rows] @ split.cross
+            e += split.h_hi[rows, None]
+            e += split.h_lo
             yield rows, e
 
-    def _weights(self):
+    def _weights(self, split: _Split):
         """Yield (rows, W) with W twice the slab's state probabilities, so
         that a sum of W f over the half is E{f(X)} for any even f."""
-        for rows, e in self._slabs():
+        for rows, e in self._slabs(split):
             e -= self.log_z - math.log(2.0)
             yield rows, np.exp(e, out=e)
-
-    def _pair_sums(self, rows, w: np.ndarray) -> np.ndarray:
-        """sum over the slab of w[hi, lo] x x^T, as a (p, p) array."""
-        x_lo, x_hi = self._x_lo, self._x_hi[rows]
-        b = x_lo.shape[1]
-        p = self.graph.p
-        s = np.empty((p, p))
-        s[:b, :b] = x_lo.T @ (x_lo * w.sum(axis=0)[:, None])
-        s[b:, b:] = x_hi.T @ (x_hi * w.sum(axis=1)[:, None])
-        s[b:, :b] = x_hi.T @ (w @ x_lo)
-        s[:b, b:] = s[b:, :b].T
-        return s
-
-    def _first_sums(self, rows, w: np.ndarray) -> np.ndarray:
-        """sum over the slab of w[hi, lo] x, as a length-p array."""
-        return np.concatenate(
-            (self._x_lo.T @ w.sum(axis=0), self._x_hi[rows].T @ w.sum(axis=1))
-        )
 
     def expectation_vector(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """E{X_v fn(X)} for every vertex, as a length-p array; fn maps a
@@ -233,23 +334,24 @@ class ExactDistribution:
         fn need be neither even nor odd, so each block goes to fn twice,
         as X and as -X: x_v fn(x) + (-x_v) fn(-x) is the pair's share."""
         p = self.graph.p
-        n_lo, b = self._x_lo.shape
-        acc = np.zeros(p)
+        split = self._split
+        n_lo, b = split.x_lo.shape
+        acc = _FirstSums(split)
         # the lo columns are the same in every slab: fill them once and
         # hand fn a read-only view, so it cannot corrupt the next slab
         block = np.empty((0, n_lo, p))
-        for rows, w in self._weights():
+        for rows, w in self._weights(split):
             if len(block) < len(w):
                 block = np.empty((len(w), n_lo, p))
-                block[:, :, :b] = self._x_lo
-            block[: len(w), :, b:] = self._x_hi[rows, None, :]
+                block[:, :, :b] = split.x_lo
+            block[: len(w), :, b:] = split.x_hi[rows, None, :]
             X = block[: len(w)].reshape(-1, p)
             X.flags.writeable = False
             neg = -X
             neg.flags.writeable = False
             odd = np.asarray(fn(X), dtype=np.float64) - fn(neg)
-            acc += self._first_sums(rows, 0.5 * w * odd.reshape(w.shape))
-        return acc
+            acc.add(rows, 0.5 * w * odd.reshape(w.shape))
+        return acc.sums()
 
     def field_moments(self, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """E{X X^T sech^2(h)} and E{X tanh(h)} for the local field h = X . row.
@@ -257,21 +359,46 @@ class ExactDistribution:
         With row the couplings of vertex r (row[r-1] = 0) these are the
         Hessian and the model term of the gradient of r's conditional
         log-likelihood at the true couplings. h is odd in X, so both
-        summands are even and the half needs no correction."""
+        summands are even and the half needs no correction.
+
+        The pass runs over a split of its own that puts the row's support
+        in the hi half. When the support is larger than the constructor's
+        hi half, the hi half grows up to _LO_BITS vertices, and the support
+        vertices left over take the lowest s bits of the lo index, below
+        the vertices off the support. h is then constant along each hi
+        row, or repeats along it with period 2^s, so tanh and sech^2 are
+        taken once per distinct value, per hi row and low lo bits, and
+        scale the slab as row weights, or as weights of the 2^s low-bit
+        patterns. (With the support in the top lo bits instead, a dense
+        row's constant runs are two columns long, and scaling by runs
+        made the pass slower than a tanh and a cosh per state.)"""
         row = np.asarray(row, dtype=np.float64)
-        b = self._x_lo.shape[1]
-        h_hi, h_lo = self._x_hi @ row[b:], self._x_lo @ row[:b]
         p = self.graph.p
-        s = np.zeros((p, p))
-        t = np.zeros(p)
-        for rows, w in self._weights():
-            h = np.add.outer(h_hi[rows], h_lo)
-            t += self._first_sums(rows, w * np.tanh(h))
-            np.cosh(h, out=h)
-            w /= h
-            w /= h
-            s += self._pair_sums(rows, w)
-        return s, t
+        on = row != 0
+        k = int(on.sum())
+        hi = max(p - min(p - 1, _LO_BITS), min(k, _LO_BITS))
+        b = p - hi
+        s = max(0, k - hi)
+        sup = np.flatnonzero(on)
+        # the constructor's lo table serves when the lo half keeps its size
+        x_lo = self._split.x_lo if len(self._split.x_lo) == 1 << b else _spin_table(b)
+        split = _split_tables(self.field, np.r_[sup[:s], np.flatnonzero(~on), sup[s:]], x_lo)
+        coef = row[split.order]
+        h_hi = split.x_hi @ coef[b:]
+        h_lo = split.x_lo[: 1 << s] @ coef[:b]
+        pairs, firsts = _PairSums(split), _FirstSums(split, 1 << s)
+        # h and sech^2 of each slab, in buffers that every slab reuses
+        buf = np.empty((2, 0, len(h_lo)))
+        for rows, w in self._weights(split):
+            if buf.shape[1] < len(w):
+                buf = np.empty((2, len(w), len(h_lo)))
+            h, sech2 = buf[:, : len(w)]
+            np.add(h_hi[rows, None], h_lo, out=h)
+            with np.errstate(over="ignore"):  # cosh past float range: sech^2 is 0
+                np.reciprocal(np.square(np.cosh(h, out=sech2), out=sech2), out=sech2)
+            firsts.add(rows, w, np.tanh(h, out=h))
+            pairs.add(rows, w, sech2)
+        return pairs.sums(), firsts.sums()
 
     def down_count_pmf(self, coef) -> np.ndarray:
         """pmf of T(X) = sum_v coef[v-1] [X_v = -1] for non-negative integer
@@ -282,15 +409,16 @@ class ExactDistribution:
         coef = np.asarray(coef, dtype=np.int64)
         if coef.shape != (self.graph.p,) or coef.min(initial=0) < 0:
             raise ValueError("coef must hold p non-negative integers")
-        b = self._x_lo.shape[1]
+        split = self._split
+        b = split.x_lo.shape[1]
         # Sum each side by its own value of T first (an indicator product
         # done as two bincounts), so no bin adds more than 2^b states in a
         # row and the index arrays stay the size of a slab.
-        v_lo, i_lo = np.unique((self._x_lo < 0) @ coef[:b], return_inverse=True)
-        v_hi, i_hi = np.unique((self._x_hi < 0) @ coef[b:], return_inverse=True)
+        v_lo, i_lo = np.unique((split.x_lo < 0) @ coef[:b], return_inverse=True)
+        v_hi, i_hi = np.unique((split.x_hi < 0) @ coef[b:], return_inverse=True)
         n_lo = len(v_lo)
         table = np.zeros(len(v_hi) * n_lo)
-        for rows, w in self._weights():
+        for rows, w in self._weights(split):
             by_lo = (np.arange(len(w))[:, None] * n_lo + i_lo).ravel()
             g = np.bincount(by_lo, w.ravel(), minlength=len(w) * n_lo)
             by_hi = (i_hi[rows, None] * n_lo + np.arange(n_lo)).ravel()

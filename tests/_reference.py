@@ -100,6 +100,19 @@ def naive_hessian(g, couplings, r):
     return {k: v / z for k, v in sums.items()}
 
 
+def naive_field_moments(p, couplings, row):
+    """(E{X X^T sech^2(h)}, E{X tanh(h)}) for the field h = X . row, summed
+    over the table of all 2^p states at once (no split and no half)."""
+    X = np.array(list(itertools.product((1.0, -1.0), repeat=p)))
+    energy = np.zeros(len(X))
+    for (i, j), th in couplings.items():
+        energy += th * X[:, i - 1] * X[:, j - 1]
+    w = np.exp(energy - energy.max())
+    w /= w.sum()
+    h = X @ np.asarray(row, dtype=np.float64)
+    return X.T @ (X * (w / np.cosh(h) ** 2)[:, None]), X.T @ (w * np.tanh(h))
+
+
 def fixed_point_by_scan(delta, theta, h_hi=60.0, steps=200_000):
     """Positive root of (delta-1) atanh(tanh(theta) tanh(h)) = h by dense
     scan plus bisection; 0.0 when no sign change exists."""

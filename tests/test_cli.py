@@ -310,6 +310,19 @@ def test_learn_rlr_solver_defaults_come_from_learner_config(tmp_path, path_sampl
     assert cli.build_parser().parse_args(argv).rule is None
 
 
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    # main built a fresh parser, 44 add_argument calls, on every call
+    cli._parser.cache_clear()
+    argv = ["learn", "--alg", "thr", "--tau", "0.5", "--samples", str(tmp_path / "missing"),
+            "--out", str(tmp_path / "learned.txt")]
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
+        assert main(argv) == 2
+        assert main(argv) == 2
+    assert build.call_count == 1
+    assert capsys.readouterr().err.count("isinglearn: error:") == 2
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_learn_rejects_sample_file_of_no_spins(tmp_path, capsys):
     # numpy's "zero-size array to reduction operation maximum which has no
     # identity" was the message
@@ -735,9 +748,14 @@ def _small_sweep_with(**changes) -> str:
         ({"theta_grid": "0"}, "theta values must be finite and > 0, got (0.0,)"),
         ({"n_grid": "0"}, "n values must be >= 1, got (0,)"),
         ({"n_grid": "200,-3"}, "n values must be >= 1, got (200, -3)"),
+        # theta_grid = 0.6,0.6 with trials = 2 wrote two identical rows of 4 trials
+        ({"theta_grid": "0.6,0.6", "trials": 2}, "theta_grid repeats 0.6: (0.6, 0.6)"),
+        ({"n_grid": "200,100,200"}, "n_grid repeats 200: (200, 100, 200)"),
+        ({"learner": "rlr", "lambda0_grid": "1,2,1"},
+         "lambda0_grid repeats 1.0: (1.0, 2.0, 1.0)"),
     ],
     ids=["theta-nan-rlr", "theta-inf", "theta-negative-rlr", "theta-zero", "n-zero",
-         "n-negative"],
+         "n-negative", "theta-repeated", "n-repeated", "lambda0-repeated-rlr"],
 )
 def test_sweep_rejects_bad_grid_values(tmp_path, capsys, changes, message):
     cfg = tmp_path / "sweep.cfg"

@@ -83,6 +83,8 @@ class TestRunSweep:
     def test_non_rlr_collapses_lambda_grid(self):
         cfg = tiny_config(lambda0_grid=(0.5, 1.0, 2.0))
         assert cfg.lambda0_grid == (0.0,)
+        # a learner without lambda0 runs once whatever the grid repeats
+        assert tiny_config(lambda0_grid=(1.0, 1.0)).lambda0_grid == (0.0,)
 
     @pytest.mark.parametrize(
         "kw, message",
@@ -109,6 +111,12 @@ class TestRunSweep:
             ({"seed": -1}, r"seed must be >= 0, got -1"),
             ({"mixing_cap": -4}, r"mixing_cap must be >= 1, got -4"),
             ({"mixing_cap": 0, "burn_in": None, "thin": None}, r"mixing_cap must be >= 1, got 0"),
+            # trials are tallied by value and seeded by index: theta_grid =
+            # (0.6, 0.6) with 2 trials gave two identical cells of 4 trials
+            ({"theta_grid": (0.6, 0.6)}, r"^theta_grid repeats 0.6: \(0.6, 0.6\)$"),
+            ({"n_grid": (200, 300, 200.0)}, r"^n_grid repeats 200: \(200, 300, 200\)$"),
+            ({"learner": LearnerConfig(alg="rlr"), "lambda0_grid": (1.0, 2.0, 1)},
+             r"^lambda0_grid repeats 1.0: \(1.0, 2.0, 1.0\)$"),
         ],
     )
     def test_rejects_bad_values(self, kw, message):

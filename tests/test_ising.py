@@ -41,6 +41,7 @@ from isinglearn.analysis import tree_boundary_field
 from _reference import (
     fixed_point_by_scan,
     naive_expectation,
+    naive_field_moments,
     naive_marginal,
     naive_moments,
     reference_field_run,
@@ -278,6 +279,76 @@ class TestHalfSpace:
 
         assert pmf.shape == (sum(coef) + 1,)
         assert np.abs(pmf - naive_expectation(g, couplings, one_hot)).max() < 1e-12
+
+
+def _field_rows(p):
+    """(name, row) pairs against vertex 1 for field_moments: all zero, a
+    dense row of both signs with row[0] = 0, and one with every entry set."""
+    rng = np.random.default_rng(100 + p)
+    dense = rng.uniform(-1.2, 1.2, p)
+    return [("zero", np.zeros(p)), ("dense", np.r_[0.0, dense[1:]]), ("full", dense)]
+
+
+def _field_moment_cases():
+    """(layout, graph name, p, row name) for every split layout: the true
+    coupling rows of a graph with couplings of both signs, the extra rows
+    of _field_rows, and the hub rows of a double hub and a star whose
+    supports (14 vertices) outgrow the hi half's cap of _LO_BITS, so at
+    every layout with a lo half some of them take lo bits."""
+    instances = [("mixed", 7, name) for name in ("root-1", "root-7", "zero", "dense", "full")]
+    instances += [("double-hub", 16, "root-1"), ("star", 15, "root-1")]
+    for layout in SPLIT_LAYOUTS:
+        for graph, p, row in instances:
+            yield pytest.param(layout, graph, p, row,
+                               id=f"lo{layout[0]}-slab{layout[1]}-{graph}-p{p}-{row}")
+
+
+@functools.lru_cache(maxsize=None)
+def _field_moment_instance(graph, p, row_name):
+    """(graph, couplings, row) and the brute-force field moments."""
+    if graph == "mixed":
+        g, couplings, _ = _half_space_instance(p)
+    else:
+        g = make_toy_gp(p) if graph == "double-hub" else make_star(p, p - 1)
+        rng = np.random.default_rng(p)
+        couplings = {e: float(rng.uniform(-0.6, 0.6)) for e in g.sorted_edges()}
+    if row_name.startswith("root-"):
+        row = CouplingField.from_dict(p, couplings).theta_row(int(row_name[5:]))
+    else:
+        row = dict(_field_rows(p))[row_name]
+    return g, couplings, row, naive_field_moments(p, couplings, row)
+
+
+class TestFieldMoments:
+    """field_moments enumerates over a split of its own, the row's support
+    first into the hi half and then into the lowest lo bits."""
+
+    @pytest.mark.parametrize("layout, graph, p, row_name", _field_moment_cases())
+    def test_matches_brute_force(self, layout, graph, p, row_name):
+        g, couplings, row, (want_s, want_t) = _field_moment_instance(graph, p, row_name)
+        with split_layout(layout):
+            s, t = exact_moments(g, CouplingField.from_dict(p, couplings)).field_moments(row)
+        assert np.abs(s - want_s).max() < 1e-12
+        assert np.abs(t - want_t).max() < 1e-12
+
+    @pytest.mark.parametrize("row_name", ["regular-root", "dense"])
+    def test_memory_within_the_constructor_peak(self, row_name):
+        # the traced peak of a pass stays within 1.25x the constructor's
+        g = make_random_regular(22, 4, seed=5)
+        tracemalloc.start()
+        try:
+            d = exact_moments(g, 0.3)
+            moments_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row = d.field.theta_row(1) if row_name == "regular-root" else dict(_field_rows(22))["dense"]
+        tracemalloc.start()
+        try:
+            d.field_moments(row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * moments_peak
 
 
 def _bfs_distances(g):
