@@ -27,8 +27,6 @@ ENUMERATION_MAX_P = 26
 # Most vertices in the lo half of the split enumeration. Vertex p is always
 # a hi vertex, because only its +1 states are walked: at the largest p the
 # two halves are equal, and below 15 vertices vertex p is the hi half.
-# field_moments grows the hi half up to as many vertices, so no table of
-# a split is larger than the constructor's at the largest p.
 _LO_BITS = ENUMERATION_MAX_P // 2
 # States per slab, hi rows times every lo column: 2^18 ran as fast as 2^20
 # at p = 22..26 with a quarter of the memory.
@@ -361,27 +359,23 @@ class ExactDistribution:
         log-likelihood at the true couplings. h is odd in X, so both
         summands are even and the half needs no correction.
 
-        The pass runs over a split of its own that puts the row's support
-        in the hi half. When the support is larger than the constructor's
-        hi half, the hi half grows up to _LO_BITS vertices, and the support
-        vertices left over take the lowest s bits of the lo index, below
-        the vertices off the support. h is then constant along each hi
-        row, or repeats along it with period 2^s, so tanh and sech^2 are
-        taken once per distinct value, per hi row and low lo bits, and
-        scale the slab as row weights, or as weights of the 2^s low-bit
-        patterns. (With the support in the top lo bits instead, a dense
-        row's constant runs are two columns long, and scaling by runs
-        made the pass slower than a tanh and a cosh per state.)"""
+        The pass runs over a split of its own, with the constructor's lo
+        table, that puts the row's support in the hi half. When the support
+        is larger than the hi half, the support vertices left over take the
+        lowest s bits of the lo index, below the vertices off the support.
+        h is then constant along each hi row, or repeats along it with
+        period 2^s, so tanh and sech^2 are taken once per distinct value,
+        per hi row and low lo bits, and scale the slab as row weights, or
+        as weights of the 2^s low-bit patterns. (With the support in the
+        top lo bits instead, a dense row's constant runs are two columns
+        long, and scaling by runs made the pass slower than a tanh and a
+        cosh per state.)"""
         row = np.asarray(row, dtype=np.float64)
-        p = self.graph.p
         on = row != 0
-        k = int(on.sum())
-        hi = max(p - min(p - 1, _LO_BITS), min(k, _LO_BITS))
-        b = p - hi
-        s = max(0, k - hi)
         sup = np.flatnonzero(on)
-        # the constructor's lo table serves when the lo half keeps its size
-        x_lo = self._split.x_lo if len(self._split.x_lo) == 1 << b else _spin_table(b)
+        x_lo = self._split.x_lo
+        b = x_lo.shape[1]
+        s = max(0, len(sup) - (self.graph.p - b))
         split = _split_tables(self.field, np.r_[sup[:s], np.flatnonzero(~on), sup[s:]], x_lo)
         coef = row[split.order]
         h_hi = split.x_hi @ coef[b:]

@@ -310,19 +310,6 @@ def test_learn_rlr_solver_defaults_come_from_learner_config(tmp_path, path_sampl
     assert cli.build_parser().parse_args(argv).rule is None
 
 
-def test_main_builds_its_parser_once(tmp_path, capsys):
-    # main built a fresh parser, 44 add_argument calls, on every call
-    cli._parser.cache_clear()
-    argv = ["learn", "--alg", "thr", "--tau", "0.5", "--samples", str(tmp_path / "missing"),
-            "--out", str(tmp_path / "learned.txt")]
-    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
-        assert main(argv) == 2
-        assert main(argv) == 2
-    assert build.call_count == 1
-    assert capsys.readouterr().err.count("isinglearn: error:") == 2
-    assert cli.build_parser() is not cli.build_parser()
-
-
 def test_learn_rejects_sample_file_of_no_spins(tmp_path, capsys):
     # numpy's "zero-size array to reduction operation maximum which has no
     # identity" was the message

@@ -293,8 +293,8 @@ def _field_moment_cases():
     """(layout, graph name, p, row name) for every split layout: the true
     coupling rows of a graph with couplings of both signs, the extra rows
     of _field_rows, and the hub rows of a double hub and a star whose
-    supports (14 vertices) outgrow the hi half's cap of _LO_BITS, so at
-    every layout with a lo half some of them take lo bits."""
+    supports (14 vertices) outgrow the hi half, so at every layout with a
+    lo half some of them take lo bits."""
     instances = [("mixed", 7, name) for name in ("root-1", "root-7", "zero", "dense", "full")]
     instances += [("double-hub", 16, "root-1"), ("star", 15, "root-1")]
     for layout in SPLIT_LAYOUTS:
