@@ -7,6 +7,7 @@ logistic regression solved per vertex.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -116,6 +117,8 @@ def _sample_tables(s: SampleSet):
     """tables(rows): for a (B, m) array of 1-based vertex tuples, yield the
     empirical pmfs of consecutive row slices as (b, 2^m) blocks. Cell bit
     m-1-k is the spin of rows[:, k], 1 = spin -1; cells are counts / n.
+    A block is stored cell-major (its transpose is contiguous), the layout
+    _row_minima reads fastest.
 
     Up to _DENSE_MAX_P vertices the counts come from the transformed
     histogram of _dense_tables, above it from _bincount_tables; both
@@ -139,8 +142,8 @@ def _bincount_tables(s: SampleSet):
             for k in range(m):
                 code <<= 1
                 code |= down[blk[:, k]]
-            counts = np.bincount(code.ravel(), minlength=b << m)
-            yield counts.reshape(b, 1 << m) / n
+            counts = np.bincount(code.ravel(), minlength=b << m).reshape(b, 1 << m)
+            yield (np.ascontiguousarray(counts.T) / n).T
 
     return tables
 
@@ -186,17 +189,20 @@ def _dense_tables(s: SampleSet):
     is exact integer arithmetic."""
     n, p = s.n, s.p
     f = _wht(np.bincount((s.spins < 0) @ (1 << np.arange(p)), minlength=1 << p))
+    f = f.astype(np.min_scalar_type(-1 - n))  # |f| <= n
 
     def tables(rows):
         m = rows.shape[1]
         for blk in _row_blocks(1 << (rows - 1), 1):
-            # masks[:, c]: the vertex set of the cell bits of c, cell bit
+            # masks[c]: the vertex set of the cell bits of c, cell bit
             # m-1-k standing for rows[:, k]; xor, as a repeated vertex's
             # spin squares to 1
-            masks = np.zeros((len(blk), 1), dtype=blk.dtype)
-            for k in range(m - 1, -1, -1):
-                masks = np.concatenate([masks, masks ^ blk[:, k:k + 1]], axis=1)
-            yield (_wht(f[masks]) >> m) / n
+            masks = np.zeros((1 << m, len(blk)), dtype=blk.dtype)
+            for j in range(m):
+                np.bitwise_xor(masks[:1 << j], blk[:, m - 1 - j], out=masks[1 << j:2 << j])
+            # each pass of the transform at most doubles |x|, to 2^m n
+            x = _wht(f[masks].T.astype(np.min_scalar_type(-1 - (n << m))))
+            yield np.right_shift(x, m, out=x) / n
 
     return tables
 
@@ -211,12 +217,23 @@ def _population_tables(dist: ExactDistribution):
     return tables
 
 
-def _rows(head: tuple, pool, k: int) -> np.ndarray:
-    """Rows head + W for every k-subset W of `pool`, in
-    itertools.combinations order, as a (C(|pool|, k), |head| + k) array."""
-    count, width = math.comb(len(pool), k), len(head) + k
-    flat = itertools.chain.from_iterable(head + W for W in itertools.combinations(pool, k))
-    return np.fromiter(flat, dtype=np.intp, count=count * width).reshape(count, width)
+def _combinations(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) as a (C(n, k), k) index table, in
+    itertools.combinations order."""
+    count = math.comb(n, k)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    return np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
+
+
+def _probe_rows(heads: np.ndarray, rest: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Rows head + rest[w] for each candidate's head row (r, U) and its
+    vertices `rest` outside r and U, and each row w of the index table W
+    over them: candidate-major, then W's order."""
+    c, h = heads.shape
+    rows = np.empty((c, len(W), h + W.shape[1]), dtype=np.intp)
+    rows[:, :, :h] = heads[:, None, :]
+    rows[:, :, h:] = rest[:, W]
+    return rows.reshape(-1, rows.shape[2])
 
 
 def _row_minima(tables, rows: np.ndarray, s: int, gamma: float):
@@ -229,26 +246,19 @@ def _row_minima(tables, rows: np.ndarray, s: int, gamma: float):
     have probability > gamma/2. A j with no admissible pair contributes 0.
     """
     for t in tables(rows):
-        b, half = len(t), t.shape[1] // 2
-        pa = t[:, :half] + t[:, half:]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond = np.where(pa > 0, t[:, :half] / np.where(pa > 0, pa, 1.0), 0.0)
+        t = t.T  # (2^m, b): each cell's values over the block's rows
+        half, b = len(t) // 2, t.shape[1]
+        pa = t[:half] + t[half:]
+        cond = np.divide(t[:half], pa, out=np.zeros_like(pa), where=pa > 0)
         big = pa > gamma / 2.0
         out = np.full(b, np.inf)
         for i in range(s):
-            # the cells with U's i-th member flipped
-            twin = np.arange(half).reshape(1 << i, 2, -1)[:, ::-1].ravel()
-            ok = big & big[:, twin]
-            shift = np.where(ok, np.abs(cond - cond[:, twin]), 0.0)
-            np.minimum(out, shift.max(axis=1), out=out)
+            # axis 1 is the bit of U's i-th member: each cell against its
+            # twin, every pair once
+            c, g = cond.reshape(1 << i, 2, -1, b), big.reshape(1 << i, 2, -1, b)
+            shift = np.abs(c[:, 0] - c[:, 1])
+            np.minimum(out, shift.max(axis=(0, 1), initial=0.0, where=g[:, 0] & g[:, 1]), out=out)
         yield out
-
-
-def _probe_minima(tables, r: int, U, w_pool, sizes, gamma: float):
-    """_row_minima of (r, U, W) for every probe set W of each size in
-    `sizes` drawn from `w_pool`, one array per table block."""
-    for k in sizes:
-        yield from _row_minima(tables, _rows((r, *U), w_pool, k), len(U), gamma)
 
 
 def _score(tables, p: int, r: int, U, delta: int, gamma: float) -> float:
@@ -265,9 +275,15 @@ def _score(tables, p: int, r: int, U, delta: int, gamma: float) -> float:
         raise ValueError(f"root or candidates outside 1..{p}")
     if len({r, *U}) <= len(U):
         raise ValueError("candidates repeat or contain the root")
-    w_pool = [v for v in range(1, p + 1) if v != r and v not in U]
-    minima = _probe_minima(tables, r, U, w_pool, range(delta + 1), gamma)
-    return float(min(m.min() for m in minima))
+    heads = np.array([[r, *U]], dtype=np.intp)
+    rest = np.array([[v for v in range(1, p + 1) if v != r and v not in U]], dtype=np.intp)
+    return float(min(
+        m.min()
+        for k in range(delta + 1)
+        for m in _row_minima(
+            tables, _probe_rows(heads, rest, _combinations(rest.shape[1], k)), len(U), gamma
+        )
+    ))
 
 
 def score(s: SampleSet, r: int, U, delta: int, gamma: float) -> float:
@@ -295,24 +311,49 @@ def _edges_from_neighborhoods(p: int, hoods: dict, rule: str) -> Graph:
     return Graph(p, frozenset(edges))
 
 
-def _neighborhood(tables, r: int, pool, delta: int, floor: float, gamma: float) -> set:
-    """The first candidate set U from `pool`, largest size first and
-    lexicographic within a size, whose every conditional shift over probe
-    sets from the same pool exceeds `floor`; empty if there is none.
+def _neighborhoods(tables, pools: dict, delta: int, floor: float, gamma: float) -> dict:
+    """Per root r, the first candidate set U from pools[r] (a sorted vertex
+    array), largest size first and lexicographic within a size, whose
+    every conditional shift over probe sets from the same pool exceeds
+    `floor`; empty if there is none.
 
-    All candidate sets of one size are screened in one batch at the empty
-    probe set; the survivors, in order, then go through the probe sets one
-    batched size at a time, and the first to clear every size wins.
-    """
-    for size in range(min(delta, len(pool)), 0, -1):
-        rows = _rows((r,), pool, size)
-        screen = np.concatenate(list(_row_minima(tables, rows, size, gamma)))
-        for U in rows[screen > floor, 1:].tolist():
-            w_pool = [v for v in pool if v not in U]
-            minima = _probe_minima(tables, r, U, w_pool, range(1, delta + 1), gamma)
-            if all((m > floor).all() for m in minima):
-                return set(U)
-    return set()
+    The search runs by candidate size over every root still without a
+    neighborhood, the roots whose pools are equally long together: one
+    table pass screens all their candidate sets of that size at the empty
+    probe set, and the survivors of all of them then go through the probe
+    sets one size at a time, each dropping out at the first size where a
+    shift is at or below `floor`. A root takes its first survivor left.
+    Each batch holds consecutive candidates whose rows span at most
+    _CHUNK_CODES table cells, or one candidate."""
+    combinations = functools.cache(_combinations)
+    hoods = {}
+    for size in range(delta, 0, -1):
+        lengths = {len(pool) for r, pool in pools.items() if r not in hoods}
+        for n in sorted(n for n in lengths if n >= size):
+            roots = np.array([r for r, pool in pools.items() if r not in hoods and len(pool) == n])
+            P = np.stack([pools[r] for r in roots])
+            U = combinations(n, size)
+            # the complements of the size-subsets, in lexicographic order,
+            # are the (n - size)-subsets in reverse lexicographic order
+            rest = combinations(n, n - size)[::-1]
+            # candidate c is U[ids[c]] from the pool of roots[owner[c]]
+            owner, ids = np.divmod(np.arange(len(roots) * len(U)), len(U))
+            for k in range(delta + 1):
+                W = combinations(n - size, k)
+                if not len(W):
+                    break
+                ok = np.empty(len(ids), dtype=bool)
+                step = max(1, (_CHUNK_CODES >> (1 + size + k)) // len(W))
+                for lo in range(0, len(ids), step):
+                    o, i = owner[lo:lo + step, None], ids[lo:lo + step]
+                    rows = _probe_rows(np.column_stack([roots[o], P[o, U[i]]]), P[o, rest[i]], W)
+                    minima = np.concatenate(list(_row_minima(tables, rows, size, gamma)))
+                    ok[lo:lo + step] = (minima > floor).reshape(len(i), len(W)).all(axis=1)
+                owner, ids = owner[ok], ids[ok]
+            found, first = np.unique(owner, return_index=True)
+            for at, c in zip(found, first):
+                hoods[int(roots[at])] = set(P[at, U[ids[c]]].tolist())
+    return {r: hoods.get(r, set()) for r in pools}
 
 
 def _independence_test(tables, p, delta, eps, gamma, rule, pool_of):
@@ -326,13 +367,11 @@ def _independence_test(tables, p, delta, eps, gamma, rule, pool_of):
         raise ValueError(f"eps must be finite, got {eps}")
     if eps <= 0 or not 0.0 < gamma < 1.0:
         raise ValueError("thresholds must be positive, with gamma below 1")
-    hoods = {
-        r: _neighborhood(
-            tables, r, sorted(v for v in pool_of(r) if v != r), delta, eps / 2.0, gamma
-        )
+    pools = {
+        r: np.array(sorted(v for v in pool_of(r) if v != r), dtype=np.intp)
         for r in range(1, p + 1)
     }
-    return _edges_from_neighborhoods(p, hoods, rule)
+    return _edges_from_neighborhoods(p, _neighborhoods(tables, pools, delta, eps / 2.0, gamma), rule)
 
 
 def local_independence_test(

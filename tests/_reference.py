@@ -11,6 +11,10 @@ re-sums every local field, kept as the reference for the per-edge rows;
 `reference_joint`, `reference_score` and `reference_independence_test`,
 the earlier independence test that scores one candidate set and one probe
 set at a time, kept as the reference for the batched one;
+`reference_per_root_neighborhoods`, `reference_per_root_score` and
+`reference_row_minima`, the earlier driver that searches one root at a
+time on the package's tables, with its twin-gathering kernel, kept as the
+reference for the driver that batches every root by candidate size;
 `reference_read_samples`, the earlier sample-file reader that splits and
 converts one line at a time, kept as the reference for the vectorised one;
 `reference_rlr_all_roots`, the earlier batched l1 solver (accelerated
@@ -49,44 +53,51 @@ def naive_moments(g, couplings):
 
 
 def naive_marginal(g, couplings, vertices):
-    """Joint pmf table over `vertices` as a dict from spin tuples."""
+    """Joint pmf table over `vertices` as a dict from spin tuples, each
+    entry and the partition function summed exactly (math.fsum)."""
     p = g.p
-    z = 0.0
+    weights = []
     table = {}
     for spins in itertools.product((1, -1), repeat=p):
         h = sum(th * spins[i - 1] * spins[j - 1] for (i, j), th in couplings.items())
         w = math.exp(h)
-        z += w
-        key = tuple(spins[v - 1] for v in vertices)
-        table[key] = table.get(key, 0.0) + w
-    return {k: v / z for k, v in table.items()}
+        weights.append(w)
+        table.setdefault(tuple(spins[v - 1] for v in vertices), []).append(w)
+    z = math.fsum(weights)
+    return {k: math.fsum(v) / z for k, v in table.items()}
+
+
+def _fsum_columns(terms):
+    """math.fsum down each column of a (count, ...) array."""
+    flat = np.reshape(terms, (len(terms), -1))
+    return np.array([math.fsum(col) for col in flat.T.tolist()]).reshape(np.shape(terms)[1:])
 
 
 def naive_expectation(g, couplings, f):
     """E{f(x)} by direct summation, for f mapping a spin tuple to a number
-    or an array."""
-    z = 0.0
-    total = 0.0
+    or an array; every component summed exactly (math.fsum)."""
+    weights, terms = [], []
     for spins in itertools.product((1, -1), repeat=g.p):
         h = sum(th * spins[i - 1] * spins[j - 1] for (i, j), th in couplings.items())
         w = math.exp(h)
-        z += w
-        total = total + w * np.asarray(f(spins), dtype=np.float64)
-    return total / z
+        weights.append(w)
+        terms.append(w * np.asarray(f(spins), dtype=np.float64))
+    return _fsum_columns(terms) / math.fsum(weights)
 
 
 def naive_hessian(g, couplings, r):
     """E{x_i x_j / cosh^2(h_r)} with h_r = sum_j theta_rj x_j, the local
-    field at root r, by direct summation. Returns a dict over ordered pairs
-    (i, j) of vertices other than r, diagonal included."""
+    field at root r, by direct summation, each entry summed exactly
+    (math.fsum). Returns a dict over ordered pairs (i, j) of vertices other
+    than r, diagonal included."""
     p = g.p
-    z = 0.0
-    sums = {}
+    weights = []
+    terms = {}
     others = [v for v in range(1, p + 1) if v != r]
     for spins in itertools.product((1, -1), repeat=p):
         h = sum(th * spins[i - 1] * spins[j - 1] for (i, j), th in couplings.items())
         w = math.exp(h)
-        z += w
+        weights.append(w)
         field = 0.0
         for (i, j), th in couplings.items():
             if i == r:
@@ -96,21 +107,25 @@ def naive_hessian(g, couplings, r):
         ws = w / math.cosh(field) ** 2
         for i in others:
             for j in others:
-                sums[(i, j)] = sums.get((i, j), 0.0) + ws * spins[i - 1] * spins[j - 1]
-    return {k: v / z for k, v in sums.items()}
+                terms.setdefault((i, j), []).append(ws * spins[i - 1] * spins[j - 1])
+    z = math.fsum(weights)
+    return {k: math.fsum(v) / z for k, v in terms.items()}
 
 
 def naive_field_moments(p, couplings, row):
-    """(E{X X^T sech^2(h)}, E{X tanh(h)}) for the field h = X . row, summed
-    over the table of all 2^p states at once (no split and no half)."""
+    """(E{X X^T sech^2(h)}, E{X tanh(h)}) for the field h = X . row, over
+    the table of all 2^p states at once (no split and no half), every
+    entry and the normalizer summed exactly (math.fsum)."""
     X = np.array(list(itertools.product((1.0, -1.0), repeat=p)))
     energy = np.zeros(len(X))
     for (i, j), th in couplings.items():
         energy += th * X[:, i - 1] * X[:, j - 1]
     w = np.exp(energy - energy.max())
-    w /= w.sum()
+    w /= math.fsum(w.tolist())
     h = X @ np.asarray(row, dtype=np.float64)
-    return X.T @ (X * (w / np.cosh(h) ** 2)[:, None]), X.T @ (w * np.tanh(h))
+    s = X * (w / np.cosh(h) ** 2)[:, None]
+    second = np.array([_fsum_columns(X[:, i, None] * s) for i in range(p)])
+    return second, _fsum_columns(X * (w * np.tanh(h))[:, None])
 
 
 def fixed_point_by_scan(delta, theta, h_hi=60.0, steps=200_000):
@@ -542,6 +557,75 @@ def reference_independence_test(joint, p, delta, eps, gamma, rule, pool_of):
         for j in nb
         if rule == "or" or r in hoods[j]
     }
+
+
+def reference_row_minima(tables, rows, s, gamma):
+    """The package's earlier _row_minima: per table block, the smallest over
+    j in U of the largest admissible conditional shift of the root, with
+    each cell's twin (U's i-th member flipped) gathered by an index."""
+    for t in tables(rows):
+        b, half = len(t), t.shape[1] // 2
+        pa = t[:, :half] + t[:, half:]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cond = np.where(pa > 0, t[:, :half] / np.where(pa > 0, pa, 1.0), 0.0)
+        big = pa > gamma / 2.0
+        out = np.full(b, np.inf)
+        for i in range(s):
+            twin = np.arange(half).reshape(1 << i, 2, -1)[:, ::-1].ravel()
+            ok = big & big[:, twin]
+            shift = np.where(ok, np.abs(cond - cond[:, twin]), 0.0)
+            np.minimum(out, shift.max(axis=1), out=out)
+        yield out
+
+
+def _reference_rows(head, pool, k):
+    """Rows head + W for every k-subset W of `pool`, in
+    itertools.combinations order."""
+    count, width = math.comb(len(pool), k), len(head) + k
+    flat = itertools.chain.from_iterable(head + W for W in itertools.combinations(pool, k))
+    return np.fromiter(flat, dtype=np.intp, count=count * width).reshape(count, width)
+
+
+def reference_per_root_score(tables, p, r, U, delta, gamma):
+    """The package's earlier _score on a table source: min over every probe
+    set of at most delta vertices outside r and U, one probe size per call."""
+    U = sorted(U)
+    w_pool = [v for v in range(1, p + 1) if v != r and v not in U]
+    return float(min(
+        m.min()
+        for k in range(delta + 1)
+        for m in reference_row_minima(tables, _reference_rows((r, *U), w_pool, k), len(U), gamma)
+    ))
+
+
+def reference_per_root_neighborhoods(tables, p, delta, floor, gamma, pool_of):
+    """The package's earlier independence-test driver, one root at a time:
+    per root r, all candidate sets of one size from the sorted pool are
+    screened in one batch at the empty probe set; the survivors, in order,
+    then go through the probe sets one batched size at a time, and the
+    first to clear every size wins. Returns {root: neighborhood set}."""
+    hoods = {}
+    for r in range(1, p + 1):
+        pool = sorted(v for v in pool_of(r) if v != r)
+        hoods[r] = set()
+        for size in range(min(delta, len(pool)), 0, -1):
+            rows = _reference_rows((r,), pool, size)
+            screen = np.concatenate(list(reference_row_minima(tables, rows, size, gamma)))
+            for U in rows[screen > floor, 1:].tolist():
+                w_pool = [v for v in pool if v not in U]
+                minima = (
+                    m
+                    for k in range(1, delta + 1)
+                    for m in reference_row_minima(
+                        tables, _reference_rows((r, *U), w_pool, k), size, gamma
+                    )
+                )
+                if all((m > floor).all() for m in minima):
+                    hoods[r] = set(U)
+                    break
+            if hoods[r]:
+                break
+    return hoods
 
 
 def reference_read_samples(path):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -50,6 +51,8 @@ from _reference import (
     naive_pseudo_likelihood,
     reference_independence_test,
     reference_joint,
+    reference_per_root_neighborhoods,
+    reference_per_root_score,
     reference_population_rlr_gp,
     reference_rlr_all_roots,
     reference_rlr_neighborhood,
@@ -363,6 +366,87 @@ def test_batched_independence_by_bincount_matches_reference():
     # the same cases with every sample table counted by bincount
     with mock.patch.object(learners, "_DENSE_MAX_P", 0):
         test_batched_independence_matches_reference()
+
+
+def _pools(p, pool_of):
+    return {
+        r: np.array(sorted(v for v in pool_of(r) if v != r), dtype=np.intp)
+        for r in range(1, p + 1)
+    }
+
+
+@pytest.mark.parametrize(
+    "p, delta, n, burn_in, thin, seed",
+    [
+        # the benchmark's learn-cli input: a balanced binary tree at
+        # theta = 0.5, delta = 3, n from the tree thresholding bound (3,314)
+        (15, 3, None, 1000, 10, 11),
+        # above _DENSE_MAX_P, where every table is counted by bincount;
+        # few samples leave many candidates alive past the screen
+        (21, 3, 1500, 200, 5, 3),
+    ],
+    ids=["learn-cli", "p21-bincount"],
+)
+def test_driver_matches_per_root_reference(p, delta, n, burn_in, thin, seed):
+    # inputs too large for the brute-force reference: the batched driver
+    # against the per-root search it replaced, on the same tables
+    theta = 0.5
+    n = n or sample_bound("thr-tree", theta, p=p)
+    s = gibbs_sample(make_tree(p, "balanced", 2), theta, n=n, burn_in=burn_in, thin=thin,
+                     seed=seed)
+    eps, gamma, kappa = default_ind_params(theta, delta)
+    corr = empirical_correlations(s)
+    tables = learners._sample_tables(s)
+    assert (p > learners._DENSE_MAX_P) == (tables.__qualname__.startswith("_bincount"))
+    pools = {
+        "ind": lambda r: range(1, p + 1),
+        "indd": lambda r: [v for v in range(1, p + 1) if corr[r - 1, v - 1] > kappa / 2.0],
+    }
+    learn = {
+        "ind": lambda rule: local_independence_test(s, delta, eps, gamma, rule=rule),
+        "indd": lambda rule: local_independence_test_pruned(s, delta, eps, gamma, kappa, rule=rule),
+    }
+    for alg, pool_of in pools.items():
+        want = reference_per_root_neighborhoods(tables, p, delta, eps / 2.0, gamma, pool_of)
+        got = learners._neighborhoods(tables, _pools(p, pool_of), delta, eps / 2.0, gamma)
+        assert got == want
+        assert any(len(nb) == delta for nb in want.values())
+        for rule in ("or", "and"):
+            assert learn[alg](rule) == learners._edges_from_neighborhoods(p, want, rule)
+    counted = learners._bincount_tables(s)
+    for r in (1, 2, p):
+        for U in (want[r], [v for v in range(1, delta + 2) if v != r][:delta]):
+            assert score(s, r, U, delta, gamma) == reference_per_root_score(
+                counted, p, r, U, delta, gamma
+            )
+
+
+def test_root_batches_hold_little_more_memory_than_single_roots():
+    # every undecided root's candidates share a batch; the peak stays
+    # within 1.5x of the same call made one root at a time (the sample-code
+    # blocks, bounded by _CHUNK_CODES either way, hold most of it)
+    g = make_tree(24, "balanced", 2)
+    s = gibbs_sample(g, 0.5, n=2000, burn_in=200, thin=5, seed=3)
+    eps, gamma, _ = default_ind_params(0.5, 2)
+    driver = learners._neighborhoods
+
+    def one_root_per_call(tables, pools, *args):
+        return {r: driver(tables, {r: pool}, *args)[r] for r, pool in pools.items()}
+
+    def peak():
+        local_independence_test(s, 2, eps, gamma)  # nothing left to allocate lazily
+        tracemalloc.start()
+        try:
+            learned = local_independence_test(s, 2, eps, gamma)
+            return learned, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    batched, batched_peak = peak()
+    with mock.patch.object(learners, "_neighborhoods", one_root_per_call):
+        single, single_peak = peak()
+    assert batched == single and batched.num_edges > 0
+    assert batched_peak <= 1.5 * single_peak
 
 
 class TestLocalIndependence:
