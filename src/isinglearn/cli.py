@@ -129,6 +129,8 @@ def _cmd_analyze(args) -> int:
         rep = analysis.tree_limit_report(args.delta, args.theta)
         Path(args.out).write_text(json.dumps(_jsonable(rep), indent=2) + "\n")
     else:  # b-sweep, incoherence-sweep, x-sweep
+        if not np.isfinite([args.theta_min, args.theta_max]).all():
+            raise ValueError(f"analyze {args.report} needs a finite --theta-min and --theta-max")
         thetas = np.linspace(args.theta_min, args.theta_max, args.points)
         rows = []
         if args.report == "b-sweep":

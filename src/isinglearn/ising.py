@@ -54,6 +54,8 @@ class CouplingField:
                 raise ValueError(f"bad coupling pair ({i},{j}) for p={self.p}")
             if (i, j) in seen:
                 raise ValueError(f"duplicate coupling ({i},{j})")
+            if not math.isfinite(th):
+                raise ValueError(f"coupling ({i},{j}) is {th}, not a finite number")
             seen.add((i, j))
 
     @classmethod
@@ -565,8 +567,8 @@ class _Glauber:
     With every spin +1, draw (i, u) keeps the state exactly when
     u < top[i], the loop's own comparison with every neighbor +1; with
     every spin -1 it keeps it exactly when u >= bottom[i]. Once the
-    state is aligned, one numpy comparison over the rest of the chunk
-    finds the draws that would move it, and the loop jumps to the next of
+    state is aligned, one numpy comparison over the rest of the draws
+    finds the ones that would move it, and the loop jumps to the next of
     them. The draws are still taken from the rng in the same order, and
     the ones jumped over change nothing, so the chain is the same.
     """
@@ -595,54 +597,43 @@ class _Glauber:
         # P(+1) at each site with every neighbor +1, and with every one -1
         self.top = np.array([r[self.key(m)] for r, m in zip(self.rows, self.nbm)])
         self.bottom = np.array([r[self.key(0)] for r in self.rows])
-        # draws the first window of a walk converts in _table_chunk
+        # draws the first window of a walk converts
         self.window = 2 * self.p
 
     def initial_state(self, rng) -> list:
         return (rng.integers(0, 2, self.p) * 2 - 1).tolist()
 
-    def run(self, x: list, nsweeps: int, rng, stop_on_negative_mag: bool = False):
-        """Advance the chain in place; returns (sweeps_run, stopped_early)."""
-        return next(self.blocks(x, (nsweeps,), rng, stop_on_negative_mag))
+    def chunks(self, nsweeps: int, rng):
+        """The draws of nsweeps sweeps, in chunks of at most _CHUNK sweeps:
+        each chunk's sites, then its uniforms, drawn when it is asked for."""
+        for done in range(0, nsweeps, self._CHUNK):
+            k = min(self._CHUNK, nsweeps - done)
+            yield rng.integers(0, self.p, size=k * self.p), rng.random(k * self.p)
 
-    def blocks(self, x: list, sizes, rng, stop_on_negative_mag: bool = False):
+    def blocks(self, x: list, sizes, rng):
         """Advance the chain in place through blocks of sizes[0], sizes[1], ...
-        sweeps, yielding (sweeps_run, stopped_early) after each block with x
-        current; x must not be changed in between. Each block draws its
-        randomness in chunks of at most _CHUNK sweeps, the sites and then
-        the uniforms. With stop_on_negative_mag the chain stops after the
-        first sweep that leaves the magnetization negative, and that block
-        is the last."""
-        p = self.p
+        sweeps, yielding after each block with x current; x must not be
+        changed in between."""
         X = sum(b for b, s in zip(self.bit, x) if s > 0)
         for nsweeps in sizes:
-            done = 0
-            while done < nsweeps:
-                k = min(self._CHUNK, nsweeps - done)
-                sites = rng.integers(0, p, size=k * p)
-                us = rng.random(k * p)
-                ran, stopped, X = self._table_chunk(x, X, sites, us, stop_on_negative_mag)
-                done += ran
-                if stopped:
-                    yield done, True
-                    return
-            yield done, False
+            for sites, us in self.chunks(nsweeps, rng):
+                X = self.walk(x, X, sites, us)
+            yield
 
-    def _table_chunk(self, x, X, sites, us, stop):
-        """The loop over one chunk of draws (numpy arrays), x and its mask X
-        advanced together; returns (sweeps_run, stopped_early, X). The
-        per-draw loop stops after a flip that aligns the state, and the
-        jump takes over. Draws become Python numbers only as far as the
-        loop walks: a walk converts a window of self.window draws, then
-        windows twice as long while it goes on, except that a walk from a
-        chunk start more than two flips from alignment converts the whole
-        chunk (it seldom aligns soon, and one window costs least)."""
+    def walk(self, x, X, sites, us):
+        """The loop over the draws (numpy arrays of sites and uniforms), x
+        and its mask X advanced together; returns X. The per-draw loop
+        stops after a flip that aligns the state, and the jump takes over.
+        Draws become Python numbers only as far as the loop walks: a walk
+        converts a window of self.window draws, then windows twice as long,
+        except that a walk from a start more than two flips from alignment
+        converts every draw (it seldom aligns soon; one window costs least)."""
         p = self.p
         rows, nbm, bit, key = self.rows, self.nbm, self.bit, self.key
         full = (1 << p) - 1
         n_d = len(us)
         moves = {}  # aligned mask -> (base, offsets from base of the draws that move it)
-        pos = 0  # draws of the chunk taken so far
+        pos = 0  # draws taken so far
         hi = 0  # draws converted so far; those from pos on wait in `draws`
         c = X.bit_count()
         width = self.window if min(c, p - c) <= 2 else n_d  # the next window's draws
@@ -655,23 +646,16 @@ class _Glauber:
                         u >= self.top[s] if X else u < self.bottom[s]).nonzero()[0].tolist()
                 base, mv = moves[X]
                 j = bisect.bisect_left(mv, pos - base)
-                nxt = base + mv[j] if j < len(mv) else n_d
-                # all -1 fails the next magnetization check, so the jump stops
-                # there; all +1 passes every check it jumps over
-                check = pos - pos % p + p
-                if stop and not X and nxt >= check:
-                    return check // p, True, X
-                if nxt == n_d:
+                if j == len(mv):
                     break
-                pos = hi = nxt
+                pos = hi = base + mv[j]
                 width = self.window
             if pos == hi:
                 hi = min(n_d, pos + width)
                 width *= 2
                 its = iter(sites[pos:hi].tolist())
                 draws = zip(its, us[pos:hi].tolist())
-            end = pos - pos % p + p if stop else n_d
-            for i, u in itertools.islice(draws, end - pos) if stop else draws:
+            for i, u in draws:
                 if u < rows[i][key(X & nbm[i])]:
                     if x[i] < 0:
                         x[i] = 1
@@ -684,9 +668,7 @@ class _Glauber:
                     if not X:
                         break
             pos = hi - operator.length_hint(its)
-            if stop and pos == end and 2 * X.bit_count() < p:
-                return pos // p, True, X
-        return n_d // p, False, X
+        return X
 
 
 @dataclass(frozen=True)
@@ -702,12 +684,25 @@ def estimate_mixing(g: Graph, theta, seed: int, max_sweeps: int = 10_000) -> Mix
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    fld = _as_field(g, theta)
-    kern = _Glauber(fld)
-    rng = np.random.default_rng(seed)
-    x = [1] * g.p
-    done, stopped = kern.run(x, max_sweeps, rng, stop_on_negative_mag=True)
-    return MixingEstimate(done, not stopped)
+    kern = _Glauber(_as_field(g, theta))
+    return _sweeps_to_negative_mag(kern, [1] * g.p, max_sweeps, np.random.default_rng(seed))
+
+
+def _sweeps_to_negative_mag(kern: _Glauber, x: list, max_sweeps: int, rng) -> MixingEstimate:
+    """Advance the chain x in place one sweep at a time, and stop after
+    the first sweep that leaves the magnetization negative, or after
+    max_sweeps; saturated when no sweep did. The draws are those of
+    kern.blocks, so the chain is the same."""
+    p = kern.p
+    X = sum(b for b, s in zip(kern.bit, x) if s > 0)
+    done = 0
+    for sites, us in kern.chunks(max_sweeps, rng):
+        for s, u in zip(sites.reshape(-1, p), us.reshape(-1, p)):
+            X = kern.walk(x, X, s, u)
+            done += 1
+            if 2 * X.bit_count() < p:
+                return MixingEstimate(done, False)
+    return MixingEstimate(done, True)
 
 
 # How a mixing estimate of t sweeps becomes burn-in and thin.
@@ -730,6 +725,8 @@ def default_sampler_settings(
     """(burn_in, thin, estimate) with each unset (None) value filled from a
     mixing estimate capped at mixing_cap sweeps. When both are given no
     chain runs, and the estimate is None."""
+    if mixing_cap < 1:
+        raise ValueError(f"mixing_cap must be >= 1, got {mixing_cap}")
     if burn_in is not None and thin is not None:
         return burn_in, thin, None
     est = estimate_mixing(g, theta, seed, max_sweeps=mixing_cap)

@@ -25,6 +25,10 @@ the double-hub graph by alternating one-dimensional bisections over its
 two-parameter symmetric reduction, kept as the reference for the batched
 l1 solver run on the exact state probabilities (its tables come from
 `naive_marginal`).
+
+It also owns the statistics of the whole-state sampler check
+(`whole_state_chi2`, `chi2_sf`, `integrated_autocorr_time`), so that
+every heat-bath kernel is judged by the same code.
 """
 import itertools
 import math
@@ -645,3 +649,82 @@ def reference_read_samples(path):
                 raise ValueError(f"sample row {ell} has {len(row)} tokens, wanted {p}")
             spins[ell] = [int(v) for v in row]
     return SampleSet(spins, seed=seed, burn_in=burn_in, thin=thin)
+
+
+def chi2_sf(x, k):
+    """P(chi2_k > x), the regularized upper incomplete gamma function
+    Q(k/2, x/2): by its power series below k/2 + 1 and by Lentz's continued
+    fraction above (Press et al., Numerical Recipes, 2007, 6.2)."""
+    a, z = k / 2, x / 2
+    if z <= 0:
+        return 1.0
+    lead = math.exp(a * math.log(z) - z - math.lgamma(a))
+    if z < a + 1:
+        term = total = 1 / a
+        m = a
+        while term > total * 1e-17:
+            m += 1
+            term *= z / m
+            total += term
+        return 1 - lead * total
+    tiny = 1e-300
+    b = z + 1 - a
+    c, d = 1 / tiny, 1 / b
+    h = d
+    for i in range(1, 100_000):
+        an = -i * (i - a)
+        b += 2
+        d = an * d + b
+        d = 1 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        h *= d * c
+        if abs(d * c - 1) < 1e-16:
+            break
+    return lead * h
+
+
+def whole_state_chi2(spins, pmf, min_expected=5.0):
+    """(statistic, degrees of freedom, p-value) of Pearson's chi-square
+    test of the (n, p) +-1 sample rows against pmf, the probabilities of
+    all 2^p states as ExactDistribution.marginal gives them over vertices
+    1..p (axis k for vertex k + 1, index 1 for spin -1). The cells whose
+    expected count is below min_expected are pooled into one cell; a pool
+    still below it joins the smallest other cell."""
+    spins = np.asarray(spins)
+    n, p = spins.shape
+    codes = (spins < 0) @ (1 << np.arange(p - 1, -1, -1))
+    observed = np.bincount(codes, minlength=1 << p).astype(np.float64)
+    expected = n * np.ravel(pmf)
+    small = expected < min_expected
+    obs, exp = observed[~small], expected[~small]
+    if small.any():
+        pool_obs, pool_exp = observed[small].sum(), expected[small].sum()
+        if pool_exp < min_expected:
+            k = np.argmin(exp)
+            obs[k] += pool_obs
+            exp[k] += pool_exp
+        else:
+            obs, exp = np.append(obs, pool_obs), np.append(exp, pool_exp)
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    dof = len(exp) - 1
+    return stat, dof, chi2_sf(stat, dof)
+
+
+def integrated_autocorr_time(series, window=5.0):
+    """tau = 1 + 2 sum_{t=1..M} rho(t) of a 1-D series, rho its sample
+    autocorrelation and M the first lag with M >= window * tau (Sokal's
+    automatic window; Madras and Sokal, J. Stat. Phys. 50, 1988): the
+    variance of the series mean is about tau times that of as many
+    independent draws. A constant series has tau = 1."""
+    x = np.asarray(series, dtype=np.float64)
+    x = x - x.mean()
+    var = float(x @ x)
+    tau = 1.0
+    if var == 0.0:
+        return tau
+    for t in range(1, len(x)):
+        tau += 2.0 * float(x[:-t] @ x[t:]) / var
+        if t >= window * tau:
+            break
+    return tau

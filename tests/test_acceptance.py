@@ -17,6 +17,7 @@ from isinglearn.graphs import (
     make_tree,
 )
 from isinglearn.ising import (
+    CouplingField,
     SampleSet,
     empirical_correlations,
     exact_moments,
@@ -39,6 +40,7 @@ from isinglearn.analysis import (
     toy_gp5_incoherence,
 )
 from isinglearn.experiments import recipe_regular_sweep, run_sweep
+from _reference import integrated_autocorr_time, whole_state_chi2
 
 
 class _Criterion:
@@ -197,6 +199,58 @@ def test_criterion_08_sampler_fidelity():
             np.fill_diagonal(se, 1.0)
             z = np.abs(c - d.corr) / se
             assert z.max() <= 5.0, f"{name}: worst z-score {z.max():.2f}"
+
+
+def _per_edge(g, lo, hi, seed):
+    """Couplings drawn uniformly from [lo, hi) on the edges of g."""
+    ths = np.random.default_rng(seed).uniform(lo, hi, g.num_edges)
+    return CouplingField.from_dict(g.p, dict(zip(g.sorted_edges(), ths.tolist())))
+
+
+_CYCLE8 = Graph(8, {(i, i + 1) for i in range(1, 8)} | {(1, 8)})
+_PENTAGON_TAIL = Graph(8, {(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 6), (6, 7)})
+# (name, graph, coupling, samples) of the whole-state check. The couplings
+# sit on both sides of ordering (the 3-regular and the binary tree order
+# at theta = atanh(1/2) = 0.549). On a strongly coupled cycle a spin whose
+# neighbors are both +1 is seldom -1, so an error in that acceptance moves
+# the law far. The per-edge fields are mixed in size, then in sign, and
+# vertex 8 of the pentagon is isolated.
+WHOLE_STATE_CASES = (
+    ("rr10-weak", make_random_regular(10, 3, seed=3), 0.4, 5_000),
+    ("tree10-strong", make_tree(10, "balanced", branching=2), 1.0, 3_000),
+    ("cycle8-strong", _CYCLE8, 1.0, 2_000),
+    ("cycle8-per-edge", _CYCLE8, _per_edge(_CYCLE8, 0.6, 1.2, 1), 3_000),
+    ("pentagon-isolated", _PENTAGON_TAIL, _per_edge(_PENTAGON_TAIL, -1.0, 1.0, 2), 5_000),
+)
+# Samples are kept every this many integrated autocorrelation times, the
+# largest over the spins, the magnetization and the energy of a pilot run.
+THIN_PER_TAU = 3
+WHOLE_STATE_ALPHA = 1e-6
+
+
+def whole_state_p_values(seed):
+    """(name, p-value, tau, thin) of each whole-state case at `seed`."""
+    out = []
+    for k, (name, g, theta, n) in enumerate(WHOLE_STATE_CASES):
+        fld = theta if isinstance(theta, CouplingField) else CouplingField.homogeneous(g, theta)
+        pilot = gibbs_sample(g, fld, n=20_000, burn_in=1000, thin=1, seed=seed + 2 * k)
+        X = pilot.spins.astype(np.float64)
+        energy = sum(th * X[:, i - 1] * X[:, j - 1] for i, j, th in fld.couplings)
+        tau = max(integrated_autocorr_time(s) for s in [*X.T, X.sum(axis=1), energy])
+        thin = math.ceil(THIN_PER_TAU * tau)
+        s = gibbs_sample(g, fld, n=n, burn_in=1000, thin=thin, seed=seed + 2 * k + 1)
+        pmf = exact_moments(g, fld).marginal(range(1, g.p + 1))
+        out.append((name, whole_state_chi2(s.spins, pmf)[2], tau, thin))
+    return out
+
+
+def test_sampler_whole_state_distribution():
+    # Criterion 8 compares pair moments, and a kernel whose acceptance is
+    # off by 0.01 at one neighbor count passes it; this compares the
+    # sampled states with the exact law over all 2^p states
+    for name, p_value, tau, thin in whole_state_p_values(seed=200):
+        print(f"  {name}: chi-square p = {p_value:.3g} (tau {tau:.1f}, thin {thin})")
+        assert p_value >= WHOLE_STATE_ALPHA, name
 
 
 def test_criterion_09_tree_thresholding_end_to_end():

@@ -493,6 +493,47 @@ def test_unusable_graph_is_usage_error(tmp_path, capsys, argv, record):
     assert not out.exists()
 
 
+_NOT_FINITE = "isinglearn: error: coupling (1,2) is {}, not a finite number\n"
+_SWEEP_RANGE = "isinglearn: error: analyze {} needs a finite --theta-min and --theta-max\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sample", "--theta", "nan", "--n", "5", "--burn-in", "5", "--thin", "1"],
+         _NOT_FINITE.format("nan")),
+        (["sample", "--theta", "inf", "--n", "5", "--burn-in", "5", "--thin", "1"],
+         _NOT_FINITE.format("inf")),
+        (["sample", "--theta=-inf", "--n", "5"], _NOT_FINITE.format("-inf")),
+        (["analyze", "incoherence", "--theta", "nan"], _NOT_FINITE.format("nan")),
+        (["analyze", "incoherence-sweep", "--theta-min=-inf"],
+         _SWEEP_RANGE.format("incoherence-sweep")),
+        (["analyze", "x-sweep", "--theta-min", "nan"], _SWEEP_RANGE.format("x-sweep")),
+        (["analyze", "b-sweep", "--theta-max", "inf"], _SWEEP_RANGE.format("b-sweep")),
+    ],
+    ids=["sample-nan", "sample-inf", "sample-mixing-estimate", "incoherence-nan",
+         "incoherence-sweep", "x-sweep", "b-sweep"],
+)
+def test_non_finite_couplings_are_usage_errors(tmp_path, capsys, tree_graph_file, argv, message):
+    # sample wrote all -1 rows at nan and inf, incoherence a JSON report of
+    # bare NaN values, and the sweeps rows of nan through the closed forms
+    out = tmp_path / "out"
+    assert main(argv + ["--graph", str(tree_graph_file), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, cap", [([], "0"), (["--burn-in", "3", "--thin", "1"], "-3")])
+def test_sample_refuses_mixing_cap_below_one(tmp_path, capsys, tree_graph_file, flags, cap):
+    # the first was refused as max_sweeps, the second accepted silently
+    out = tmp_path / "out"
+    argv = ["sample", "--graph", str(tree_graph_file), "--theta", "0.5", "--n", "5",
+            "--mixing-cap", cap, "--out", str(out)]
+    assert main(argv + flags) == 2
+    assert capsys.readouterr() == ("", f"isinglearn: error: mixing_cap must be >= 1, got {cap}\n")
+    assert not out.exists()
+
+
 def test_analyze_b_sweep_edges(tmp_path, capsys):
     bpath = tmp_path / "b.csv"
     argv = ["analyze", "b-sweep", "--theta-min", "0.3", "--theta-max", "10",

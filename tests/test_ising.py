@@ -67,6 +67,19 @@ class TestCouplingField:
         with pytest.raises(ValueError):
             CouplingField(3, ((2, 2, 0.1),))
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, theta):
+        # gibbs_sample drew all -1 rows at nan and at inf (with a numpy
+        # warning at inf), and exact_moments gave a NaN log_z and corr
+        message = re.escape(f"coupling (1,2) is {theta}, not a finite number")
+        with pytest.raises(ValueError, match=message):
+            CouplingField.from_dict(3, {(2, 3): 0.5, (1, 2): theta})
+        path = make_tree(6, "path")
+        with pytest.raises(ValueError, match=message):
+            exact_moments(path, theta)
+        with pytest.raises(ValueError, match=message):
+            gibbs_sample(path, theta, n=5, burn_in=5, thin=1)
+
 
 class TestExactMoments:
     def test_single_edge(self):
@@ -417,6 +430,15 @@ class TestGibbs:
         assert settings(make_grid(4), 1.5, None, None, 3, 700) == (7000, 50, est)
         assert est.saturated
 
+    @pytest.mark.parametrize("burn_in, thin", [(None, None), (None, 3), (5, 1)])
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_mixing_cap_refused_under_its_own_name(self, burn_in, thin, cap):
+        # a cap below 1 was refused as estimate_mixing's max_sweeps, and
+        # accepted when burn-in and thin were both given
+        with pytest.raises(ValueError, match=f"^mixing_cap must be >= 1, got {cap}$"):
+            gibbs_sample(make_tree(6, "path"), 0.3, n=5, burn_in=burn_in, thin=thin,
+                         mixing_cap=cap)
+
     def test_heterogeneous_couplings(self):
         g = make_tree(3, "path")
         fld = CouplingField.from_dict(3, {(1, 2): 0.9, (2, 3): 0.1})
@@ -508,6 +530,38 @@ def _compared_blocks(nsweeps):
     return (nsweeps,) + (10,) * (nsweeps // 10) + ((nsweeps % 10,) if nsweeps % 10 else ())
 
 
+def _kernel_runs(kern, x, sizes, rng, stop):
+    """(sweeps_run, stopped_early) after each block of `sizes` sweeps, as
+    the reference runs report it. Without stop the blocks are those of one
+    kern.blocks chain; with it each block is one run of the mixing
+    estimate's stop rule, and the first run that stops is the last."""
+    if not stop:
+        for size, _ in zip(sizes, kern.blocks(x, sizes, rng)):
+            yield size, False
+        return
+    for size in sizes:
+        est = ising._sweeps_to_negative_mag(kern, x, size, rng)
+        yield est.sweeps, not est.saturated
+        if not est.saturated:
+            return
+
+
+class _ScriptedDraws:
+    """Stands in for the kernel's rng: hands out the given sites and
+    uniforms, in the order and the sizes asked for."""
+
+    def __init__(self, sites, us):
+        self.sites, self.us = list(sites), list(us)
+
+    def integers(self, low, high, size):
+        out, self.sites = self.sites[:size], self.sites[size:]
+        return np.array(out)
+
+    def random(self, size):
+        out, self.us = self.us[:size], self.us[size:]
+        return np.array(out)
+
+
 class _FixedDraws:
     """Stands in for the kernel's rng over one sweep: every one of the p
     updates goes to `site` with uniform `u`."""
@@ -562,8 +616,7 @@ class TestHeatBathKernel:
                         for w, k in zip(nb, idx):
                             x[w - 1] = 1 - 2 * k
                         before = list(x)
-                        out = kern.run(x, 1, _FixedDraws(p, v - 1, u))
-                        assert out == (1, False)
+                        next(kern.blocks(x, (1,), _FixedDraws(p, v - 1, u)))
                         before[v - 1] = want
                         assert x == before, (v, idx, u, start)
 
@@ -613,7 +666,7 @@ class TestHeatBathKernel:
                     want = list(x)
                     if moved:
                         want[v] = -start
-                    out = kern.run(x, 1, _FixedDraws(p, v, u), stop_on_negative_mag=stop)
+                    out = next(_kernel_runs(kern, x, (1,), _FixedDraws(p, v, u), stop))
                     assert x == want, (v, start, u)
                     assert out == (1, stop and sum(want) < 0), (v, start, u)
 
@@ -666,7 +719,7 @@ class TestHeatBathKernel:
             s0 = 1 if start == "plus" else -1
             x, x_ref = [s0] * p, [s0] * p
         sizes = _compared_blocks(nsweeps)
-        for size, out in zip(sizes, kern.blocks(x, sizes, rng, stop_on_negative_mag=stop)):
+        for size, out in zip(sizes, _kernel_runs(kern, x, sizes, rng, stop)):
             ref = reference_glauber_run(p, edges, theta, x_ref, size, ref_rng, stop)
             assert out == ref and x == x_ref, size
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -731,7 +784,7 @@ class TestHeatBathKernel:
             x, x_ref = [s0] * p, [s0] * p
         sizes = _compared_blocks(nsweeps)
         with mock.patch.object(ising, "_ROW_ENTRIES", entries or ising._ROW_ENTRIES):
-            for size, out in zip(sizes, kern.blocks(x, sizes, rng, stop_on_negative_mag=stop)):
+            for size, out in zip(sizes, _kernel_runs(kern, x, sizes, rng, stop)):
                 ref = reference_field_run(fld, x_ref, size, ref_rng, stop)
                 assert out == ref and x == x_ref, size
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -756,7 +809,7 @@ class TestHeatBathKernel:
                 x = [1 if start == "plus" else -1] * 30
                 x_ref = list(x)
             with mock.patch.object(kern, "window", window or kern.window):
-                for out in kern.blocks(x, (25,) * 12, rng, stop):
+                for out in _kernel_runs(kern, x, (25,) * 12, rng, stop):
                     if per_edge:
                         ref = reference_field_run(fld, x_ref, 25, ref_rng, stop)
                     else:
@@ -764,13 +817,73 @@ class TestHeatBathKernel:
                     assert out == ref and x == x_ref, (start, stop)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("max_sweeps", [1, 127, 128, 129, 300])
+    @pytest.mark.parametrize("theta", [-0.65, 0.45, 1.5])
+    @pytest.mark.parametrize("per_edge", [False, True])
+    def test_stop_rule_matches_reference_runs(self, max_sweeps, theta, per_edge):
+        # the mixing estimate's stop rule against the reference runs with
+        # their own stop, from every start; at theta = 1.5 all +1 saturates
+        # and all -1 stops after one sweep
+        g = Graph(30, set(_REG30))
+        fld = ising._as_field(g, CouplingField.from_dict(30, _ferro(theta)) if per_edge else theta)
+        kern = ising._Glauber(fld)
+        saturated = set()
+        for k, start in enumerate(("plus", "minus", "random")):
+            rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+            if start == "random":
+                x, x_ref = kern.initial_state(rng), kern.initial_state(ref_rng)
+            else:
+                x = [1 if start == "plus" else -1] * 30
+                x_ref = list(x)
+            est = ising._sweeps_to_negative_mag(kern, x, max_sweeps, rng)
+            if per_edge:
+                ref = reference_field_run(fld, x_ref, max_sweeps, ref_rng, stop_on_negative_mag=True)
+            else:
+                ref = reference_glauber_run(30, _REG30, theta, x_ref, max_sweeps, ref_rng,
+                                            stop_on_negative_mag=True)
+            assert (est.sweeps, not est.saturated) == ref and x == x_ref, start
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, start
+            if start == "plus":
+                assert estimate_mixing(g, fld, k, max_sweeps=max_sweeps) == est
+            saturated.add(est.saturated)
+        assert theta != 1.5 or saturated == {True, False}
+
+    @pytest.mark.parametrize("per_edge", [False, True])
+    def test_stop_rule_sees_all_minus_reached_mid_sweep(self, per_edge):
+        # A strongly coupled path 1-2-3-4 from (+1, +1, -1, -1), magnetization
+        # 0. Sweep 1 turns sites 1 and 2 to -1 with its first two draws, so
+        # every spin is -1 halfway through it and the jump over the draws
+        # that cannot move an aligned state takes over; sweep 2 holds a draw
+        # that moves it. The rule stops after sweep 1, before that draw.
+        edges = [(1, 2), (2, 3), (3, 4)]
+        fld = (CouplingField.from_dict(4, {e: 3.0 + 0.1 * k for k, e in enumerate(edges)})
+               if per_edge else CouplingField.homogeneous(Graph(4, set(edges)), 3.0))
+        kern = ising._Glauber(fld)
+        sites = [0, 1, 2, 3] + [0, 1, 2, 3] + [3, 2, 1, 0]
+        us = [0.999, 0.999, 0.5, 0.5] + [0.0, 0.5, 0.5, 0.5] + [0.5] * 4
+        x, x_ref = [1, 1, -1, -1], [1, 1, -1, -1]
+        draws, ref_draws = _ScriptedDraws(sites, us), _ScriptedDraws(sites, us)
+        est = ising._sweeps_to_negative_mag(kern, x, 3, draws)
+        if per_edge:
+            ref = reference_field_run(fld, x_ref, 3, ref_draws, stop_on_negative_mag=True)
+        else:
+            ref = reference_glauber_run(4, edges, 3.0, x_ref, 3, ref_draws,
+                                        stop_on_negative_mag=True)
+        assert ref == (1, True) and est == MixingEstimate(1, False)
+        assert x == x_ref == [-1] * 4
+        assert draws.sites == ref_draws.sites == [] and draws.us == ref_draws.us == []
+        # without the stop the chain leaves all -1 at sweep 2's first draw
+        x = [1, 1, -1, -1]
+        next(kern.blocks(x, (2,), _ScriptedDraws(sites[:8], us[:8])))
+        assert x == [1, -1, -1, -1]
+
     def test_rows_keep_at_most_the_bound(self):
         # the hub of a p=30 star meets about one new neighbor mask per update
         g = make_star(30, 29)
         fld = CouplingField.from_dict(30, {e: 0.05 + 0.01 * k for k, e in enumerate(g.sorted_edges())})
         kern = ising._Glauber(fld)
         rng = np.random.default_rng(0)
-        kern.run(kern.initial_state(rng), 3000, rng)
+        next(kern.blocks(kern.initial_state(rng), (3000,), rng))
         assert max(len(row) for row in kern.rows) == len(kern.rows[0]) == ising._ROW_ENTRIES
 
 
