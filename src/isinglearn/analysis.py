@@ -191,8 +191,8 @@ def tree_boundary_field(delta: int, theta: float, tol: float = 1e-12) -> float:
         raise ValueError("tol must be positive")
     if delta < 3:
         raise ValueError("degree must be >= 3")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be > 0 and finite, got {theta}")
     t = math.tanh(theta)
     if (delta - 1) * t <= 1.0:
         return 0.0

@@ -60,8 +60,12 @@ class CouplingField:
 
     @classmethod
     def homogeneous(cls, g: Graph, theta: float) -> "CouplingField":
-        """theta on every edge of g, zero elsewhere."""
-        return cls(g.p, tuple((i, j, float(theta)) for i, j in g.sorted_edges()))
+        """theta on every edge of g, zero elsewhere. A non-finite theta is
+        refused here when g has no edge to carry it to __post_init__."""
+        theta = float(theta)
+        if not (g.edges or math.isfinite(theta)):
+            raise ValueError(f"theta must be finite, got {theta}")
+        return cls(g.p, tuple((i, j, theta) for i, j in g.sorted_edges()))
 
     @classmethod
     def from_dict(cls, p: int, mapping: dict) -> "CouplingField":
@@ -302,9 +306,8 @@ class ExactDistribution:
             w = np.exp(e, out=e)
             z += float(w.sum())
             acc.add(rows, w)
-        s = acc.sums()
         self.log_z = shift + math.log(z) + math.log(2.0)
-        self.corr = s / z
+        self.corr = acc.sums() / z
         np.fill_diagonal(self.corr, 1.0)
 
     def _slabs(self, split: _Split):
@@ -327,18 +330,14 @@ class ExactDistribution:
             e -= self.log_z - math.log(2.0)
             yield rows, np.exp(e, out=e)
 
-    def expectation_vector(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """E{X_v fn(X)} for every vertex, as a length-p array; fn maps a
-        read-only (B, p) block of spins to (B,).
-
-        fn need be neither even nor odd, so each block goes to fn twice,
-        as X and as -X: x_v fn(x) + (-x_v) fn(-x) is the pair's share."""
+    def _spin_blocks(self):
+        """Yield (rows, W, X) per slab of the constructor's split: W as
+        _weights gives it, and X the slab's states, hi row by hi row, as a
+        read-only (W.size, p) view in vertex order of one buffer, whose lo
+        columns, the same in every slab, are filled once."""
         p = self.graph.p
         split = self._split
         n_lo, b = split.x_lo.shape
-        acc = _FirstSums(split)
-        # the lo columns are the same in every slab: fill them once and
-        # hand fn a read-only view, so it cannot corrupt the next slab
         block = np.empty((0, n_lo, p))
         for rows, w in self._weights(split):
             if len(block) < len(w):
@@ -347,6 +346,23 @@ class ExactDistribution:
             block[: len(w), :, b:] = split.x_hi[rows, None, :]
             X = block[: len(w)].reshape(-1, p)
             X.flags.writeable = False
+            yield rows, w, X
+
+    def half_states(self) -> tuple[np.ndarray, np.ndarray]:
+        """(X, W): the 2^(p-1) walked states, those with x_p = +1, as a float
+        design in vertex order, and twice their probabilities as a column, so
+        that sum(W f(X)) = E{f(X)} for every even f."""
+        blocks = [(X.copy(), w.reshape(-1, 1)) for _, w, X in self._spin_blocks()]
+        return tuple(np.concatenate(part) for part in zip(*blocks))
+
+    def expectation_vector(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """E{X_v fn(X)} for every vertex, as a length-p array; fn maps a
+        read-only (B, p) block of spins to (B,).
+
+        fn need be neither even nor odd, so each block goes to fn twice,
+        as X and as -X: x_v fn(x) + (-x_v) fn(-x) is the pair's share."""
+        acc = _FirstSums(self._split)
+        for rows, w, X in self._spin_blocks():
             neg = -X
             neg.flags.writeable = False
             odd = np.asarray(fn(X), dtype=np.float64) - fn(neg)

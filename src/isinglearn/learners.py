@@ -31,16 +31,16 @@ def thresholding(corr: np.ndarray, tau: float) -> Graph:
 
 def tau_tree(theta: float) -> float:
     """Threshold separating tree edge correlations from non-edge ones."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be > 0 and finite, got {theta}")
     t = math.tanh(theta)
     return 0.5 * (t + t * t)
 
 
 def tau_degree(theta: float, delta: int) -> float:
     """Threshold for degree-bounded graphs; valid for tanh(theta) < 1/(2 delta)."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be > 0 and finite, got {theta}")
     if delta < 2:
         raise ValueError("delta must be >= 2")
     if math.tanh(theta) >= 1.0 / (2 * delta):
@@ -53,8 +53,8 @@ def tau_degree(theta: float, delta: int) -> float:
 
 def default_ind_params(theta: float, delta: int) -> tuple[float, float, float]:
     """(eps, gamma, kappa) defaults for the independence-test learners."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be > 0 and finite, got {theta}")
     eps = 0.25 * math.sinh(2.0 * theta)
     gamma = math.exp(-4.0 * delta * theta) * 2.0 ** (-2 * delta)
     kappa = math.tanh(theta)
@@ -77,8 +77,8 @@ def sample_bound(
         raise ValueError("p must be >= 2")
     if not 0 < dlt < 1:
         raise ValueError("dlt must lie in (0, 1)")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be > 0 and finite, got {theta}")
     if alg == "thr-tree":
         t = math.tanh(theta)
         return math.ceil(32.0 / (t - t * t) ** 2 * math.log(2 * p / dlt))
@@ -877,30 +877,20 @@ def run_learner(
 # population-limit regression
 
 
-_POPULATION_MAX_P = 18  # the 2^p x p float design is 38 MB at p = 18
+_POPULATION_MAX_P = 18  # the half design, 2^(p-1) x p floats, is 19 MB at p = 18
 # a cap on Newton steps; the slowest known solve (p=14, theta=0.65, lam=1e-4) takes 13
 _POPULATION_MAX_ITER = 100
 _POPULATION_TOL = 1e-10  # bound on the solve's subgradient optimality residual
-
-
-def _population_rows(dist: ExactDistribution):
-    """All 2^p states as a float (2^p, p) design and their exact
-    probabilities as a (2^p, 1) weight column: the population input of
-    _rlr_all_roots. Row s has spin -1 at vertex k+1 where bit p-1-k of s is
-    set, the order of dist.marginal over every vertex."""
-    p = dist.graph.p
-    bits = (np.arange(1 << p)[:, None] >> np.arange(p - 1, -1, -1)) & 1
-    return 1.0 - 2.0 * bits, dist.marginal(range(1, p + 1)).reshape(-1, 1)
 
 
 def population_rlr_gp(theta: float, p: int, lam: float) -> tuple[float, float]:
     """Population-limit regression at the hub (vertex 1) of the double-hub
     graph make_toy_gp(p), p <= 18.
 
-    The batched l1 solver runs on all 2^p states weighted by their exact
-    probabilities, and a solve whose residual is still at or above
-    _POPULATION_TOL after _POPULATION_MAX_ITER Newton steps raises
-    RuntimeError. By symmetry every spoke coefficient is the same.
+    The batched l1 solver runs on ExactDistribution.half_states (the
+    pseudo-likelihood is even in x), and a solve whose residual is still
+    at or above _POPULATION_TOL after _POPULATION_MAX_ITER Newton steps
+    raises RuntimeError. By symmetry every spoke coefficient is the same.
     Returns (t13_hat, t12_hat), the hub's coefficients toward spoke 3 and
     toward the opposite hub.
     """
@@ -908,12 +898,10 @@ def population_rlr_gp(theta: float, p: int, lam: float) -> tuple[float, float]:
         raise ValueError("p must be >= 5")
     if p > _POPULATION_MAX_P:
         raise ValueError(f"p must be <= {_POPULATION_MAX_P}")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    rows = _population_rows(exact_moments(make_toy_gp(p), theta))
-    coef, _, res, _ = _rlr_all_roots(
-        *rows, lam, _POPULATION_TOL, _POPULATION_MAX_ITER, None, roots=[0]
-    )
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be > 0 and finite, got {theta}")
+    X, W = exact_moments(make_toy_gp(p), theta).half_states()
+    coef, _, res, _ = _rlr_all_roots(X, W, lam, _POPULATION_TOL, _POPULATION_MAX_ITER, None, [0])
     if not res[0] < _POPULATION_TOL:
         raise RuntimeError(
             f"population regression did not converge in {_POPULATION_MAX_ITER}"

@@ -514,6 +514,15 @@ class TestFailureCertificate:
         assert cert.certificate < 0
         assert cert.m_squared == 0.0
 
+    @pytest.mark.parametrize("theta", [1.2, 0.05])
+    def test_sampled_branch_agrees_in_sign(self, theta):
+        # above the enumeration budget the certificate reads Gibbs samples
+        exact = thresholding_failure_certificate(3, theta, 12, seed=3)
+        with mock.patch.object(analysis, "ENUMERATION_MAX_P", 10):
+            sampled = thresholding_failure_certificate(3, theta, 12, seed=3)
+        assert exact.exact and not sampled.exact
+        assert (sampled.certificate > 0) == (exact.certificate > 0)
+
     def test_limit_magnetization_dominates(self):
         h = tree_boundary_field(4, 1.2)
         m_sq = math.tanh(4 * h / 3) ** 2

@@ -256,8 +256,13 @@ def test_learn_rejects_bad_solver_settings(tmp_path, capsys, path_samples, flags
          "kappa must be finite, got nan"),
         (["--alg", "rlr", "--lambda", "nan"], "lam must be finite, got nan"),
         (["--alg", "rlr", "--lambda", "inf"], "lam must be finite, got inf"),
+        # tau and eps were blamed for the nan they were derived from
+        (["--alg", "thr", "--theta", "nan"], "theta must be > 0 and finite, got nan"),
+        (["--alg", "ind", "--theta", "nan", "--delta", "2"],
+         "theta must be > 0 and finite, got nan"),
     ],
-    ids=["eps-nan", "eps-inf", "kappa-nan", "lambda-nan", "lambda-inf"],
+    ids=["eps-nan", "eps-inf", "kappa-nan", "lambda-nan", "lambda-inf", "thr-theta-nan",
+         "ind-theta-nan"],
 )
 def test_learn_rejects_non_finite_parameters(tmp_path, capsys, path_samples, flags, message):
     capsys.readouterr()
@@ -520,6 +525,29 @@ def test_non_finite_couplings_are_usage_errors(tmp_path, capsys, tree_graph_file
     out = tmp_path / "out"
     assert main(argv + ["--graph", str(tree_graph_file), "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sample", "--theta", "nan", "--n", "5", "--burn-in", "2", "--thin", "1"],
+         "theta must be finite, got nan"),
+        (["sample", "--theta", "inf", "--n", "5"], "theta must be finite, got inf"),
+        (["analyze", "tree-limit", "--theta", "nan"], "theta must be > 0 and finite, got nan"),
+        (["analyze", "tree-limit", "--theta", "inf"], "theta must be > 0 and finite, got inf"),
+    ],
+    ids=["sample-edgeless-nan", "sample-edgeless-inf", "tree-limit-nan", "tree-limit-inf"],
+)
+def test_non_finite_theta_is_named(tmp_path, capsys, argv, message):
+    # sample wrote rows of an edgeless graph at nan, and tree-limit blamed
+    # float range for a theta that was never a number
+    edgeless = tmp_path / "edgeless.txt"
+    edgeless.write_text("p 3\n")
+    out = tmp_path / "out"
+    graph = ["--graph", str(edgeless)] if argv[0] == "sample" else []
+    assert main(argv + graph + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"isinglearn: error: {message}\n")
     assert not out.exists()
 
 

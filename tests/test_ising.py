@@ -80,6 +80,21 @@ class TestCouplingField:
         with pytest.raises(ValueError, match=message):
             gibbs_sample(path, theta, n=5, burn_in=5, thin=1)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_on_edgeless_graph(self, theta):
+        # no coupling carried theta to the finite check: gibbs_sample wrote
+        # samples, and estimate_mixing and exact_moments ran
+        edgeless = Graph(3, set())
+        message = f"^theta must be finite, got {theta}$"
+        for run in (
+            lambda: CouplingField.homogeneous(edgeless, theta),
+            lambda: exact_moments(edgeless, theta),
+            lambda: estimate_mixing(edgeless, theta, seed=0),
+            lambda: gibbs_sample(edgeless, theta, n=5, burn_in=5, thin=1),
+        ):
+            with pytest.raises(ValueError, match=message):
+                run()
+
 
 class TestExactMoments:
     def test_single_edge(self):
@@ -292,6 +307,44 @@ class TestHalfSpace:
 
         assert pmf.shape == (sum(coef) + 1,)
         assert np.abs(pmf - naive_expectation(g, couplings, one_hot)).max() < 1e-12
+
+
+def _check_half_states(g, couplings, layout):
+    """half_states against brute force: 2^(p-1) distinct states, each with
+    x_p = +1 and twice its probability as weight, the weights summing to 1."""
+    with split_layout(layout):
+        X, W = exact_moments(g, CouplingField.from_dict(g.p, couplings)).half_states()
+    n = 2 ** (g.p - 1)
+    assert X.shape == (n, g.p) and W.shape == (n, 1)
+    assert (X[:, -1] == 1.0).all()
+    assert len({tuple(x) for x in X}) == n
+    want = naive_marginal(g, couplings, range(1, g.p + 1))
+    for x, w in zip(X, W[:, 0]):
+        assert abs(w - 2.0 * want[tuple(int(v) for v in x)]) < 1e-12
+    assert abs(W.sum() - 1.0) < 1e-12
+
+
+class TestHalfStates:
+    @settings(max_examples=40, deadline=None)
+    @given(inst=ising_instances(p_max=8))
+    def test_match_brute_force(self, inst):
+        _check_half_states(*inst)
+
+    @pytest.mark.parametrize("layout", SPLIT_LAYOUTS)
+    def test_every_split_layout(self, layout):
+        g, couplings, _ = _half_space_instance(7)
+        _check_half_states(g, couplings, layout)
+
+    def test_axis_k_is_vertex_k_plus_one(self):
+        # flipping vertex k+1 alone from all +1 costs 2 theta deg(k+1)
+        theta, g = 0.3, make_toy_gp(5)
+        X, W = exact_moments(g, theta).half_states()
+        top = W[(X == 1.0).all(axis=1), 0].item()
+        for k in range(g.p - 1):
+            one = np.ones(g.p)
+            one[k] = -1.0
+            w = W[(X == one).all(axis=1), 0].item()
+            assert w / top == pytest.approx(math.exp(-2 * theta * len(g.neighbors(k + 1))))
 
 
 def _field_rows(p):

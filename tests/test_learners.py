@@ -18,9 +18,9 @@ from isinglearn.graphs import (
     make_toy_gp_prime,
     make_tree,
 )
-from isinglearn.analysis import incoherence, population_hessian
+from isinglearn.analysis import incoherence, population_hessian, tree_boundary_field
 from isinglearn.ising import (
-    CouplingField,
+    ExactDistribution,
     SampleSet,
     empirical_correlations,
     exact_moments,
@@ -47,7 +47,6 @@ from isinglearn.learners import (
 )
 from _reference import (
     naive_gp_tables,
-    naive_marginal,
     naive_pseudo_likelihood,
     reference_independence_test,
     reference_joint,
@@ -58,7 +57,6 @@ from _reference import (
     reference_rlr_neighborhood,
     reference_score,
 )
-from _strategies import ising_instances, split_layout
 
 
 class TestThresholding:
@@ -546,26 +544,38 @@ def test_negative_lambda_rejected():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_parameters_rejected(value):
-    # each of these ran to an empty graph before it was refused
+    # each of the first ran to an empty graph before it was refused; the
+    # theta checks let nan and inf through to tau, eps, a nan threshold, a
+    # float conversion or a float-range message
     g = make_tree(4, "path")
     s = gibbs_sample(g, 0.5, n=200, burn_in=50, thin=1, seed=0)
     d = exact_moments(g, 0.5)
     runs = {
-        "eps": (
+        "eps must be finite": (
             lambda: local_independence_test(s, 2, value, 0.01),
             lambda: local_independence_test_pruned(s, 2, value, 0.01, 0.4),
             lambda: population_independence_test(d, 2, value, 0.01),
         ),
-        "kappa": (lambda: local_independence_test_pruned(s, 2, 0.2, 0.01, value),),
-        "lam": (
+        "kappa must be finite": (
+            lambda: local_independence_test_pruned(s, 2, 0.2, 0.01, value),
+        ),
+        "lam must be finite": (
             lambda: rlr_graph(s, value),
             lambda: rlr_neighborhood(s, 2, value),
             lambda: population_rlr_gp(0.5, 5, value),
         ),
+        "theta must be > 0 and finite": (
+            lambda: tau_tree(value),
+            lambda: tau_degree(value, 3),
+            lambda: default_ind_params(value, 3),
+            lambda: sample_bound("thr-tree", value, p=10),
+            lambda: population_rlr_gp(value, 5, 0.1),
+            lambda: tree_boundary_field(4, value),
+        ),
     }
-    for name, calls in runs.items():
+    for what, calls in runs.items():
         for run in calls:
-            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            with pytest.raises(ValueError, match=f"^{what}, got {value}$"):
                 run()
 
 
@@ -1206,32 +1216,10 @@ class TestPopulationRlrGp:
             with pytest.raises(RuntimeError, match="did not converge in 2 iterations"):
                 population_rlr_gp(0.65, 5, 0.1)
 
-
-class TestPopulationRows:
-    @settings(max_examples=40, deadline=None)
-    @given(inst=ising_instances(p_max=8))
-    def test_match_brute_force(self, inst):
-        g, couplings, layout = inst
-        with split_layout(layout):
-            X, wgt = learners._population_rows(
-                exact_moments(g, CouplingField.from_dict(g.p, couplings))
-            )
-        assert X.shape == (2**g.p, g.p) and wgt.shape == (2**g.p, 1)
-        want = naive_marginal(g, couplings, range(1, g.p + 1))
-        assert len({tuple(x) for x in X}) == 2**g.p
-        for x, w in zip(X, wgt[:, 0]):
-            assert abs(w - want[tuple(int(v) for v in x)]) < 1e-12
-
-    def test_axis_k_is_vertex_k_plus_one(self):
-        X, _ = learners._population_rows(exact_moments(make_toy_gp(5), 0.3))
-        assert X[0].tolist() == [1.0] * 5
-        assert X[1].tolist() == [1.0, 1.0, 1.0, 1.0, -1.0]
-        assert X[16].tolist() == [-1.0, 1.0, 1.0, 1.0, 1.0]
-
     def test_refuses_more_than_18_vertices(self):
-        # the cap is population_rlr_gp's alone, checked before any row is
-        # built; _population_rows kept a copy of it
-        with mock.patch.object(learners, "_population_rows") as build_rows:
+        # the cap is population_rlr_gp's alone, checked before any row of
+        # the half design is built
+        with mock.patch.object(ExactDistribution, "half_states") as build_rows:
             with pytest.raises(ValueError, match="^p must be <= 18$"):
                 population_rlr_gp(0.3, 19, 0.1)
         build_rows.assert_not_called()
@@ -1253,6 +1241,10 @@ class TestPrimalDualWitness:
         pytest.param(make_toy_gp(5), 0.65, 5, 0.862, id="gp5-0.65-r5"),
         pytest.param(make_random_regular(12, 4, 3), 0.3, 1, 0.824, id="4reg12-0.3-r1"),
         pytest.param(make_random_regular(14, 4, 2), 0.55, 1, 1.060, id="4reg14-0.55-r1"),
+        # criterion 10's family either side of theta_thr(4) = 0.4203; graph
+        # seed 5 was the one seed tried
+        pytest.param(make_random_regular(18, 4, 5), 0.3, 1, 0.703, id="4reg18-0.3-r1"),
+        pytest.param(make_random_regular(18, 4, 5), 0.55, 1, 1.062, id="4reg18-0.55-r1"),
     ]
 
     @pytest.mark.parametrize("g, theta, r, norm", WITNESS_CASES)
@@ -1263,10 +1255,10 @@ class TestPrimalDualWitness:
         report = incoherence(population_hessian(dist, r), g.neighbors(r))
         assert report.norm == pytest.approx(norm, abs=5e-4)
         assert abs(report.norm - 1.0) >= 0.05
-        rows = learners._population_rows(dist)
+        X, W = dist.half_states()
         warm = None
         for lam in (1e-2, 3e-3, 1e-3, 3e-4):
-            warm, _, res, _ = _rlr_all_roots(*rows, lam, 1e-9, 20_000, warm, roots=[r - 1])
+            warm, _, res, _ = _rlr_all_roots(X, W, lam, 1e-9, 20_000, warm, roots=[r - 1])
             assert res[r - 1] < 1e-9
             support = {int(v) + 1 for v in np.flatnonzero(warm[:, r - 1])}
             assert (support == set(g.neighbors(r))) == (report.norm < 1.0), lam
