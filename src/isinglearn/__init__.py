@@ -50,7 +50,6 @@ from .learners import (
     pseudo_likelihood_objective,
     rlr_graph,
     rlr_neighborhood,
-    run_learner,
     sample_bound,
     score,
     tau_degree,
@@ -80,5 +79,6 @@ from .analysis import (
     tree_boundary_field,
     tree_limit_report,
 )
+from .experiments import run_learner
 
 __version__ = "0.1.0"

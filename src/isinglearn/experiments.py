@@ -17,9 +17,17 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .graphs import GraphFamilySpec, build_graph
-from .ising import _settings_from_sweeps, default_sampler_settings, gibbs_sample
-from .learners import LearnerConfig, rlr_graph, run_learner
+from .graphs import Graph, GraphFamilySpec, build_graph
+from .ising import (SampleSet, _settings_from_sweeps, default_sampler_settings,
+                    empirical_correlations, gibbs_sample)
+from .learners import (
+    LearnerConfig,
+    RlrGraphResult,
+    local_independence_test,
+    local_independence_test_pruned,
+    rlr_graph,
+    thresholding,
+)
 
 # Pessimistic cost model: one work unit is roughly one single-site sampler
 # update; solver work is folded in via an equivalent-update rate.
@@ -70,13 +78,17 @@ class SweepConfig:
             raise ValueError(f"budget_units must be finite and > 0, got {self.budget_units}")
         # trials are tallied by grid value and seeded by grid index, so a
         # repeated value would merge two cells into one
-        rlr = self.learner.alg == "rlr"
-        for name in ("theta_grid", "n_grid") + (("lambda0_grid",) if rlr else ()):
+        for name in ("theta_grid", "n_grid", "lambda0_grid"):
             grid = getattr(self, name)
             repeated = next((v for i, v in enumerate(grid) if v in grid[:i]), None)
             if repeated is not None:
                 raise ValueError(f"{name} repeats {repeated}: {grid}")
-        if not rlr:
+        # only rlr reads lambda0; the others run once, in one lambda0 = 0
+        # cell, and take that grid back, as dataclasses.replace passes it
+        if self.learner.alg != "rlr":
+            if self.lambda0_grid not in (SweepConfig.lambda0_grid, (0.0,)):
+                raise ValueError(f"lambda0_grid is read by learner 'rlr' only,"
+                                 f" not {self.learner.alg!r}: {self.lambda0_grid}")
             self.lambda0_grid = (0.0,)
 
 
@@ -171,13 +183,39 @@ def _sample_trial(cfg: SweepConfig, i_t: int, i_n: int, trial: int):
     return g, s, saturated, (time.perf_counter() - t_sample0) * 1000.0
 
 
+def run_learner(
+    cfg: LearnerConfig,
+    s: SampleSet,
+    theta: float,
+    delta: int,
+    lam: float | None = None,
+    warm: np.ndarray | None = None,
+) -> tuple[Graph, RlrGraphResult | None]:
+    """Dispatch a configured learner on a sample set: (graph, the rlr
+    result, or None for the other learners). rlr needs `lam` and starts
+    from `warm`, a (p, p) coefficient matrix such as a nearby result's
+    `theta`; the other learners read neither."""
+    cfg = cfg.resolved(theta, delta)
+    if cfg.alg == "thr":
+        return thresholding(empirical_correlations(s), cfg.tau), None
+    if cfg.alg == "ind":
+        return local_independence_test(s, delta, cfg.eps, cfg.gamma, rule=cfg.rule), None
+    if cfg.alg == "indd":
+        return local_independence_test_pruned(
+            s, delta, cfg.eps, cfg.gamma, cfg.kappa, rule=cfg.rule
+        ), None
+    res = rlr_graph(s, lam, rule=cfg.rule, tol=cfg.tol, max_iter=cfg.max_iter, warm=warm)
+    return res.graph, res
+
+
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run every (theta, lambda0, n) cell for the configured trial count.
 
     One sample set per (theta, n, trial) is shared across the lambda0 grid
-    (regularization does not touch the sampler), with solutions warm-started
-    from the next-larger lambda0. Refuses to start if the pessimistic work
-    estimate exceeds cfg.budget_units.
+    (regularization does not touch the sampler). Each cell learns through
+    run_learner at lambda = 2 lambda0 theta sqrt(log p / n), warm-started
+    from the next-larger lambda0's coefficients. Refuses to start if the
+    pessimistic work estimate exceeds cfg.budget_units.
 
     With more than one trial and more than one available CPU, trials are
     sampled in one worker process per CPU (at most one per trial) while
@@ -215,29 +253,16 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             warm = None
             for lam0 in lam0s_desc:
                 t_learn0 = time.perf_counter()
-                if cfg.learner.alg == "rlr":
-                    lam = 2.0 * lam0 * theta * math.sqrt(math.log(p) / n)
-                    res = rlr_graph(
-                        s,
-                        lam,
-                        rule=cfg.learner.rule,
-                        tol=cfg.learner.tol,
-                        max_iter=cfg.learner.max_iter,
-                        warm=warm,
-                    )
-                    warm = res.theta
-                    learned = res.graph
-                    unconverged = not res.all_converged
-                else:
-                    learned = run_learner(cfg.learner, s, theta, g.max_degree or 1)
-                    unconverged = False
+                lam = 2.0 * lam0 * theta * math.sqrt(math.log(p) / n)
+                learned, res = run_learner(cfg.learner, s, theta, g.max_degree or 1, lam, warm)
+                warm = None if res is None else res.theta
                 learn_ms = (time.perf_counter() - t_learn0) * 1000.0
                 tally.setdefault((theta, lam0, n), []).append((
                     learned.edges == g.edges,
                     sum(learned.neighbors(v) == g.neighbors(v) for v in range(1, g.p + 1)) / g.p,
                     learn_ms + sample_ms / len(lam0s_desc),
                     saturated,
-                    unconverged,
+                    res is not None and not res.all_converged,
                 ))
     finally:
         if pool:

@@ -419,15 +419,14 @@ def _pin_self(mat: np.ndarray, cols: np.ndarray) -> None:
     mat[cols, np.arange(len(cols))] = 0.0  # self-coefficients stay 0
 
 
-def _pl_kernel(X, Xc, wgt, th, cols, work, value=True):
+def _pl_kernel(X, Xc, wgt, th, cols, work):
     """Weighted pseudo-likelihood values and gradients of the roots in
     `cols` (0-based), one column per root: column k of `th` holds root
     cols[k]'s coefficients against all p vertices, and the gradient's
     self-entry is pinned to zero. `Xc` is X[:, cols] in C order (X itself
     when cols is every vertex in order), `wgt` the (m, 1) row weights, and
     `work` two rows of at least m*k floats that hold the (m, k)
-    intermediates, allocated once per solve. The value is None when
-    `value` is false.
+    intermediates, allocated once per solve.
 
     With h = X th and z = -2 x_r h, each row adds its weight times
     log(1 + e^z) = max(z, 0) + log1p(exp(-2|h|)), since |z| = 2|h|.
@@ -440,8 +439,6 @@ def _pl_kernel(X, Xc, wgt, th, cols, work, value=True):
     B *= wgt
     G = X.T @ B
     _pin_self(G, cols)
-    if not value:
-        return None, G
     np.multiply(Xc, H, out=B)
     np.minimum(B, 0.0, out=B)
     B *= -2.0  # max(z, 0)
@@ -579,7 +576,6 @@ def _rlr_all_roots(
     max_iter: int,
     theta0: np.ndarray | None,
     roots=None,
-    history: list | None = None,
 ):
     """Solve the l1 problem of every root at once, or of the 0-based
     columns in `roots`, over distinct sample rows `Xu` weighted by their
@@ -602,9 +598,8 @@ def _rlr_all_roots(
     Returns (Theta, objective, residual, iterations) per column, NaN outside
     `roots`; a column's iteration count is the pass at which it left the
     active set, after that many steps less one (max_iter steps for a
-    column stopped by the cap), so the largest is the batch count. A
-    `history` list receives the active columns' penalized objectives after
-    every step. A lam of None is refused: the rlr learner needs one.
+    column stopped by the cap), so the largest is the batch count. A lam
+    of None is refused: the rlr learner needs one.
     """
     if lam is None:
         raise ValueError("learner 'rlr' needs lambda")
@@ -725,8 +720,6 @@ def _rlr_all_roots(
         stuck = np.zeros(len(cols), dtype=bool)
         if failed.size:
             stuck[proximal(failed, diag[failed])] = True
-        if history is not None:
-            history.append(f_cur.copy())
     return theta_full, f_full, res_full, iters
 
 
@@ -851,26 +844,6 @@ def rlr_graph(
     return RlrGraphResult(
         g, estimates, all(e.converged for e in estimates.values()), solved[0]
     )
-
-
-def run_learner(
-    cfg: LearnerConfig,
-    s: SampleSet,
-    theta: float,
-    delta: int,
-    lam: float | None = None,
-) -> Graph:
-    """Dispatch a configured learner on a sample set; rlr needs `lam`."""
-    cfg = cfg.resolved(theta, delta)
-    if cfg.alg == "thr":
-        return thresholding(empirical_correlations(s), cfg.tau)
-    if cfg.alg == "ind":
-        return local_independence_test(s, delta, cfg.eps, cfg.gamma, rule=cfg.rule)
-    if cfg.alg == "indd":
-        return local_independence_test_pruned(
-            s, delta, cfg.eps, cfg.gamma, cfg.kappa, rule=cfg.rule
-        )
-    return rlr_graph(s, lam, rule=cfg.rule, tol=cfg.tol, max_iter=cfg.max_iter).graph
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ reference for the driver that batches every root by candidate size;
 `reference_read_samples`, the earlier sample-file reader that splits and
 converts one line at a time, kept as the reference for the vectorised one;
 `reference_rlr_all_roots`, the earlier batched l1 solver (accelerated
-proximal gradient on the package's pseudo-likelihood kernel), kept as the
-reference for the orthant-wise Newton one; and
+proximal gradient), kept as the reference for the orthant-wise Newton
+one: its objectives and gradients at the iterates come from the package's
+pseudo-likelihood kernel, its gradient at the extrapolated point from a
+line of its own; and
 `reference_population_rlr_gp`, the earlier population regression on
 the double-hub graph by alternating one-dimensional bisections over its
 two-parameter symmetric reduction, kept as the reference for the batched
@@ -313,7 +315,8 @@ def reference_rlr_all_roots(Xu, wgt, lam, tol, max_iter, theta0, roots=None, his
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
         y = theta + ((t_mom - 1.0) / t_next) * (theta - prev)
         _pin_self_ref(y, cols)
-        _, grad_y = learners._pl_kernel(Xu, Xc, wgt, y, cols, work, value=False)
+        grad_y = Xu.T @ (wgt * (np.tanh(Xu @ y) - Xc))
+        _pin_self_ref(grad_y, cols)
         cand = _soft_ref(y - step * grad_y, step * lam)
         _pin_self_ref(cand, cols)
         f_cand, g_cand = f_and_g(cand, cols)

@@ -809,9 +809,13 @@ def _small_sweep_with(**changes) -> str:
         ({"n_grid": "200,100,200"}, "n_grid repeats 200: (200, 100, 200)"),
         ({"learner": "rlr", "lambda0_grid": "1,2,1"},
          "lambda0_grid repeats 1.0: (1.0, 2.0, 1.0)"),
+        # a thr sweep ran its grid as one lambda0 = 0 cell
+        ({"lambda0_grid": "0.5,3"},
+         "lambda0_grid is read by learner 'rlr' only, not 'thr': (0.5, 3.0)"),
     ],
     ids=["theta-nan-rlr", "theta-inf", "theta-negative-rlr", "theta-zero", "n-zero",
-         "n-negative", "theta-repeated", "n-repeated", "lambda0-repeated-rlr"],
+         "n-negative", "theta-repeated", "n-repeated", "lambda0-repeated-rlr",
+         "lambda0-not-rlr"],
 )
 def test_sweep_rejects_bad_grid_values(tmp_path, capsys, changes, message):
     cfg = tmp_path / "sweep.cfg"

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import isinglearn.experiments as experiments
-from isinglearn.graphs import GraphFamilySpec
-from isinglearn.learners import LearnerConfig
+from isinglearn.graphs import GraphFamilySpec, build_graph, make_tree
+from isinglearn.ising import gibbs_sample
+from isinglearn.learners import LearnerConfig, rlr_graph
 from isinglearn.experiments import (
     BudgetExceeded,
     SweepConfig,
@@ -81,10 +82,18 @@ class TestRunSweep:
         assert {c.lambda0 for c in res.cells} == {0.5, 2.0}
 
     def test_non_rlr_collapses_lambda_grid(self):
-        cfg = tiny_config(lambda0_grid=(0.5, 1.0, 2.0))
-        assert cfg.lambda0_grid == (0.0,)
-        # a learner without lambda0 runs once whatever the grid repeats
-        assert tiny_config(lambda0_grid=(1.0, 1.0)).lambda0_grid == (0.0,)
+        # a learner without lambda0 runs once, in a lambda0 = 0 cell; a
+        # grid set to anything else than the default (or that cell) is
+        # refused, not replaced, and a repeated one as in every grid
+        assert tiny_config().lambda0_grid == (0.0,)
+        assert tiny_config(lambda0_grid=(1,)).lambda0_grid == (0.0,)
+        assert dataclasses.replace(tiny_config(), trials=2).lambda0_grid == (0.0,)
+        for alg in ("thr", "ind", "indd"):
+            with pytest.raises(ValueError, match=rf"^lambda0_grid is read by learner 'rlr'"
+                               rf" only, not '{alg}': \(0.5, 1.0, 2.0\)$"):
+                tiny_config(learner=LearnerConfig(alg), lambda0_grid=(0.5, 1.0, 2.0))
+        with pytest.raises(ValueError, match=r"^lambda0_grid repeats 1.0: \(1.0, 1.0\)$"):
+            tiny_config(lambda0_grid=(1.0, 1.0))
 
     @pytest.mark.parametrize(
         "kw, message",
@@ -244,6 +253,54 @@ class TestSampleWorkers:
         ).stdout
         serial = sweep_with_cpus(cfg, 1)
         assert strip_runtime(out.splitlines()) == strip_runtime(serial.csv_lines())
+
+
+class TestRunLearner:
+    def test_rlr_is_rlr_graph_from_the_warm_start(self):
+        g = GraphFamilySpec(family="random-regular", p=10, delta=3)
+        s = gibbs_sample(build_graph(g, seed=2), 0.4, n=600, burn_in=100, thin=3, seed=4)
+        cfg = LearnerConfig(alg="rlr", rule="and", tol=1e-6, max_iter=50)
+        warm = rlr_graph(s, 0.2, tol=1e-6).theta
+        learned, res = experiments.run_learner(cfg, s, 0.4, 3, 0.08, warm)
+        want = rlr_graph(s, 0.08, rule="and", tol=1e-6, max_iter=50, warm=warm)
+        assert learned == res.graph == want.graph
+        assert res.theta.tobytes() == want.theta.tobytes()
+        for r, est in want.estimates.items():
+            got = res.estimates[r]
+            assert (got.objective, got.residual, got.iterations) == (
+                est.objective, est.residual, est.iterations)
+            assert got.theta.tobytes() == est.theta.tobytes()
+        # the warm start is read: from zero the solve takes other steps
+        cold = experiments.run_learner(cfg, s, 0.4, 3, 0.08)[1]
+        assert [e.iterations for e in cold.estimates.values()] != [
+            e.iterations for e in res.estimates.values()]
+
+    @pytest.mark.parametrize("alg", ["thr", "ind", "indd"])
+    def test_other_learners_have_no_rlr_result(self, alg):
+        s = gibbs_sample(make_tree(6, "path"), 0.6, n=2000, burn_in=100, thin=2, seed=1)
+        warm = np.ones((6, 6))  # read by no learner but rlr
+        learned, res = experiments.run_learner(LearnerConfig(alg), s, 0.6, 2, 0.3, warm)
+        assert res is None
+        assert learned == experiments.run_learner(LearnerConfig(alg), s, 0.6, 2)[0]
+
+    def test_sweep_learns_once_per_trial_and_lambda0(self):
+        # every solve of a sweep goes through run_learner and, for rlr,
+        # through the rlr_graph that experiments imports, warm-started
+        # from the larger lambda0 of the same trial
+        cfg = rlr_grid_config()
+        solved = []  # (warm start, result) of each solve
+
+        def spy(*args, **kw):
+            solved.append((kw["warm"], rlr_graph(*args, **kw)))
+            return solved[-1][1]
+
+        learn = mock.Mock(wraps=experiments.run_learner)
+        with mock.patch.object(experiments, "run_learner", learn), \
+                mock.patch.object(experiments, "rlr_graph", side_effect=spy):
+            sweep_with_cpus(cfg, 1)
+        assert learn.call_count == len(solved) == 2 * 3 * 2  # theta, trials, lambda0
+        for (cold, first), (warm, _) in zip(solved[::2], solved[1::2]):
+            assert cold is None and warm is first.theta
 
 
 def mixing_config(**kw):

@@ -19,6 +19,7 @@ from isinglearn.graphs import (
     make_tree,
 )
 from isinglearn.analysis import incoherence, population_hessian, tree_boundary_field
+from isinglearn.experiments import run_learner
 from isinglearn.ising import (
     ExactDistribution,
     SampleSet,
@@ -38,7 +39,6 @@ from isinglearn.learners import (
     pseudo_likelihood_objective,
     rlr_graph,
     rlr_neighborhood,
-    run_learner,
     sample_bound,
     score,
     tau_degree,
@@ -590,7 +590,7 @@ def test_empty_sample_set_rejected():
     s = SampleSet(np.ones((1, 1)), seed=0, burn_in=1, thin=1)
     for cfg, lam in ((LearnerConfig("thr", tau=0.2), None), (LearnerConfig("ind"), None),
                      (LearnerConfig("indd"), None), (LearnerConfig("rlr"), 0.1)):
-        assert run_learner(cfg, s, 0.5, 1, lam=lam) == Graph(1, set())
+        assert run_learner(cfg, s, 0.5, 1, lam=lam)[0] == Graph(1, set())
     with mock.patch.object(learners, "_DENSE_MAX_P", 0):
         assert local_independence_test(s, 1, 0.2, 0.01) == Graph(1, set())
     value, grad = pseudo_likelihood_objective(np.zeros(0), s, 1)
@@ -778,9 +778,14 @@ class TestRlrNeighborhood:
     def test_monotone_objective_history(self):
         g = make_tree(6, "path")
         s = gibbs_sample(g, 0.8, n=5000, burn_in=300, thin=2, seed=5)
-        history = []
-        _rlr_all_roots(*s.distinct_rows, 0.01, 1e-10, 5000, None, [1], history)
-        hist = np.array([f[0] for f in history])
+        # the objective after k steps is that of a solve capped at k steps
+        hist = []
+        for k in range(1, 100):
+            _, f, res, _ = _rlr_all_roots(*s.distinct_rows, 0.01, 1e-10, k, None, [1])
+            hist.append(f[1])
+            if res[1] < 1e-10:
+                break
+        hist = np.array(hist)
         assert len(hist) >= 2
         assert np.all(np.diff(hist) <= 1e-12)
 
@@ -1051,7 +1056,8 @@ class TestRunLearner:
         g = make_tree(6, "path")
         s = gibbs_sample(g, 0.6, n=8000, burn_in=300, thin=3, seed=1)
         cfg = LearnerConfig(alg="thr", tau_rule="tree")
-        assert run_learner(cfg, s, theta=0.6, delta=2).edges == g.edges
+        learned, res = run_learner(cfg, s, theta=0.6, delta=2)
+        assert learned.edges == g.edges and res is None
 
     def test_bad_alg(self):
         with pytest.raises(ValueError):
