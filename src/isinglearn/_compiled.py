@@ -1,0 +1,162 @@
+"""Build, cache and load the compiled heat-bath loop, heatbath.c.
+
+The source is compiled on first use of the sampler, never at import, by
+the C compiler Python was built with (sysconfig's CC), with FLAGS. The
+library is cached per user: in ~/.cache/isinglearn, or, where that cannot
+be written, in a directory of the user's own in the temp dir. Its file
+name carries the SHA-256 of the source and the flags, and Python's
+EXT_SUFFIX, so an edited source or another Python gets a build of its
+own. A build is written under a temporary name and published by
+os.replace, so processes that build at once (sweep workers) each load a
+whole library. Without a usable compiler load() returns None, and the
+sampler runs its Python loop, which gives the same chain.
+"""
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import hashlib
+import os
+import shlex
+import shutil
+import struct
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("heatbath.c")
+# -ffp-contract=off: no fused multiply-add, so every sum rounds as Python's
+# does. Never -ffast-math or -march=native, which would change the chain.
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+LIBS = ("-lm",)
+
+
+def _compiler() -> list | None:
+    """sysconfig's CC as an argument list, or None when it names no program
+    on PATH."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    return cc if cc and shutil.which(cc[0]) else None
+
+
+def _cache_dirs() -> list:
+    dirs = []
+    with contextlib.suppress(RuntimeError):  # no home directory
+        dirs.append(Path.home() / ".cache" / "isinglearn")
+    dirs.append(Path(tempfile.gettempdir()) / f"isinglearn-{os.getuid()}")
+    return dirs
+
+
+def _library_name() -> str:
+    key = hashlib.sha256(SOURCE.read_bytes())
+    key.update(" ".join(FLAGS + LIBS).encode())
+    return f"heatbath-{key.hexdigest()[:16]}{sysconfig.get_config_var('EXT_SUFFIX') or '.so'}"
+
+
+def _usable(d: Path) -> bool:
+    """d exists or could be made, belongs to this user, and no one else
+    may write to it (a library found there is run)."""
+    try:
+        d.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = d.stat()
+    except OSError:
+        return False
+    return st.st_uid == os.getuid() and not st.st_mode & 0o022 and os.access(d, os.W_OK)
+
+
+def _complete(path: Path) -> bool:
+    """False for an ELF file that ends before its section header table,
+    which linkers write last: the dynamic loader would map the missing
+    pages, and the process would die of SIGBUS on touching them. Other
+    files are left to the loader, which refuses what it cannot parse."""
+    with open(path, "rb") as fh:
+        head = fh.read(64)
+    if not head.startswith(b"\x7fELF"):
+        return True
+    # e_shoff, then past four fields e_shentsize and e_shnum, where ELF64
+    # (class byte 2) or ELF32 keeps them, in the file's byte order
+    at, word = (40, "Q") if head[4:5] == b"\x02" else (32, "I")
+    fmt = ("<" if head[5:6] == b"\x01" else ">") + word + "10xHH"
+    if len(head) < at + struct.calcsize(fmt):
+        return False
+    shoff, shentsize, shnum = struct.unpack_from(fmt, head, at)
+    return shoff + shentsize * shnum <= path.stat().st_size
+
+
+def _build(cc: list, path: Path) -> None:
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    try:
+        subprocess.run([*cc, *FLAGS, "-o", tmp, str(SOURCE), *LIBS],
+                       check=True, capture_output=True)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+def _array(dtype):
+    """numpy's ndpointer argtype for C-ordered arrays of dtype, passing a
+    writable array by the address of its buffer. numpy's from_param builds
+    an ndarray.ctypes object per argument, and three of those took 10 of a
+    loop call's 15 us (one call runs a block of a few hundred draws). Any
+    other argument goes to numpy's from_param, which raises for a wrong
+    dtype or order."""
+    base = np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+
+    class Array(base):
+        @classmethod
+        def from_param(cls, obj):
+            if (type(obj) is np.ndarray and obj.dtype == cls._dtype_ and obj.nbytes
+                    and obj.flags.c_contiguous and obj.flags.writeable):
+                return ctypes.byref(ctypes.c_char.from_buffer(obj))
+            return base.from_param(obj)
+
+    return Array
+
+
+def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """Declare the library's functions. Every array is an ndpointer of its
+    dtype and C order, so a wrong array raises instead of being misread."""
+    i64, f64, i8 = (_array(t) for t in (np.int64, np.float64, np.int8))
+    graph = ctypes.c_char_p  # a buffer of graph_size() bytes
+    lib.graph_size.argtypes, lib.graph_size.restype = [], ctypes.c_size_t
+    lib.graph_init.argtypes, lib.graph_init.restype = [graph, ctypes.c_int64, i64, i64, f64], None
+    for fn in (lib.table_updates, lib.field_updates):
+        fn.argtypes, fn.restype = [graph, ctypes.c_int64, i64, f64, i8], ctypes.c_int64
+    return lib
+
+
+def load(cache_dirs=None) -> ctypes.CDLL | None:
+    """The compiled loop, from the first usable cache directory (by default
+    _cache_dirs()) that holds or takes a build of this source; a cached file
+    that does not load is built once more. None when no compiler is usable
+    or no directory gives a library that loads."""
+    cc = _compiler()
+    if cc is None:
+        return None
+    name = _library_name()
+    for d in map(Path, _cache_dirs() if cache_dirs is None else cache_dirs):
+        if not _usable(d):
+            continue
+        path = d / name
+        try:
+            if not (path.exists() and _complete(path)):
+                _build(cc, path)
+            try:
+                return _bind(ctypes.CDLL(str(path)))
+            except OSError:  # not a library: build it once more
+                _build(cc, path)
+                return _bind(ctypes.CDLL(str(path)))
+        except (OSError, subprocess.CalledProcessError):
+            continue
+    return None
+
+
+@functools.cache
+def loop() -> ctypes.CDLL | None:
+    """load() from the default cache directories, once per process."""
+    return load()

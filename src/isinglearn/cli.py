@@ -16,6 +16,7 @@ from .ising import (
     empirical_correlations,
     gibbs_sample,
     read_samples,
+    sampler_loop,
     write_correlations_csv,
     write_samples,
 )
@@ -44,12 +45,19 @@ def _jsonable(obj):
     return obj
 
 
+def _warn_of_python_loop() -> None:
+    if sampler_loop() == "python":
+        print("isinglearn: warning: no usable C compiler; sampled with the Python heat-bath"
+              " loop, which gives the same samples several times slower", file=sys.stderr)
+
+
 def _cmd_sample(args) -> int:
     g = read_graph(args.graph)
     burn_in, thin, est, _ = _seeded_settings(
         g, args.theta, args.burn_in, args.thin, args.seed, args.mixing_cap
     )
     s = gibbs_sample(g, args.theta, n=args.n, burn_in=burn_in, thin=thin, seed=args.seed)
+    _warn_of_python_loop()
     if est is not None and est.saturated:
         unset = " and ".join(k for k, v in (("burn-in", args.burn_in), ("thin", args.thin))
                              if v is None)
@@ -251,6 +259,7 @@ def _cmd_sweep(args) -> int:
     if args.out:
         cfg.out = args.out
     res = experiments.run_sweep(cfg)
+    _warn_of_python_loop()
     # every lambda0 cell of a (theta, n) shares its trials: count one
     lam0 = min(cfg.lambda0_grid)
     saturated = sum(c.sampler_saturated for c in res.cells if c.lambda0 == lam0)

@@ -9,11 +9,10 @@ matrices, sample matrices) use column v-1 for vertex v.
 """
 from __future__ import annotations
 
-import bisect
+import ctypes
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
@@ -538,55 +537,17 @@ class SampleSet:
         return self.spins.shape[1]
 
 
-# Most entries a per-edge row stores. A p=30 star's chain (hub degree 29,
-# 10^4 samples at thin 20) peaked at 61 MB when rows kept every mask, and
-# at 37 MB, as when rows store nothing, with 2^10. A full row computes.
-_ROW_ENTRIES = 1 << 10
-
-
-class _FieldRow(dict):
-    """P(+1) at one site of a per-edge field, keyed by the mask of its +1
-    neighbors and stored on first use while the row has room. h sums
-    theta_ij x_j from 0.0 in neighbor_data order, as a fresh sum would."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, nbrs, ths):
-        self.terms = tuple((1 << j, th) for j, th in zip(nbrs, ths))
-
-    def __missing__(self, mask):
-        h = 0.0
-        for b, th in self.terms:
-            h += th * (1 if mask & b else -1)
-        try:
-            prob = 1.0 / (1.0 + math.exp(-2.0 * h))
-        except OverflowError:  # exp(-2h) past float range: P(+1) is 0, as in the tuple rows
-            prob = 0.0
-        if len(self) < _ROW_ENTRIES:
-            self[mask] = prob
-        return prob
-
-
 class _Glauber:
     """Single-site heat-bath dynamics with uniformly random scan order.
 
-    One sweep is p single-site updates. The spins are also kept as a bit
-    mask X of the +1 sites, so an update reads its acceptance probability
-    as rows[i][key(X & nbm[i])], and a flip costs one XOR whatever the
-    degree. With one coupling on every edge (or none) rows[i] is a tuple
-    indexed by the count of +1 neighbors and key is a popcount; with
-    per-edge couplings rows[i] is a _FieldRow keyed by the neighbor mask
-    itself. The draws and comparisons are those of re-summing the
-    neighbors at every update, so the chain is the same.
-
-    The loop also skips the draws that cannot move an aligned state.
-    With every spin +1, draw (i, u) keeps the state exactly when
-    u < top[i], the loop's own comparison with every neighbor +1; with
-    every spin -1 it keeps it exactly when u >= bottom[i]. Once the
-    state is aligned, one numpy comparison over the rest of the draws
-    finds the ones that would move it, and the loop jumps to the next of
-    them. The draws are still taken from the rng in the same order, and
-    the ones jumped over change nothing, so the chain is the same.
+    One sweep is p single-site updates. Draw (i, u) sets x[i] to +1 when
+    u < P(+1) at i given its neighbors, and to -1 otherwise. With one
+    coupling on every edge (or none) P(+1) is read from a row indexed by
+    the count of +1 neighbors; with per-edge couplings it is
+    1 / (1 + exp(-2h)), with h summed from 0.0 in neighbor_data order.
+    The updates run in the compiled loop of heatbath.c or, where no C
+    compiler is usable, in _table_updates or _field_updates, the same
+    arithmetic in Python, so the chain is the same either way.
     """
 
     _CHUNK = 128  # sweeps of randomness drawn per batch
@@ -595,26 +556,44 @@ class _Glauber:
         self.p = fld.p
         nbrs, ths = fld.neighbor_data()
         theta0 = fld.homogeneous_value()
-        if theta0 is not None or not fld.couplings:
+        table = theta0 is not None or not fld.couplings
+        if table:
             maxdeg = max((len(x) for x in nbrs), default=0)
             t0 = 0.0 if theta0 is None else theta0
             ms = np.arange(-maxdeg, maxdeg + 1)
             with np.errstate(over="ignore"):  # exp(-2h) = inf gives P(+1) = 0
-                table = (1.0 / (1.0 + np.exp(-2.0 * t0 * ms))).tolist()
+                probs = (1.0 / (1.0 + np.exp(-2.0 * t0 * ms))).tolist()
             # rows[i][c]: P(+1) at i when c neighbors are +1, a sum of 2c - deg(i)
-            self.rows = [tuple(table[maxdeg + 2 * c - len(nb)] for c in range(len(nb) + 1))
-                         for nb in nbrs]
-            self.key = int.bit_count
+            rows = [tuple(probs[maxdeg + 2 * c - len(nb)] for c in range(len(nb) + 1))
+                    for nb in nbrs]
         else:
-            self.rows = [_FieldRow(nb, th) for nb, th in zip(nbrs, ths)]
-            self.key = operator.index
-        self.nbm = [sum(1 << j for j in nb) for nb in nbrs]
-        self.bit = [1 << i for i in range(self.p)]
-        # P(+1) at each site with every neighbor +1, and with every one -1
-        self.top = np.array([r[self.key(m)] for r, m in zip(self.rows, self.nbm)])
-        self.bottom = np.array([r[self.key(0)] for r in self.rows])
-        # draws the first window of a walk converts
-        self.window = 2 * self.p
+            rows = ths
+        lib = _loop()
+        if lib is None:
+            self._graph = nbrs, rows
+            self._updates = _table_updates if table else _field_updates
+            return
+        # site i's neighbors are nbr[start[i]:start[i + 1]]; w holds the
+        # rows one after another, or the couplings in nbr's order
+        self._arrays = (np.cumsum([0] + [len(nb) for nb in nbrs], dtype=np.int64),
+                        np.array([j for nb in nbrs for j in nb], dtype=np.int64),
+                        np.array([v for r in rows for v in r], dtype=np.float64))
+        self._graph = ctypes.create_string_buffer(lib.graph_size())
+        lib.graph_init(self._graph, self.p, *self._arrays)
+        self._updates = lib.table_updates if table else lib.field_updates
+
+    def run(self, x: np.ndarray, sites, us) -> int:
+        """Apply the draws (numpy arrays of sites and uniforms) in order to
+        the int8 spins x, in place; returns the magnetization sum(x). The
+        compiled loop reads through pointers, so arrays of other lengths
+        raise, and so does a site outside 0..p-1 there."""
+        if len(x) != self.p or len(sites) != len(us):
+            raise ValueError(f"{len(x)} spins and {len(sites)} sites for {len(us)} "
+                             f"uniforms, where p = {self.p}")
+        m = self._updates(self._graph, len(us), sites, us, x)
+        if m < -self.p:
+            raise IndexError(f"a site is outside 0..{self.p - 1}")
+        return m
 
     def initial_state(self, rng) -> list:
         return (rng.integers(0, 2, self.p) * 2 - 1).tolist()
@@ -626,65 +605,66 @@ class _Glauber:
             k = min(self._CHUNK, nsweeps - done)
             yield rng.integers(0, self.p, size=k * self.p), rng.random(k * self.p)
 
-    def blocks(self, x: list, sizes, rng):
-        """Advance the chain in place through blocks of sizes[0], sizes[1], ...
-        sweeps, yielding after each block with x current; x must not be
-        changed in between."""
-        X = sum(b for b, s in zip(self.bit, x) if s > 0)
+    def blocks(self, x, sizes, rng):
+        """Advance the chain through blocks of sizes[0], sizes[1], ... sweeps,
+        one run per chunk of draws, yielding its int8 spin array after each
+        block. x is that array, or a list of +-1 brought up to date at each
+        yield; it must not be changed in between."""
+        s = x if isinstance(x, np.ndarray) else np.array(x, dtype=np.int8)
         for nsweeps in sizes:
             for sites, us in self.chunks(nsweeps, rng):
-                X = self.walk(x, X, sites, us)
-            yield
+                self.run(s, sites, us)
+            if s is not x:
+                x[:] = s.tolist()
+            yield s
 
-    def walk(self, x, X, sites, us):
-        """The loop over the draws (numpy arrays of sites and uniforms), x
-        and its mask X advanced together; returns X. The per-draw loop
-        stops after a flip that aligns the state, and the jump takes over.
-        Draws become Python numbers only as far as the loop walks: a walk
-        converts a window of self.window draws, then windows twice as long,
-        except that a walk from a start more than two flips from alignment
-        converts every draw (it seldom aligns soon; one window costs least)."""
-        p = self.p
-        rows, nbm, bit, key = self.rows, self.nbm, self.bit, self.key
-        full = (1 << p) - 1
-        n_d = len(us)
-        moves = {}  # aligned mask -> (base, offsets from base of the draws that move it)
-        pos = 0  # draws taken so far
-        hi = 0  # draws converted so far; those from pos on wait in `draws`
-        c = X.bit_count()
-        width = self.window if min(c, p - c) <= 2 else n_d  # the next window's draws
-        while pos < n_d:
-            if X == full or not X:
-                if X not in moves:
-                    # draws before pos are spent, and a later visit starts later
-                    s, u = sites[pos:], us[pos:]
-                    moves[X] = pos, (
-                        u >= self.top[s] if X else u < self.bottom[s]).nonzero()[0].tolist()
-                base, mv = moves[X]
-                j = bisect.bisect_left(mv, pos - base)
-                if j == len(mv):
-                    break
-                pos = hi = base + mv[j]
-                width = self.window
-            if pos == hi:
-                hi = min(n_d, pos + width)
-                width *= 2
-                its = iter(sites[pos:hi].tolist())
-                draws = zip(its, us[pos:hi].tolist())
-            for i, u in draws:
-                if u < rows[i][key(X & nbm[i])]:
-                    if x[i] < 0:
-                        x[i] = 1
-                        X ^= bit[i]
-                        if X == full:
-                            break
-                elif x[i] > 0:
-                    x[i] = -1
-                    X ^= bit[i]
-                    if not X:
-                        break
-            pos = hi - operator.length_hint(its)
-        return X
+
+def _table_updates(graph, n, sites, us, x) -> int:
+    """heatbath.c's table_updates in Python, on graph = (neighbor lists,
+    rows): P(+1) at i is rows[i][c], c the count of +1 neighbors."""
+    nbrs, rows = graph
+    xs = x.tolist()
+    for i, u in zip(sites.tolist(), us.tolist()):
+        c = 0
+        for j in nbrs[i]:
+            c += xs[j] > 0
+        xs[i] = 1 if u < rows[i][c] else -1
+    x[:] = xs
+    return sum(xs)
+
+
+def _field_updates(graph, n, sites, us, x) -> int:
+    """heatbath.c's field_updates in Python, on graph = (neighbor lists,
+    coupling lists): h summed from 0.0 in neighbor order, and
+    P(+1) = 1 / (1 + exp(-2h)), 0.0 where exp overflows."""
+    nbrs, ths = graph
+    xs = x.tolist()
+    for i, u in zip(sites.tolist(), us.tolist()):
+        h = 0.0
+        for j, th in zip(nbrs[i], ths[i]):
+            h += th if xs[j] > 0 else -th
+        try:
+            prob = 1.0 / (1.0 + math.exp(-2.0 * h))
+        except OverflowError:
+            prob = 0.0
+        xs[i] = 1 if u < prob else -1
+    x[:] = xs
+    return sum(xs)
+
+
+def _loop():
+    """The compiled loop, or None where no C compiler is usable. The loader
+    is imported on first use of the sampler: its imports would add about
+    10 ms to importing the package."""
+    from . import _compiled
+
+    return _compiled.loop()
+
+
+def sampler_loop() -> str:
+    """Which heat-bath loop the sampler runs: "compiled", or "python" where
+    no C compiler is usable (the same chain, several times slower)."""
+    return "python" if _loop() is None else "compiled"
 
 
 @dataclass(frozen=True)
@@ -705,20 +685,22 @@ def estimate_mixing(g: Graph, theta, seed: int, max_sweeps: int = 10_000) -> Mix
 
 
 def _sweeps_to_negative_mag(kern: _Glauber, x: list, max_sweeps: int, rng) -> MixingEstimate:
-    """Advance the chain x in place one sweep at a time, and stop after
-    the first sweep that leaves the magnetization negative, or after
-    max_sweeps; saturated when no sweep did. The draws are those of
+    """Advance the chain x (a list of +-1) in place, one run per sweep, and
+    stop after the first sweep that leaves the magnetization negative, or
+    after max_sweeps; saturated when no sweep did. The draws are those of
     kern.blocks, so the chain is the same."""
     p = kern.p
-    X = sum(b for b, s in zip(kern.bit, x) if s > 0)
-    done = 0
-    for sites, us in kern.chunks(max_sweeps, rng):
-        for s, u in zip(sites.reshape(-1, p), us.reshape(-1, p)):
-            X = kern.walk(x, X, s, u)
-            done += 1
-            if 2 * X.bit_count() < p:
-                return MixingEstimate(done, False)
-    return MixingEstimate(done, True)
+    s = np.array(x, dtype=np.int8)
+    sweeps = ((sites[k:k + p], us[k:k + p])
+              for sites, us in kern.chunks(max_sweeps, rng) for k in range(0, len(us), p))
+    done, negative = 0, False
+    for sites, us in sweeps:
+        done += 1
+        negative = kern.run(s, sites, us) < 0
+        if negative:
+            break
+    x[:] = s.tolist()
+    return MixingEstimate(done, not negative)
 
 
 # How a mixing estimate of t sweeps becomes burn-in and thin.
@@ -782,7 +764,7 @@ def gibbs_sample(
     fld = _as_field(g, theta)
     kern = _Glauber(fld)
     rng = np.random.default_rng(run_seed)
-    x = kern.initial_state(rng)
+    x = np.array(kern.initial_state(rng), dtype=np.int8)
     out = np.empty((n, g.p), dtype=np.int8)
     # one chain through the burn-in and then n blocks of thin sweeps
     blocks = kern.blocks(x, itertools.chain((burn_in,), itertools.repeat(thin, n)), rng)

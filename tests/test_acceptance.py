@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from isinglearn import _compiled
 from isinglearn.graphs import (
     Graph,
     make_grid,
@@ -251,6 +252,19 @@ def test_sampler_whole_state_distribution():
     for name, p_value, tau, thin in whole_state_p_values(seed=200):
         print(f"  {name}: chi-square p = {p_value:.3g} (tau {tau:.1f}, thin {thin})")
         assert p_value >= WHOLE_STATE_ALPHA, name
+
+
+# Criterion 8 and the whole-state check again on the Python heat-bath loop,
+# which runs where no C compiler is usable; the two tests above run the
+# compiled loop wherever one is.
+def test_criterion_08_on_the_python_loop(monkeypatch):
+    monkeypatch.setattr(_compiled, "loop", lambda: None)
+    test_criterion_08_sampler_fidelity()
+
+
+def test_whole_state_distribution_on_the_python_loop(monkeypatch):
+    monkeypatch.setattr(_compiled, "loop", lambda: None)
+    test_sampler_whole_state_distribution()
 
 
 def test_criterion_09_tree_thresholding_end_to_end():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from isinglearn import analysis, cli, experiments, ising
+from isinglearn import _compiled, analysis, cli, experiments, ising
 from isinglearn.cli import main, sweep_config_from_file
 from isinglearn.experiments import SweepConfig
 from isinglearn.graphs import (
@@ -877,6 +877,36 @@ def test_sweep_warns_of_saturated_mixing_estimates(tmp_path, capsys):
     cfg.write_text(cfg.read_text().replace("0.3,0.9", "0.3"))
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     assert capsys.readouterr() == (f"wrote {out}\n", "")
+
+
+_PYTHON_LOOP_WARNING = ("isinglearn: warning: no usable C compiler; sampled with the Python"
+                        " heat-bath loop, which gives the same samples several times slower\n")
+
+
+@pytest.mark.parametrize("command", ["sample", "sweep"])
+def test_python_loop_is_named_in_one_warning(tmp_path, capsys, monkeypatch, tree_graph_file,
+                                             command):
+    # where no C compiler is usable, sample and sweep say in one line that
+    # the Python loop ran; the files are those of the compiled loop
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("\n".join(_SMALL_SWEEP).replace("trials = 1", "trials = 3") + "\n")
+    argv = {
+        "sample": ["sample", "--graph", str(tree_graph_file), "--theta", "0.6", "--n", "300",
+                   "--burn-in", "50", "--thin", "2", "--seed", "5"],
+        "sweep": ["sweep", "--config", str(cfg)],
+    }[command]
+    monkeypatch.setattr(experiments, "_available_cpus", lambda: 1)
+    outputs = []
+    for loop in ("compiled", "python"):
+        if loop == "python":
+            monkeypatch.setattr(_compiled, "loop", lambda: None)
+        elif ising.sampler_loop() != "compiled":
+            pytest.skip("no usable C compiler")
+        out = tmp_path / f"{loop}.out"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().err == ("" if loop == "compiled" else _PYTHON_LOOP_WARNING)
+        outputs.append([ln.rsplit(",", 1)[0] for ln in out.read_text().splitlines()[1:]])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(

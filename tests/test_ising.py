@@ -1,7 +1,6 @@
 import functools
 import itertools
 import math
-import operator
 import pickle
 import re
 import time
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from isinglearn import ising
+from isinglearn import _compiled, ising
 from isinglearn.graphs import (
     Graph,
     make_grid,
@@ -554,9 +553,8 @@ def _ferro(theta):
 
 @st.composite
 def field_cases(draw):
-    """(p, couplings, nsweeps, stop, start, seed, row_entries) for the kernel
-    on per-edge fields; row_entries None keeps the kernel's own bound on a
-    row's entries, a number replaces it."""
+    """(p, couplings, nsweeps, stop, start, seed) for the kernel on per-edge
+    fields."""
     p = draw(st.integers(3, 13))
     pairs = [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
     edges = sorted(draw(st.sets(st.sampled_from(pairs), min_size=2)))
@@ -569,9 +567,8 @@ def field_cases(draw):
     stop = draw(st.booleans())
     start = draw(st.sampled_from(["random", "plus", "minus"]))
     seed = draw(st.integers(0, 2**32 - 1))
-    entries = draw(st.sampled_from([None, None, 1, 4]))
     couplings = {e: scale * (k + jitter) / 64 for e, k in zip(edges, ks)}
-    return p, couplings, nsweeps, stop, start, seed, entries
+    return p, couplings, nsweeps, stop, start, seed
 
 
 def _compared_blocks(nsweeps):
@@ -631,6 +628,22 @@ class _FixedDraws:
         return np.full(size, self.u)
 
 
+def _aligned_p_plus(fld, v, s0):
+    """P(+1) at 0-based site v with every neighbor s0, as the reference
+    loops compute it: one coupling on every edge reads a table over the
+    neighbor sums, per-edge couplings sum h from 0.0 in neighbor_data order."""
+    nbrs, ths = fld.neighbor_data()
+    theta0 = fld.homogeneous_value()
+    if theta0 is not None:
+        maxdeg = max(len(nb) for nb in nbrs)
+        ms = np.arange(-maxdeg, maxdeg + 1)
+        return (1.0 / (1.0 + np.exp(-2.0 * theta0 * ms))).tolist()[maxdeg + s0 * len(nbrs[v])]
+    h = 0.0
+    for th in ths[v]:
+        h += th * s0
+    return 1.0 / (1.0 + math.exp(-2.0 * h))
+
+
 # (p, edges) for the exact single-update test: a wheel (hub 6 of degree 5,
 # rim degree 3) and a path with an isolated vertex (degrees 0, 1 and 2)
 _UPDATE_GRAPHS = (
@@ -642,7 +655,132 @@ _WHEEL_FIELD = CouplingField.from_dict(
 )
 
 
+def _examples(cases):
+    """@example(case=c) for each c in cases, in order."""
+    def apply(test):
+        for case in reversed(cases):
+            test = example(case=case)(test)
+        return test
+    return apply
+
+
+# pinned cases of the table kernel's reference test
+_TABLE_EXAMPLES = (
+    (5, [], 0.65, 129, True, "random", 3),
+    (6, [(1, 2), (2, 3)], -0.65, 300, False, "plus", 4),
+    (4, [(1, 2), (2, 3), (3, 4), (1, 4)], -2.0, 300, True, "plus", 5),
+    # larger graphs, of 31 to 70 vertices
+    (31, _sparse_edges(31, 60, 1), 0.15, 300, True, "random", 6),
+    (31, _sparse_edges(31, 60, 1), 0.15, 300, False, "random", 6),
+    (49, _sparse_edges(49, 100, 2), 0.65, 129, True, "plus", 7),
+    (49, _sparse_edges(49, 100, 2), -0.65, 129, False, "plus", 7),
+    (64, _sparse_edges(64, 128, 3), -0.65, 300, True, "random", 8),
+    (64, _sparse_edges(64, 128, 3), 0.65, 300, False, "random", 8),
+    (70, _sparse_edges(70, 140, 4), 0.0, 129, True, "random", 9),
+    (70, _sparse_edges(70, 140, 4), 0.15, 300, False, "plus", 9),
+    # chains that spend most draws with every spin aligned, where most draws
+    # keep the state
+    (1, [], 0.0, 300, True, "plus", 10),
+    (2, [(1, 2)], 1.5, 300, True, "plus", 11),
+    (2, [(1, 2)], 3.0, 300, False, "plus", 12),
+    (2, [(1, 2)], -3.0, 129, True, "plus", 13),
+    (2, [(1, 2)], 3.0, 300, True, "minus", 14),
+    (5, _sparse_edges(5, 7, 5), 1.5, 300, False, "plus", 15),
+    (5, _sparse_edges(5, 7, 5), 1.5, 300, True, "plus", 16),
+    (5, _sparse_edges(5, 10, 6), 3.0, 300, True, "plus", 17),
+    (5, _sparse_edges(5, 10, 6), 3.0, 129, False, "minus", 18),
+    (5, _sparse_edges(5, 4, 7), -3.0, 300, False, "plus", 19),
+    (5, _sparse_edges(5, 4, 7), -3.0, 300, True, "plus", 20),
+    # criterion 10's graph on both sides of theta_thr(4) = 0.4203, from
+    # aligned and random starts
+    (30, _REG30, 0.45, 300, False, "plus", 21),
+    (30, _REG30, 0.45, 300, True, "plus", 22),
+    (30, _REG30, 0.45, 300, False, "minus", 23),
+    (30, _REG30, 0.45, 300, True, "minus", 24),
+    (30, _REG30, 0.65, 300, False, "plus", 25),
+    (30, _REG30, 0.65, 300, True, "plus", 26),
+    (30, _REG30, 0.65, 300, False, "minus", 27),
+    (30, _REG30, 0.65, 300, True, "minus", 28),
+)
+# pinned cases of the per-edge kernel's reference test
+_FIELD_EXAMPLES = (
+    (3, _field(3, [(1, 2), (2, 3)], 1.0, 1), 300, True, "random", 1),
+    # a hub of degree 13, whose chain meets most of its 2^13 neighbor states
+    (14, _field(14, _star(13), 0.1, 2), 3000, False, "random", 2),
+    (14, _field(14, _star(13), 0.1, 3), 3000, True, "plus", 3),
+    (12, _field(12, _sparse_edges(12, 40, 4), 0.15, 4), 1500, True, "random", 4),
+    (12, _field(12, _sparse_edges(12, 40, 5), 0.65, 5), 300, False, "minus", 5),
+    (9, _field(9, _sparse_edges(9, 20, 6), 0.15, 6), 300, True, "random", 6),
+    # aligned starts at large |theta|, where most draws keep the state
+    (5, _field(5, _sparse_edges(5, 7, 7), 3.0, 7), 300, True, "plus", 7),
+    (5, _field(5, _sparse_edges(5, 7, 8), 3.0, 8), 300, False, "minus", 8),
+    (5, _field(5, _sparse_edges(5, 7, 9), 3.0, 9), 129, True, "minus", 9),
+    (6, {(1, 2): 2.5, (2, 3): 2.9, (3, 4): 2.7, (5, 6): -2.8}, 300, True, "plus", 10),
+    (4, {(1, 2): -2.0, (2, 3): -2.5, (3, 4): -3.0}, 300, True, "plus", 11),
+    # criterion 10's graph on both sides of the transition, as above
+    (30, _ferro(0.45), 300, False, "plus", 12),
+    (30, _ferro(0.45), 300, True, "plus", 13),
+    (30, _ferro(0.45), 300, False, "minus", 14),
+    (30, _ferro(0.45), 300, True, "minus", 15),
+    (30, _ferro(0.65), 300, False, "plus", 16),
+    (30, _ferro(0.65), 300, True, "plus", 17),
+    (30, _ferro(0.65), 300, False, "minus", 18),
+    (30, _ferro(0.65), 300, True, "minus", 19),
+)
+
+
+def _check_table_case(case):
+    p, edges, theta, nsweeps, stop, start, seed = case
+    kern = ising._Glauber(CouplingField.homogeneous(Graph(p, set(edges)), theta))
+    assert kern._updates.__name__.lstrip("_") == "table_updates"
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if start == "random":
+        x, x_ref = kern.initial_state(rng), kern.initial_state(ref_rng)
+    else:
+        s0 = 1 if start == "plus" else -1
+        x, x_ref = [s0] * p, [s0] * p
+    sizes = _compared_blocks(nsweeps)
+    for size, out in zip(sizes, _kernel_runs(kern, x, sizes, rng, stop)):
+        ref = reference_glauber_run(p, edges, theta, x_ref, size, ref_rng, stop)
+        assert out == ref and x == x_ref, size
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _check_field_case(case):
+    p, couplings, nsweeps, stop, start, seed = case
+    fld = CouplingField.from_dict(p, couplings)
+    kern = ising._Glauber(fld)
+    assert kern._updates.__name__.lstrip("_") == "field_updates"
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if start == "random":
+        x, x_ref = kern.initial_state(rng), kern.initial_state(ref_rng)
+    else:
+        s0 = 1 if start == "plus" else -1
+        x, x_ref = [s0] * p, [s0] * p
+    sizes = _compared_blocks(nsweeps)
+    for size, out in zip(sizes, _kernel_runs(kern, x, sizes, rng, stop)):
+        ref = reference_field_run(fld, x_ref, size, ref_rng, stop)
+        assert out == ref and x == x_ref, size
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.fixture(scope="class")
+def heat_bath_loop(request):
+    """Runs a test class on the heat-bath loop named by its `loop`: the
+    compiled one, skipped where no C compiler is usable, or the Python one,
+    forced by a loader that finds no compiler."""
+    with pytest.MonkeyPatch.context() as mp:
+        if request.cls.loop == "python":
+            mp.setattr(_compiled, "loop", lambda: None)
+        elif ising.sampler_loop() != "compiled":
+            pytest.skip("no usable C compiler")
+        yield
+
+
+@pytest.mark.usefixtures("heat_bath_loop")
 class TestHeatBathKernel:
+    loop = "compiled"
+
     @pytest.mark.parametrize(
         "p, edges, theta",
         [(p, edges, th) for p, edges in _UPDATE_GRAPHS for th in (-0.65, 0.15, 0.65)]
@@ -682,20 +820,29 @@ class TestHeatBathKernel:
         for field in (fld, 400.0):
             s = gibbs_sample(g, field, n=20, burn_in=5, thin=1, seed=3)
             assert s.n == 20 and abs(s.spins.sum(axis=1)).min() == 3
-        kern = ising._Glauber(fld)
-        for v in (1, 2, 3):
-            nb = sorted(g.neighbors(v))
-            for up in itertools.product((0, 1), repeat=len(nb)):
-                mask = sum(1 << (w - 1) for w, u in zip(nb, up) if u)
-                h = sum(couplings[min(v, w), max(v, w)] * (2 * u - 1) for w, u in zip(nb, up))
-                prob = kern.rows[v - 1][mask]
-                if abs(h) > 100.0:
-                    assert prob == (1.0 if h > 0 else 0.0), (v, up)
-                else:
-                    assert 0.0 < prob < 1.0
-        homogeneous = ising._Glauber(CouplingField.homogeneous(g, 400.0))
-        assert homogeneous.rows[1] == (0.0, 0.5, 1.0)
-        assert homogeneous.rows[0] == (0.0, 1.0)
+        # A single update at |h| >= 399, where exp(-2h) overflows or vanishes
+        # beside 1, has P(+1) exactly 0.0 or 1.0: the smallest draw, u = 0,
+        # and the largest, just below 1, both set the sign of h. At |h| <= 1
+        # they set +1 and -1.
+        for field in (fld, CouplingField.homogeneous(g, 400.0)):
+            kern = ising._Glauber(field)
+            for v in (1, 2, 3):
+                nb = sorted(g.neighbors(v))
+                row = field.theta_row(v)
+                for spins in itertools.product((-1, 1), repeat=len(nb)):
+                    x = [1, 1, 1]
+                    for w, sp in zip(nb, spins):
+                        x[w - 1] = sp
+                    h = sum(row[w - 1] * sp for w, sp in zip(nb, spins))
+                    got = []
+                    for u in (0.0, float(np.nextafter(1.0, 0.0))):
+                        y = list(x)
+                        next(kern.blocks(y, (1,), _FixedDraws(3, v - 1, u)))
+                        got.append(y[v - 1])
+                    if abs(h) > 100.0:
+                        assert got == [1 if h > 0 else -1] * 2, (v, spins)
+                    else:
+                        assert abs(h) <= 1.0 and got == [1, -1], (v, spins)
 
     @pytest.mark.parametrize(
         "p, edges, theta",
@@ -704,14 +851,16 @@ class TestHeatBathKernel:
     )
     @pytest.mark.parametrize("stop", [False, True])
     def test_skip_boundary_is_exact(self, p, edges, theta, stop):
-        # From all +1 a draw moves the state exactly when u >= top[i], P(+1)
-        # with every neighbor +1, and from all -1 exactly when u < bottom[i]:
-        # a sweep of p draws at site i with u on either side of that value
-        # flips x[i] or keeps it. Vertex 5 of the path graph is isolated:
-        # both values are 1/2.
-        kern = ising._Glauber(ising._as_field(Graph(p, set(edges)), theta))
+        # From all +1 a draw moves the state exactly when u >= P(+1) with
+        # every neighbor +1, and from all -1 exactly when u < P(+1) with
+        # every neighbor -1: a sweep of p draws at site i with u on either
+        # side of that value flips x[i] or keeps it. Vertex 5 of the path
+        # graph is isolated: both values are 1/2.
+        fld = ising._as_field(Graph(p, set(edges)), theta)
+        kern = ising._Glauber(fld)
         for v in range(p):
-            for start, bound in ((1, kern.top[v]), (-1, kern.bottom[v])):
+            for start in (1, -1):
+                bound = _aligned_p_plus(fld, v, start)
                 below = float(np.nextafter(bound, 0.0))
                 # u = bound moves all +1 and keeps all -1; u just below it the reverse
                 for u, moved in ((bound, start > 0), (below, start < 0)):
@@ -725,57 +874,9 @@ class TestHeatBathKernel:
 
     @settings(max_examples=80, deadline=None)
     @given(case=glauber_cases())
-    @example(case=(5, [], 0.65, 129, True, "random", 3))
-    @example(case=(6, [(1, 2), (2, 3)], -0.65, 300, False, "plus", 4))
-    @example(case=(4, [(1, 2), (2, 3), (3, 4), (1, 4)], -2.0, 300, True, "plus", 5))
-    # masks of more than one machine word: p = 31 is past a 30-bit digit,
-    # 64 fills a 64-bit word and 70 passes it
-    @example(case=(31, _sparse_edges(31, 60, 1), 0.15, 300, True, "random", 6))
-    @example(case=(31, _sparse_edges(31, 60, 1), 0.15, 300, False, "random", 6))
-    @example(case=(49, _sparse_edges(49, 100, 2), 0.65, 129, True, "plus", 7))
-    @example(case=(49, _sparse_edges(49, 100, 2), -0.65, 129, False, "plus", 7))
-    @example(case=(64, _sparse_edges(64, 128, 3), -0.65, 300, True, "random", 8))
-    @example(case=(64, _sparse_edges(64, 128, 3), 0.65, 300, False, "random", 8))
-    @example(case=(70, _sparse_edges(70, 140, 4), 0.0, 129, True, "random", 9))
-    @example(case=(70, _sparse_edges(70, 140, 4), 0.15, 300, False, "plus", 9))
-    # chains that spend most draws with every spin aligned, where the kernel
-    # jumps over the draws that cannot move the state
-    @example(case=(1, [], 0.0, 300, True, "plus", 10))
-    @example(case=(2, [(1, 2)], 1.5, 300, True, "plus", 11))
-    @example(case=(2, [(1, 2)], 3.0, 300, False, "plus", 12))
-    @example(case=(2, [(1, 2)], -3.0, 129, True, "plus", 13))
-    @example(case=(2, [(1, 2)], 3.0, 300, True, "minus", 14))
-    @example(case=(5, _sparse_edges(5, 7, 5), 1.5, 300, False, "plus", 15))
-    @example(case=(5, _sparse_edges(5, 7, 5), 1.5, 300, True, "plus", 16))
-    @example(case=(5, _sparse_edges(5, 10, 6), 3.0, 300, True, "plus", 17))
-    @example(case=(5, _sparse_edges(5, 10, 6), 3.0, 129, False, "minus", 18))
-    @example(case=(5, _sparse_edges(5, 4, 7), -3.0, 300, False, "plus", 19))
-    @example(case=(5, _sparse_edges(5, 4, 7), -3.0, 300, True, "plus", 20))
-    # criterion 10's graph on both sides of theta_thr(4) = 0.4203: walks from
-    # an aligned state run past 2p, 4p and 8p draws, across window edges
-    @example(case=(30, _REG30, 0.45, 300, False, "plus", 21))
-    @example(case=(30, _REG30, 0.45, 300, True, "plus", 22))
-    @example(case=(30, _REG30, 0.45, 300, False, "minus", 23))
-    @example(case=(30, _REG30, 0.45, 300, True, "minus", 24))
-    @example(case=(30, _REG30, 0.65, 300, False, "plus", 25))
-    @example(case=(30, _REG30, 0.65, 300, True, "plus", 26))
-    @example(case=(30, _REG30, 0.65, 300, False, "minus", 27))
-    @example(case=(30, _REG30, 0.65, 300, True, "minus", 28))
+    @_examples(_TABLE_EXAMPLES)
     def test_matches_reference_loop(self, case):
-        p, edges, theta, nsweeps, stop, start, seed = case
-        kern = ising._Glauber(CouplingField.homogeneous(Graph(p, set(edges)), theta))
-        assert kern.key is int.bit_count
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        if start == "random":
-            x, x_ref = kern.initial_state(rng), kern.initial_state(ref_rng)
-        else:
-            s0 = 1 if start == "plus" else -1
-            x, x_ref = [s0] * p, [s0] * p
-        sizes = _compared_blocks(nsweeps)
-        for size, out in zip(sizes, _kernel_runs(kern, x, sizes, rng, stop)):
-            ref = reference_glauber_run(p, edges, theta, x_ref, size, ref_rng, stop)
-            assert out == ref and x == x_ref, size
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        _check_table_case(case)
 
     @pytest.mark.parametrize("thin", [1, 128, 129, 300])
     @pytest.mark.parametrize("theta", [0.15, 0.65, 1.5])
@@ -797,50 +898,9 @@ class TestHeatBathKernel:
 
     @settings(max_examples=80, deadline=None)
     @given(case=field_cases())
-    @example(case=(3, _field(3, [(1, 2), (2, 3)], 1.0, 1), 300, True, "random", 1, None))
-    # a hub of degree 13 meets more neighbor masks than its row keeps, and
-    # rows of one and four entries are full almost at once
-    @example(case=(14, _field(14, _star(13), 0.1, 2), 3000, False, "random", 2, None))
-    @example(case=(14, _field(14, _star(13), 0.1, 3), 3000, True, "plus", 3, None))
-    @example(case=(12, _field(12, _sparse_edges(12, 40, 4), 0.15, 4), 1500, True, "random",
-                   4, None))
-    @example(case=(12, _field(12, _sparse_edges(12, 40, 5), 0.65, 5), 300, False, "minus",
-                   5, 1))
-    @example(case=(9, _field(9, _sparse_edges(9, 20, 6), 0.15, 6), 300, True, "random", 6, 4))
-    # aligned starts at large |theta|, where the kernel jumps over the draws
-    # that cannot move the state
-    @example(case=(5, _field(5, _sparse_edges(5, 7, 7), 3.0, 7), 300, True, "plus", 7, None))
-    @example(case=(5, _field(5, _sparse_edges(5, 7, 8), 3.0, 8), 300, False, "minus", 8, None))
-    @example(case=(5, _field(5, _sparse_edges(5, 7, 9), 3.0, 9), 129, True, "minus", 9, None))
-    @example(case=(6, {(1, 2): 2.5, (2, 3): 2.9, (3, 4): 2.7, (5, 6): -2.8}, 300, True, "plus",
-                   10, None))
-    @example(case=(4, {(1, 2): -2.0, (2, 3): -2.5, (3, 4): -3.0}, 300, True, "plus", 11, None))
-    # long walks from aligned states across window edges, as above
-    @example(case=(30, _ferro(0.45), 300, False, "plus", 12, None))
-    @example(case=(30, _ferro(0.45), 300, True, "plus", 13, None))
-    @example(case=(30, _ferro(0.45), 300, False, "minus", 14, None))
-    @example(case=(30, _ferro(0.45), 300, True, "minus", 15, None))
-    @example(case=(30, _ferro(0.65), 300, False, "plus", 16, None))
-    @example(case=(30, _ferro(0.65), 300, True, "plus", 17, None))
-    @example(case=(30, _ferro(0.65), 300, False, "minus", 18, None))
-    @example(case=(30, _ferro(0.65), 300, True, "minus", 19, None))
+    @_examples(_FIELD_EXAMPLES)
     def test_field_matches_reference_loop(self, case):
-        p, couplings, nsweeps, stop, start, seed, entries = case
-        fld = CouplingField.from_dict(p, couplings)
-        kern = ising._Glauber(fld)
-        assert kern.key is operator.index
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        if start == "random":
-            x, x_ref = kern.initial_state(rng), kern.initial_state(ref_rng)
-        else:
-            s0 = 1 if start == "plus" else -1
-            x, x_ref = [s0] * p, [s0] * p
-        sizes = _compared_blocks(nsweeps)
-        with mock.patch.object(ising, "_ROW_ENTRIES", entries or ising._ROW_ENTRIES):
-            for size, out in zip(sizes, _kernel_runs(kern, x, sizes, rng, stop)):
-                ref = reference_field_run(fld, x_ref, size, ref_rng, stop)
-                assert out == ref and x == x_ref, size
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        _check_field_case(case)
 
     @pytest.mark.parametrize("theta", [0.45, 0.65])
     @pytest.mark.parametrize("per_edge", [False, True])
@@ -848,11 +908,16 @@ class TestHeatBathKernel:
     def test_windowed_walks_match_reference_runs(self, theta, per_edge, window):
         # blocks of 25 sweeps, compared block by block, because chains that
         # share their draws meet again soon after a wrong draw in this phase;
-        # a first window of one draw (window = 1) puts window edges in every
-        # walk, at 1, 3, 7, 15, ... draws after it starts
+        # windows of one draw (window = 1) split every run of the loop into
+        # runs of one draw, so the spins pass from call to call at every draw
         g = Graph(30, set(_REG30))
         fld = ising._as_field(g, CouplingField.from_dict(30, _ferro(theta)) if per_edge else theta)
         kern = ising._Glauber(fld)
+        run = kern.run
+
+        def windowed(s, sites, us):
+            return [run(s, sites[k:k + window], us[k:k + window])
+                    for k in range(0, len(us), window)][-1]
         for k, (start, stop) in enumerate(itertools.product(("plus", "minus", "random"),
                                                             (False, True))):
             rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
@@ -861,7 +926,7 @@ class TestHeatBathKernel:
             else:
                 x = [1 if start == "plus" else -1] * 30
                 x_ref = list(x)
-            with mock.patch.object(kern, "window", window or kern.window):
+            with mock.patch.object(kern, "run", windowed if window else run):
                 for out in _kernel_runs(kern, x, (25,) * 12, rng, stop):
                     if per_edge:
                         ref = reference_field_run(fld, x_ref, 25, ref_rng, stop)
@@ -905,9 +970,8 @@ class TestHeatBathKernel:
     def test_stop_rule_sees_all_minus_reached_mid_sweep(self, per_edge):
         # A strongly coupled path 1-2-3-4 from (+1, +1, -1, -1), magnetization
         # 0. Sweep 1 turns sites 1 and 2 to -1 with its first two draws, so
-        # every spin is -1 halfway through it and the jump over the draws
-        # that cannot move an aligned state takes over; sweep 2 holds a draw
-        # that moves it. The rule stops after sweep 1, before that draw.
+        # every spin is -1 halfway through it; sweep 2 holds a draw that
+        # moves it. The rule stops after sweep 1, before that draw.
         edges = [(1, 2), (2, 3), (3, 4)]
         fld = (CouplingField.from_dict(4, {e: 3.0 + 0.1 * k for k, e in enumerate(edges)})
                if per_edge else CouplingField.homogeneous(Graph(4, set(edges)), 3.0))
@@ -930,14 +994,48 @@ class TestHeatBathKernel:
         next(kern.blocks(x, (2,), _ScriptedDraws(sites[:8], us[:8])))
         assert x == [1, -1, -1, -1]
 
-    def test_rows_keep_at_most_the_bound(self):
-        # the hub of a p=30 star meets about one new neighbor mask per update
+    def test_per_edge_chain_memory_is_bounded(self):
+        # the hub of a p=30 star meets about one new neighbor state per
+        # update, and the loop keeps nothing per state: 3000 sweeps peak at
+        # a few chunks of draws (one is 128 sweeps of 30 sites and uniforms,
+        # 61 kB), where a cache of P(+1) per state would grow to megabytes
         g = make_star(30, 29)
         fld = CouplingField.from_dict(30, {e: 0.05 + 0.01 * k for k, e in enumerate(g.sorted_edges())})
         kern = ising._Glauber(fld)
         rng = np.random.default_rng(0)
-        next(kern.blocks(kern.initial_state(rng), (3000,), rng))
-        assert max(len(row) for row in kern.rows) == len(kern.rows[0]) == ising._ROW_ENTRIES
+        x = kern.initial_state(rng)
+        tracemalloc.start()
+        try:
+            next(kern.blocks(x, (3000,), rng))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestHeatBathKernelPythonLoop(TestHeatBathKernel):
+    """Every kernel test again on the Python loop, which runs where no C
+    compiler is usable."""
+
+    loop = "python"
+
+    # Hypothesis tests run from one class each, so these are tests of their own
+    @settings(max_examples=80, deadline=None)
+    @given(case=glauber_cases())
+    @_examples(_TABLE_EXAMPLES)
+    def test_matches_reference_loop(self, case):
+        _check_table_case(case)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=field_cases())
+    @_examples(_FIELD_EXAMPLES)
+    def test_field_matches_reference_loop(self, case):
+        _check_field_case(case)
+
+    def test_runs_the_python_loop(self):
+        assert ising.sampler_loop() == "python"
+        kern = ising._Glauber(CouplingField.homogeneous(make_star(4, 3), 0.5))
+        assert kern._updates is ising._table_updates
 
 
 class TestSampleSetRows:
