@@ -1,4 +1,4 @@
-"""Build, cache and load the compiled heat-bath loop, heatbath.c.
+"""Build, cache, load and check the compiled heat-bath sampler, heatbath.c.
 
 The source is compiled on first use of the sampler, never at import, by
 the C compiler Python was built with (sysconfig's CC), with FLAGS. The
@@ -8,8 +8,14 @@ name carries the SHA-256 of the source and the flags, and Python's
 EXT_SUFFIX, so an edited source or another Python gets a build of its
 own. A build is written under a temporary name and published by
 os.replace, so processes that build at once (sweep workers) each load a
-whole library. Without a usable compiler load() returns None, and the
+whole library, and the builds of other sources are then removed from
+that directory. Without a usable compiler load() returns None, and the
 sampler runs its Python loop, which gives the same chain.
+
+heatbath.c copies two of numpy's draw steps, and NumPy does not promise
+that these stay the same across versions (NEP 19). draws_match() compares
+the copy with this numpy once per process; where they differ, the
+sampler feeds the compiled loop numpy's own draws.
 """
 from __future__ import annotations
 
@@ -18,6 +24,7 @@ import ctypes
 import functools
 import hashlib
 import os
+import re
 import shlex
 import shutil
 import struct
@@ -50,10 +57,14 @@ def _cache_dirs() -> list:
     return dirs
 
 
+def _suffix() -> str:
+    return sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+
+
 def _library_name() -> str:
     key = hashlib.sha256(SOURCE.read_bytes())
     key.update(" ".join(FLAGS + LIBS).encode())
-    return f"heatbath-{key.hexdigest()[:16]}{sysconfig.get_config_var('EXT_SUFFIX') or '.so'}"
+    return f"heatbath-{key.hexdigest()[:16]}{_suffix()}"
 
 
 def _usable(d: Path) -> bool:
@@ -87,6 +98,9 @@ def _complete(path: Path) -> bool:
 
 
 def _build(cc: list, path: Path) -> None:
+    """Compile SOURCE to path, then remove the other heatbath-<key> builds
+    of this EXT_SUFFIX in its directory. Temporary files, which builds in
+    progress own, are left alone."""
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     os.close(fd)
     try:
@@ -96,6 +110,11 @@ def _build(cc: list, path: Path) -> None:
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+    old = re.compile("heatbath-[0-9a-f]{16}" + re.escape(_suffix()))
+    for f in path.parent.iterdir():
+        if f.name != path.name and old.fullmatch(f.name):
+            with contextlib.suppress(FileNotFoundError):
+                f.unlink()
 
 
 def _array(dtype):
@@ -127,6 +146,10 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.graph_init.argtypes, lib.graph_init.restype = [graph, ctypes.c_int64, i64, i64, f64], None
     for fn in (lib.table_updates, lib.field_updates):
         fn.argtypes, fn.restype = [graph, ctypes.c_int64, i64, f64, i8], ctypes.c_int64
+    bitgen, n = ctypes.c_void_p, ctypes.c_int64  # a Generator's bitgen_t
+    lib.draws.argtypes, lib.draws.restype = [bitgen, n, n, i64, f64], ctypes.c_int
+    lib.chain.argtypes = [graph, ctypes.c_int, bitgen, n, n, n, n, i8, i8, i64, f64]
+    lib.chain.restype = ctypes.c_int
     return lib
 
 
@@ -143,14 +166,12 @@ def load(cache_dirs=None) -> ctypes.CDLL | None:
         if not _usable(d):
             continue
         path = d / name
+        with contextlib.suppress(OSError):  # missing, cut short or gone: build it
+            if _complete(path):
+                return _bind(ctypes.CDLL(str(path)))
         try:
-            if not (path.exists() and _complete(path)):
-                _build(cc, path)
-            try:
-                return _bind(ctypes.CDLL(str(path)))
-            except OSError:  # not a library: build it once more
-                _build(cc, path)
-                return _bind(ctypes.CDLL(str(path)))
+            _build(cc, path)
+            return _bind(ctypes.CDLL(str(path)))
         except (OSError, subprocess.CalledProcessError):
             continue
     return None
@@ -160,3 +181,32 @@ def load(cache_dirs=None) -> ctypes.CDLL | None:
 def loop() -> ctypes.CDLL | None:
     """load() from the default cache directories, once per process."""
     return load()
+
+
+# (p, n) of the stream check: ranges whose draws are never, rarely and
+# about half the time rejected, p = 1, which draws no integers, and odd n,
+# which leave half a 64-bit output buffered for the next draws
+_CHECKED_DRAWS = ((1, 999), (2, 999), (30, 1000), (6_700_417, 999), (2**31 + 1, 1000))
+
+
+def _replays(lib: ctypes.CDLL, rng: np.random.Generator, p: int, n: int) -> bool:
+    """Whether lib.draws, run on a copy of rng's state, gives the values of
+    rng.integers(0, p, n) and then rng.random(n) and leaves the copy in
+    rng's state after them. rng makes those draws."""
+    copy = np.random.Generator(type(rng.bit_generator)())
+    copy.bit_generator.state = rng.bit_generator.state
+    sites, us = np.empty(n, dtype=np.int64), np.empty(n)
+    with copy.bit_generator.lock:
+        lib.draws(copy.bit_generator.ctypes.bit_generator, p, n, sites, us)
+    return (np.array_equal(sites, rng.integers(0, p, n)) and np.array_equal(us, rng.random(n))
+            and copy.bit_generator.state == rng.bit_generator.state)
+
+
+@functools.cache
+def draws_match() -> bool:
+    """Whether the compiled loop's copy of numpy's draws gives this numpy's
+    stream (checked once per process on a few thousand draws of a fresh
+    generator); False where there is no compiled loop."""
+    lib = loop()
+    rng = np.random.default_rng(0)
+    return lib is not None and all(_replays(lib, rng, p, n) for p, n in _CHECKED_DRAWS)

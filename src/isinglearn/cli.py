@@ -45,10 +45,15 @@ def _jsonable(obj):
     return obj
 
 
-def _warn_of_python_loop() -> None:
-    if sampler_loop() == "python":
+def _warn_of_slow_loop() -> None:
+    loop = sampler_loop()
+    if loop == "python":
         print("isinglearn: warning: no usable C compiler; sampled with the Python heat-bath"
               " loop, which gives the same samples several times slower", file=sys.stderr)
+    elif loop == "numpy-draws":
+        print(f"isinglearn: warning: the compiled sampler's copy of numpy's draws does not"
+              f" match numpy {np.__version__}; sampled with numpy's own draws, which gives"
+              f" the same samples more slowly", file=sys.stderr)
 
 
 def _cmd_sample(args) -> int:
@@ -57,7 +62,7 @@ def _cmd_sample(args) -> int:
         g, args.theta, args.burn_in, args.thin, args.seed, args.mixing_cap
     )
     s = gibbs_sample(g, args.theta, n=args.n, burn_in=burn_in, thin=thin, seed=args.seed)
-    _warn_of_python_loop()
+    _warn_of_slow_loop()
     if est is not None and est.saturated:
         unset = " and ".join(k for k, v in (("burn-in", args.burn_in), ("thin", args.thin))
                              if v is None)
@@ -259,7 +264,7 @@ def _cmd_sweep(args) -> int:
     if args.out:
         cfg.out = args.out
     res = experiments.run_sweep(cfg)
-    _warn_of_python_loop()
+    _warn_of_slow_loop()
     # every lambda0 cell of a (theta, n) shares its trials: count one
     lam0 = min(cfg.lambda0_grid)
     saturated = sum(c.sampler_saturated for c in res.cells if c.lambda0 == lam0)

@@ -547,7 +547,9 @@ class _Glauber:
     1 / (1 + exp(-2h)), with h summed from 0.0 in neighbor_data order.
     The updates run in the compiled loop of heatbath.c or, where no C
     compiler is usable, in _table_updates or _field_updates, the same
-    arithmetic in Python, so the chain is the same either way.
+    arithmetic in Python, so the chain is the same either way. sample()
+    runs a whole chain in one call of heatbath.c's chain, which draws as
+    chunks() does, where that copy of numpy's draws matches this numpy.
     """
 
     _CHUNK = 128  # sweeps of randomness drawn per batch
@@ -569,6 +571,7 @@ class _Glauber:
         else:
             rows = ths
         lib = _loop()
+        self._chain = None
         if lib is None:
             self._graph = nbrs, rows
             self._updates = _table_updates if table else _field_updates
@@ -581,6 +584,9 @@ class _Glauber:
         self._graph = ctypes.create_string_buffer(lib.graph_size())
         lib.graph_init(self._graph, self.p, *self._arrays)
         self._updates = lib.table_updates if table else lib.field_updates
+        if _draws_in_c():
+            self._table = table
+            self._chain = lib.chain
 
     def run(self, x: np.ndarray, sites, us) -> int:
         """Apply the draws (numpy arrays of sites and uniforms) in order to
@@ -617,6 +623,29 @@ class _Glauber:
             if s is not x:
                 x[:] = s.tolist()
             yield s
+
+    def sample(self, x: np.ndarray, burn_in: int, thin: int, out: np.ndarray, rng) -> None:
+        """Advance the int8 spins x through burn_in sweeps and then len(out)
+        blocks of thin sweeps, copying x into out[l] after block l: the
+        chain of blocks(), run in one call of heatbath.c's chain where it
+        can draw, and through blocks() elsewhere."""
+        if len(x) != self.p or out.shape[1:] != (self.p,):
+            raise ValueError(f"{len(x)} spins and rows of shape {out.shape[1:]}, "
+                             f"where p = {self.p}")
+        if self._chain is None:
+            blocks = self.blocks(x, itertools.chain((burn_in,), itertools.repeat(thin)), rng)
+            next(blocks)
+            for row, _ in zip(out, blocks):
+                row[:] = x
+            return
+        # the chunk buffers are numpy's, so a size beyond memory raises here
+        k = min(self._CHUNK, max(burn_in, thin)) * self.p
+        sites, us = np.empty(k, dtype=np.int64), np.empty(k)
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            if self._chain(self._graph, self._table, bitgen.ctypes.bit_generator, self._CHUNK,
+                           burn_in, thin, len(out), x, out, sites, us):
+                raise ValueError(f"heatbath.c draws no sites for p = {self.p}")
 
 
 def _table_updates(graph, n, sites, us, x) -> int:
@@ -661,10 +690,23 @@ def _loop():
     return _compiled.loop()
 
 
+def _draws_in_c() -> bool:
+    """Whether heatbath.c's copy of numpy's draws gives this numpy's stream
+    (checked once per process)."""
+    from . import _compiled
+
+    return _compiled.draws_match()
+
+
 def sampler_loop() -> str:
-    """Which heat-bath loop the sampler runs: "compiled", or "python" where
-    no C compiler is usable (the same chain, several times slower)."""
-    return "python" if _loop() is None else "compiled"
+    """Which heat-bath loop the sampler runs: "compiled", where gibbs_sample
+    runs its whole chain in C, draws too; "numpy-draws", the compiled loop
+    fed numpy's draws, where heatbath.c's copy of them does not give this
+    numpy's stream; or "python" where no C compiler is usable. Each gives
+    the same chain, the last several times slower."""
+    if _loop() is None:
+        return "python"
+    return "compiled" if _draws_in_c() else "numpy-draws"
 
 
 @dataclass(frozen=True)
@@ -766,11 +808,7 @@ def gibbs_sample(
     rng = np.random.default_rng(run_seed)
     x = np.array(kern.initial_state(rng), dtype=np.int8)
     out = np.empty((n, g.p), dtype=np.int8)
-    # one chain through the burn-in and then n blocks of thin sweeps
-    blocks = kern.blocks(x, itertools.chain((burn_in,), itertools.repeat(thin, n)), rng)
-    next(blocks)
-    for ell, _ in zip(range(n), blocks):
-        out[ell] = x
+    kern.sample(x, burn_in, thin, out, rng)
     return SampleSet(out, seed=seed, burn_in=burn_in, thin=thin)
 
 

@@ -255,8 +255,9 @@ def test_sampler_whole_state_distribution():
 
 
 # Criterion 8 and the whole-state check again on the Python heat-bath loop,
-# which runs where no C compiler is usable; the two tests above run the
-# compiled loop wherever one is.
+# which runs where no C compiler is usable, and on the compiled loop fed
+# numpy's draws, which runs where heatbath.c's copy of them does not match
+# numpy; the two tests above run the chain in C wherever it can.
 def test_criterion_08_on_the_python_loop(monkeypatch):
     monkeypatch.setattr(_compiled, "loop", lambda: None)
     test_criterion_08_sampler_fidelity()
@@ -264,6 +265,16 @@ def test_criterion_08_on_the_python_loop(monkeypatch):
 
 def test_whole_state_distribution_on_the_python_loop(monkeypatch):
     monkeypatch.setattr(_compiled, "loop", lambda: None)
+    test_sampler_whole_state_distribution()
+
+
+def test_criterion_08_on_numpy_draws(monkeypatch):
+    monkeypatch.setattr(_compiled, "draws_match", lambda: False)
+    test_criterion_08_sampler_fidelity()
+
+
+def test_whole_state_distribution_on_numpy_draws(monkeypatch):
+    monkeypatch.setattr(_compiled, "draws_match", lambda: False)
     test_sampler_whole_state_distribution()
 
 

@@ -881,6 +881,38 @@ def test_sweep_warns_of_saturated_mixing_estimates(tmp_path, capsys):
 
 _PYTHON_LOOP_WARNING = ("isinglearn: warning: no usable C compiler; sampled with the Python"
                         " heat-bath loop, which gives the same samples several times slower\n")
+_NUMPY_DRAWS_WARNING = ("isinglearn: warning: the compiled sampler's copy of numpy's draws does"
+                        f" not match numpy {np.__version__}; sampled with numpy's own draws,"
+                        " which gives the same samples more slowly\n")
+
+
+def _check_slow_loop_warning(tmp_path, capsys, monkeypatch, graph_file, command, slow):
+    """sample or sweep on the chain in C and then with the loader patched
+    as `slow` says: the files are the same, and the slow run prints its
+    one warning line."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("\n".join(_SMALL_SWEEP).replace("trials = 1", "trials = 3") + "\n")
+    argv = {
+        "sample": ["sample", "--graph", str(graph_file), "--theta", "0.6", "--n", "300",
+                   "--burn-in", "50", "--thin", "2", "--seed", "5"],
+        "sweep": ["sweep", "--config", str(cfg)],
+    }[command]
+    monkeypatch.setattr(experiments, "_available_cpus", lambda: 1)
+    if ising.sampler_loop() != "compiled":
+        pytest.skip("the sampler's chain does not run in C here")
+    outputs = []
+    for loop in ("compiled", slow):
+        if loop == "python":
+            monkeypatch.setattr(_compiled, "loop", lambda: None)
+        elif loop == "numpy-draws":
+            monkeypatch.setattr(_compiled, "draws_match", lambda: False)
+        assert ising.sampler_loop() == loop
+        out = tmp_path / f"{loop}.out"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().err == {"compiled": "", "python": _PYTHON_LOOP_WARNING,
+                                           "numpy-draws": _NUMPY_DRAWS_WARNING}[loop]
+        outputs.append([ln.rsplit(",", 1)[0] for ln in out.read_text().splitlines()[1:]])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command", ["sample", "sweep"])
@@ -888,25 +920,39 @@ def test_python_loop_is_named_in_one_warning(tmp_path, capsys, monkeypatch, tree
                                              command):
     # where no C compiler is usable, sample and sweep say in one line that
     # the Python loop ran; the files are those of the compiled loop
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("\n".join(_SMALL_SWEEP).replace("trials = 1", "trials = 3") + "\n")
-    argv = {
-        "sample": ["sample", "--graph", str(tree_graph_file), "--theta", "0.6", "--n", "300",
-                   "--burn-in", "50", "--thin", "2", "--seed", "5"],
-        "sweep": ["sweep", "--config", str(cfg)],
-    }[command]
-    monkeypatch.setattr(experiments, "_available_cpus", lambda: 1)
-    outputs = []
-    for loop in ("compiled", "python"):
-        if loop == "python":
-            monkeypatch.setattr(_compiled, "loop", lambda: None)
-        elif ising.sampler_loop() != "compiled":
-            pytest.skip("no usable C compiler")
-        out = tmp_path / f"{loop}.out"
-        assert main(argv + ["--out", str(out)]) == 0
-        assert capsys.readouterr().err == ("" if loop == "compiled" else _PYTHON_LOOP_WARNING)
-        outputs.append([ln.rsplit(",", 1)[0] for ln in out.read_text().splitlines()[1:]])
-    assert outputs[0] == outputs[1]
+    _check_slow_loop_warning(tmp_path, capsys, monkeypatch, tree_graph_file, command, "python")
+
+
+@pytest.mark.parametrize("command", ["sample", "sweep"])
+def test_numpy_draws_are_named_in_one_warning(tmp_path, capsys, monkeypatch, tree_graph_file,
+                                              command):
+    # where heatbath.c's copy of numpy's draws fails its check, sample and
+    # sweep say so in one line; the files are those of the chain in C
+    _check_slow_loop_warning(tmp_path, capsys, monkeypatch, tree_graph_file, command,
+                             "numpy-draws")
+
+
+def test_chain_buffers_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                    tree_graph_file):
+    # the chain's chunk buffers, min(_CHUNK, longest block) * p sites and
+    # uniforms (5 * 7 here), are numpy arrays, so a size beyond memory
+    # raises MemoryError in Python, which main reports in one line
+    if ising.sampler_loop() != "compiled":
+        pytest.skip("the sampler's chain does not run in C here")
+    empty, failed = np.empty, []
+
+    def failing(shape, dtype=float, **kwargs):
+        if shape == 5 * 7:
+            failed.append(np.dtype(dtype))
+            raise MemoryError
+        return empty(shape, dtype, **kwargs)
+
+    out = tmp_path / "s.txt"
+    monkeypatch.setattr(ising.np, "empty", failing)
+    assert main(_SAMPLE + ["--graph", str(tree_graph_file), "--out", str(out)]) == 2
+    assert failed == [np.int64]
+    assert capsys.readouterr() == ("", "isinglearn: error: out of memory\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

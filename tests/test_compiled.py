@@ -1,17 +1,20 @@
-"""The compiled heat-bath loop's loader: build once per cache, rebuild a
-file that does not load, survive processes that build at once, and fall
-back to the Python loop, with the same chain, where no compiler is usable."""
+"""The compiled heat-bath sampler and its loader: build once per cache,
+rebuild a file that does not load, survive processes that build at once,
+remove old builds, replay numpy's draws exactly, run gibbs_sample's chain
+with the samples of numpy's draws, and fall back to the Python loop, with
+the same chain, where no compiler is usable."""
 import ctypes
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from isinglearn import _compiled, ising
-from isinglearn.graphs import make_random_regular
+from isinglearn.graphs import Graph, make_random_regular
 from isinglearn.ising import CouplingField, gibbs_sample
 
 pytestmark = pytest.mark.skipif(_compiled._compiler() is None, reason="no usable C compiler")
@@ -76,8 +79,152 @@ def test_processes_that_build_at_once_both_load(tmp_path):
     assert os.listdir(tmp_path) == [_compiled._library_name()]
 
 
-def test_wrong_arrays_and_sites_raise():
+def test_old_builds_are_removed(tmp_path, monkeypatch):
+    # a build of an edited source replaces the old one; the temporary file
+    # of a build in progress, another Python's build and other files stay
+    first = _compiled._library_name()
+    assert _compiled.load([tmp_path]) is not None
+    kept = {f"{first}.x1y2z3.tmp", "heatbath-0123456789abcdef.cpython-399-other.so", "notes.txt"}
+    for name in kept:
+        (tmp_path / name).write_text("")
+    edited = tmp_path / "src" / "heatbath.c"
+    edited.parent.mkdir()
+    edited.write_text(_compiled.SOURCE.read_text() + "/* edited */\n")
+    monkeypatch.setattr(_compiled, "SOURCE", edited)
+    second = _compiled._library_name()
+    assert second != first
+    assert _compiled.load([tmp_path]) is not None
+    assert set(os.listdir(tmp_path)) == kept | {second, "src"}
+
+
+def test_library_gone_before_load_is_built_again(tmp_path, compiles, monkeypatch):
+    # another process's build may remove the library between the check of
+    # its file and dlopen; the load builds it once more
+    path = tmp_path / _compiled._library_name()
+    _compiled._build(_compiled._compiler(), path)
+    complete = _compiled._complete
+
+    def vanishing(p):
+        whole = complete(p)
+        p.unlink()
+        return whole
+
+    monkeypatch.setattr(_compiled, "_complete", vanishing)
+    compiles.clear()
+    lib = _compiled.load([tmp_path])
+    assert lib is not None and lib.graph_size() > 0
+    assert len(compiles) == 1
+    assert os.listdir(tmp_path) == [path.name]
+
+
+@pytest.fixture(scope="module")
+def lib():
+    lib = _compiled.loop()
+    if lib is None:
+        pytest.skip("no usable cache directory")
+    return lib
+
+
+def _c_draws(lib, rng, p, n):
+    """n sites in 0..p-1 and n uniforms from lib.draws, advancing rng."""
+    sites, us = np.empty(n, dtype=np.int64), np.empty(n)
+    with rng.bit_generator.lock:
+        assert lib.draws(rng.bit_generator.ctypes.bit_generator, p, n, sites, us) == 0
+    return sites, us
+
+
+@pytest.mark.parametrize("p", [1, 2, 30, 90, 1000])
+def test_draws_replay_numpy_chunks(lib, p):
+    # the chain's draws block by block, each in chunks of at most 128
+    # sweeps, against rng.integers and rng.random on a generator of the
+    # same seed: the values, and the states after every block
+    ours, theirs = np.random.default_rng(p), np.random.default_rng(p)
+    for nsweeps in (1, 127, 128, 129, 300, 1):
+        for done in range(0, nsweeps, 128):
+            k = min(128, nsweeps - done) * p
+            sites, us = _c_draws(lib, ours, p, k)
+            assert np.array_equal(sites, theirs.integers(0, p, k)), (nsweeps, done)
+            assert np.array_equal(us, theirs.random(k)), (nsweeps, done)
+        assert ours.bit_generator.state == theirs.bit_generator.state, nsweeps
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30, 6_700_417, 2**32 - 1])
+def test_bounded_step_rejects_as_numpy(lib, p):
+    # ranges whose Lemire threshold, 2^32 mod p, is 0 (2^31), 2 (2^31 - 1),
+    # 1 (2^32 - 1), about a half or a quarter of 2^32 (2^31 + 1, 3 * 2^30),
+    # or p - 1 (6,700,417 divides 2^32 + 1)
+    n = 2000
+    ours, theirs = np.random.default_rng(p), np.random.default_rng(p)
+    sites, us = _c_draws(lib, ours, p, n)
+    assert np.array_equal(sites, theirs.integers(0, p, n))
+    assert np.array_equal(us, theirs.random(n))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    # without rejections the sites would take n 32-bit outputs
+    unrejected = np.random.default_rng(p)
+    unrejected.integers(0, 2**32, n, dtype=np.uint32)
+    unrejected.random(n)
+    if p in (2**31 + 1, 3 * 2**30, 6_700_417):
+        assert unrejected.bit_generator.state != ours.bit_generator.state
+    else:
+        assert unrejected.bit_generator.state == ours.bit_generator.state
+
+
+def test_draws_refuse_ranges_numpy_draws_otherwise(lib):
+    for p in (0, 2**32):
+        rng = np.random.default_rng(0)
+        with rng.bit_generator.lock:
+            assert lib.draws(rng.bit_generator.ctypes.bit_generator, p, 4,
+                             np.empty(4, dtype=np.int64), np.empty(4)) == -1
+
+
+def test_stream_check_refuses_other_draws(lib, monkeypatch):
+    # a copy whose sites are drawn from 0..p, not 0..p - 1, fails the check
+    assert _compiled.draws_match.__wrapped__()
+    shifted = types.SimpleNamespace(
+        draws=lambda bitgen, p, n, sites, us: lib.draws(bitgen, p + 1, n, sites, us))
+    monkeypatch.setattr(_compiled, "loop", lambda: shifted)
+    assert not _compiled.draws_match.__wrapped__()
+
+
+def _edge_field(g, rng, lo, hi):
+    return CouplingField.from_dict(g.p, dict(zip(g.sorted_edges(),
+                                                 rng.uniform(lo, hi, g.num_edges).tolist())))
+
+
+_G30 = make_random_regular(30, 4, seed=7)
+_CHAIN_CASES = {
+    "homogeneous": (_G30, 0.65, None),
+    "per-edge": (_G30, _edge_field(_G30, np.random.default_rng(3), -30.0, 30.0), None),
+    "edgeless p=1": (Graph(1, set()), 0.4, None),
+    "p=2": (Graph(2, {(1, 2)}), 0.8, None),
+    "p=90": (make_random_regular(90, 4, seed=2), 0.45, None),
+    "chunk 1": (_G30, 0.45, 1),
+    "chunk 127 per-edge": (_G30, _edge_field(_G30, np.random.default_rng(5), -1.0, 1.5), 127),
+}
+
+
+@pytest.mark.parametrize("case", list(_CHAIN_CASES))
+def test_chain_gives_the_samples_of_numpy_draws(case, monkeypatch):
+    # gibbs_sample's chain in one C call against the compiled loop fed
+    # numpy's draws, byte for byte, with blocks across chunk boundaries and
+    # with burn-in and thin from the mixing estimate
     if ising.sampler_loop() != "compiled":
+        pytest.skip("heatbath.c does not draw here")
+    g, theta, chunk = _CHAIN_CASES[case]
+    if chunk is not None:
+        monkeypatch.setattr(ising._Glauber, "_CHUNK", chunk)
+    settings = [(300, 129, 40), (1, 1, 50), (130, 1, 7), (None, None, 60)]
+    chained = [gibbs_sample(g, theta, n=n, burn_in=b, thin=t, seed=9) for b, t, n in settings]
+    monkeypatch.setattr(_compiled, "draws_match", lambda: False)
+    assert ising.sampler_loop() == "numpy-draws"
+    assert ising._Glauber(ising._as_field(g, theta))._chain is None
+    for s, (b, t, n) in zip(chained, settings):
+        ref = gibbs_sample(g, theta, n=n, burn_in=b, thin=t, seed=9)
+        assert s == ref and s.spins.tobytes() == ref.spins.tobytes(), (b, t)
+
+
+def test_wrong_arrays_and_sites_raise():
+    if ising.sampler_loop() == "python":
         pytest.skip("no usable cache directory")
     kern = ising._Glauber(CouplingField.homogeneous(make_random_regular(8, 3, seed=1), 0.4))
     x = np.ones(8, dtype=np.int8)
@@ -93,6 +240,24 @@ def test_wrong_arrays_and_sites_raise():
     for bad in (8, -1):
         with pytest.raises(IndexError):
             kern.run(x, np.array([0, bad, 1]), np.zeros(3))
+
+
+def test_chain_refuses_wrong_arrays():
+    # the chain writes through pointers: spins and rows of another length
+    # raise, and so do arrays of another dtype or order
+    if ising.sampler_loop() != "compiled":
+        pytest.skip("the sampler's chain does not run in C here")
+    kern = ising._Glauber(CouplingField.homogeneous(make_random_regular(8, 3, seed=1), 0.4))
+    rng = np.random.default_rng(0)
+    x, out = np.ones(8, dtype=np.int8), np.zeros((3, 8), dtype=np.int8)
+    for args in ((x[:7], out), (x, out[:, :7]), (x, out[0])):
+        with pytest.raises(ValueError):
+            kern.sample(args[0], 2, 1, args[1], rng)
+    for args in ((x.astype(np.int64), out), (x, out.astype(np.int64)), (x, out.T.copy().T)):
+        with pytest.raises(ctypes.ArgumentError):
+            kern.sample(args[0], 2, 1, args[1], rng)
+    kern.sample(x, 2, 1, out, rng)
+    assert out[-1].tolist() == x.tolist()
 
 
 @pytest.fixture
