@@ -148,7 +148,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         fn.argtypes, fn.restype = [graph, ctypes.c_int64, i64, f64, i8], ctypes.c_int64
     bitgen, n = ctypes.c_void_p, ctypes.c_int64  # a Generator's bitgen_t
     lib.draws.argtypes, lib.draws.restype = [bitgen, n, n, i64, f64], ctypes.c_int
-    lib.chain.argtypes = [graph, ctypes.c_int, bitgen, n, n, n, n, i8, i8, i64, f64]
+    lib.chain.argtypes = [graph, ctypes.c_int, bitgen, n, n, n, n, i8, i8, i64, f64, n]
     lib.chain.restype = ctypes.c_int
     return lib
 

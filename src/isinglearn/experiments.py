@@ -7,6 +7,7 @@ produce identical data.
 """
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import os
@@ -208,6 +209,56 @@ def run_learner(
     return res.graph, res
 
 
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's BLAS as ctypes sees it: numpy.linalg's extension module,
+    whose symbol lookup also searches the libraries it links, a bundled
+    OpenBLAS among them. None where the module cannot be loaded so."""
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+
+
+def _pin_blas() -> bool:
+    """Run numpy's bundled OpenBLAS on one thread in this process; whether
+    it did. A no-op where _openblas() finds no such library. Sweep
+    workers call it as they start: each learns as well as samples, and two
+    workers with an OpenBLAS thread per core each made criterion 10's weak
+    arm about four times slower on a 2-core box."""
+    set_threads = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if set_threads is None:
+        return False
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+    return True
+
+
+def _trial(cfg: SweepConfig, i_t: int, i_n: int, trial: int) -> list:
+    """One trial of a sweep: its sample set, learned at every lambda0 from
+    the largest down, each rlr solve warm-started from the one before.
+    Per lambda0 in that order, a record of exact recovery, the vertex
+    rate, the runtime share (the learn time and an equal share of the
+    sampling time, in ms), sampler saturated, and rlr solve unconverged."""
+    g, s, saturated, sample_ms = _sample_trial(cfg, i_t, i_n, trial)
+    theta, n = cfg.theta_grid[i_t], cfg.n_grid[i_n]
+    log_p = math.log(cfg.family.num_vertices)
+    records, warm = [], None
+    for lam0 in sorted(cfg.lambda0_grid, reverse=True):
+        t_learn0 = time.perf_counter()
+        lam = 2.0 * lam0 * theta * math.sqrt(log_p / n)
+        learned, res = run_learner(cfg.learner, s, theta, g.max_degree or 1, lam, warm)
+        warm = None if res is None else res.theta
+        learn_ms = (time.perf_counter() - t_learn0) * 1000.0
+        records.append((
+            learned.edges == g.edges,
+            sum(learned.neighbors(v) == g.neighbors(v) for v in range(1, g.p + 1)) / g.p,
+            learn_ms + sample_ms / len(cfg.lambda0_grid),
+            saturated,
+            res is not None and not res.all_converged,
+        ))
+    return records
+
+
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run every (theta, lambda0, n) cell for the configured trial count.
 
@@ -217,10 +268,11 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     from the next-larger lambda0's coefficients. Refuses to start if the
     pessimistic work estimate exceeds cfg.budget_units.
 
-    With more than one trial and more than one available CPU, trials are
-    sampled in one worker process per CPU (at most one per trial) while
-    this process learns from them in trial order, so the cells are those
-    of a serial run.
+    With more than one trial and more than one available CPU, whole trials
+    (sampling and learning) run in one worker process per CPU (at most one
+    per trial), each with numpy's BLAS pinned to one thread, and this
+    process tallies their records. A trial's seeds depend on its place in
+    the grid alone, so the cells are those of a serial run.
     """
     units = estimate_work_units(cfg)
     if units > cfg.budget_units:
@@ -228,42 +280,26 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             f"estimated {units:.3g} work units (~{units * SECONDS_PER_UNIT:.0f}s) "
             f"exceeds budget {cfg.budget_units:.3g}"
         )
-    p = cfg.family.num_vertices
     lam0s_desc = sorted(cfg.lambda0_grid, reverse=True)
-    # (theta, lambda0, n) -> one record per trial: exact recovery, vertex
-    # rate, runtime share, sampler saturated, unconverged
+    # (theta, lambda0, n) -> the records of its trials
     tally: dict = {}
     keys = list(itertools.product(
         range(len(cfg.theta_grid)), range(len(cfg.n_grid)), range(cfg.trials)
     ))
-    # Workers only sample, which calls no BLAS; learners there would
-    # oversubscribe the cores with their BLAS threads.
     workers = min(_available_cpus(), cfg.trials)
     pool = None
     if workers > 1:
         # imported here: it adds about 1 MB to processes that never pool
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(workers)
+        pool = ProcessPoolExecutor(workers, initializer=_pin_blas)
     try:
         mapper = pool.map if pool else map
-        trials = mapper(_sample_trial, itertools.repeat(cfg), *zip(*keys))
-        for (i_t, i_n, _), (g, s, saturated, sample_ms) in zip(keys, trials):
+        trials = mapper(_trial, itertools.repeat(cfg), *zip(*keys))
+        for (i_t, i_n, _), records in zip(keys, trials):
             theta, n = cfg.theta_grid[i_t], cfg.n_grid[i_n]
-            warm = None
-            for lam0 in lam0s_desc:
-                t_learn0 = time.perf_counter()
-                lam = 2.0 * lam0 * theta * math.sqrt(math.log(p) / n)
-                learned, res = run_learner(cfg.learner, s, theta, g.max_degree or 1, lam, warm)
-                warm = None if res is None else res.theta
-                learn_ms = (time.perf_counter() - t_learn0) * 1000.0
-                tally.setdefault((theta, lam0, n), []).append((
-                    learned.edges == g.edges,
-                    sum(learned.neighbors(v) == g.neighbors(v) for v in range(1, g.p + 1)) / g.p,
-                    learn_ms + sample_ms / len(lam0s_desc),
-                    saturated,
-                    res is not None and not res.all_converged,
-                ))
+            for lam0, record in zip(lam0s_desc, records):
+                tally.setdefault((theta, lam0, n), []).append(record)
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)

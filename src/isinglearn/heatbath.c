@@ -138,17 +138,21 @@ int draws(struct bitgen *bg, int64_t p, int64_t n, int64_t *sites, double *us)
 /* The chain of gibbs_sample: burn_in sweeps, then n blocks of thin sweeps,
  * with x copied into row l of out (n rows of p) after block l. Each block
  * draws its randomness in chunks of at most chunk sweeps, a chunk's sites
- * and then its uniforms, into sites and us (each of at least
- * min(chunk, max(burn_in, thin)) * p values), as _Glauber.blocks does.
- * Returns 0, or -1 where draws refuses p. */
+ * and then its uniforms, into sites and us (cap values each), as
+ * _Glauber.blocks does. Returns 0; -1 where draws refuses p; -2, before
+ * drawing it, at the first chunk of more than cap draws, with the chunks
+ * before it applied. */
 int chain(const struct graph *g, int table, struct bitgen *bg, int64_t chunk, int64_t burn_in,
-          int64_t thin, int64_t n, int8_t *x, int8_t *out, int64_t *sites, double *us)
+          int64_t thin, int64_t n, int8_t *x, int8_t *out, int64_t *sites, double *us,
+          int64_t cap)
 {
     const int64_t p = g->p;
     for (int64_t l = -1; l < n; l++) {
         const int64_t sweeps = l < 0 ? burn_in : thin;
         for (int64_t done = 0; done < sweeps; done += chunk) {
             const int64_t k = (sweeps - done < chunk ? sweeps - done : chunk) * p;
+            if (k > cap)
+                return -2;
             if (draws(bg, p, k, sites, us))
                 return -1;
             /* sites from draws lie in 0 .. p - 1 */

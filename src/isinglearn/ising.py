@@ -643,9 +643,13 @@ class _Glauber:
         sites, us = np.empty(k, dtype=np.int64), np.empty(k)
         bitgen = rng.bit_generator
         with bitgen.lock:
-            if self._chain(self._graph, self._table, bitgen.ctypes.bit_generator, self._CHUNK,
-                           burn_in, thin, len(out), x, out, sites, us):
-                raise ValueError(f"heatbath.c draws no sites for p = {self.p}")
+            err = self._chain(self._graph, self._table, bitgen.ctypes.bit_generator, self._CHUNK,
+                              burn_in, thin, len(out), x, out, sites, us, k)
+        if err == -1:
+            raise ValueError(f"heatbath.c draws no sites for p = {self.p}")
+        if err:
+            raise RuntimeError(f"heatbath.c's chain would draw a chunk past its {k} "
+                               f"buffered draws")
 
 
 def _table_updates(graph, n, sites, us, x) -> int:

@@ -260,6 +260,34 @@ def test_chain_refuses_wrong_arrays():
     assert out[-1].tolist() == x.tolist()
 
 
+def test_chain_refuses_to_overrun_its_buffers(monkeypatch):
+    # the chain draws each chunk into buffers of the capacity it is given:
+    # a chunk past it is refused before it is drawn, and sample() raises
+    if ising.sampler_loop() != "compiled":
+        pytest.skip("the sampler's chain does not run in C here")
+    kern = ising._Glauber(CouplingField.homogeneous(make_random_regular(8, 3, seed=1), 0.4))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    x, out = np.ones(8, dtype=np.int8), np.zeros((3, 8), dtype=np.int8)
+    cap = 5 * 8  # a 5-sweep burn-in is the largest chunk
+    sites, us = np.empty(cap, dtype=np.int64), np.empty(cap)
+    bitgen = rng.bit_generator
+
+    def chain(cap):
+        with bitgen.lock:
+            return _compiled.loop().chain(kern._graph, kern._table, bitgen.ctypes.bit_generator,
+                                          128, 5, 2, len(out), x, out, sites, us, cap)
+
+    assert chain(cap - 1) == -2
+    assert bitgen.state == state and x.tolist() == [1] * 8 and not out.any()
+    assert chain(cap) == 0
+    assert out[-1].tolist() == x.tolist()
+    real = kern._chain
+    monkeypatch.setattr(kern, "_chain", lambda *args: real(*args[:-1], args[-1] - 1))
+    with pytest.raises(RuntimeError, match="past its 40 buffered draws"):
+        kern.sample(x, 5, 2, out, rng)
+
+
 @pytest.fixture
 def no_compiler(monkeypatch):
     """A loader whose compiler lookup finds none, with the process's loop

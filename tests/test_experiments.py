@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import math
 import multiprocessing
@@ -190,12 +191,16 @@ def without_runtime(res):
 class TestSampleWorkers:
     def test_worker_count_keeps_cells(self):
         cfg = rlr_grid_config()
-        spy = mock.Mock(wraps=experiments.gibbs_sample)
-        with mock.patch.object(experiments, "gibbs_sample", spy):
+        sample = mock.Mock(wraps=experiments.gibbs_sample)
+        learn = mock.Mock(wraps=experiments.run_learner)
+        with mock.patch.object(experiments, "gibbs_sample", sample), \
+                mock.patch.object(experiments, "run_learner", learn):
             serial = sweep_with_cpus(cfg, 1)
-            assert spy.call_count == 6
+            # one sample set per (theta, trial), one solve per lambda0 of each
+            assert (sample.call_count, learn.call_count) == (6, 12)
             pooled = sweep_with_cpus(cfg, 2)
-            assert spy.call_count == 6  # the workers sampled, not this process
+            # the workers sampled and learned, not this process
+            assert (sample.call_count, learn.call_count) == (6, 12)
         assert without_runtime(pooled) == without_runtime(serial)
         assert len({(c.p_succ, c.p_vertex) for c in serial.cells}) > 1
         assert multiprocessing.active_children() == []
@@ -223,6 +228,64 @@ class TestSampleWorkers:
         assert multiprocessing.active_children() == []
         assert (tmp_path / str(bad_seed)).exists()
         assert len(list(tmp_path.iterdir())) < cfg.trials
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="a patched learner reaches forked workers only",
+    )
+    def test_learner_error_reaches_caller_and_cancels_queue(self, tmp_path):
+        cfg = tiny_config(trials=16)
+        state = np.random.SeedSequence(cfg.seed, spawn_key=(0, 0, 1)).generate_state(3)
+        bad_seed = int(state[1])
+        real = experiments.run_learner
+
+        def flaky(learner, s, *args):
+            (tmp_path / str(s.seed)).touch()
+            if s.seed == bad_seed:
+                raise RuntimeError("learner failed")
+            time.sleep(0.2)
+            return real(learner, s, *args)
+
+        with mock.patch.object(experiments, "run_learner", flaky):
+            with pytest.raises(RuntimeError, match="learner failed"):
+                sweep_with_cpus(cfg, 2)
+        assert multiprocessing.active_children() == []
+        assert (tmp_path / str(bad_seed)).exists()
+        assert len(list(tmp_path.iterdir())) < cfg.trials
+
+    def test_workers_pin_blas_to_one_thread(self):
+        lib = experiments._openblas()
+        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if set_threads is None:
+            pytest.skip("numpy bundles no scipy-openblas here")
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        before = get_threads()
+        try:
+            assert experiments._pin_blas() is True
+            assert get_threads() == 1
+        finally:
+            set_threads(before)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="a patched library lookup reaches forked workers only",
+    )
+    def test_workers_without_blas_library_give_serial_table(self, tmp_path):
+        # the pin is a no-op where the lookup finds no library: each worker
+        # still starts, and the table is the serial one
+        def nothing():
+            (tmp_path / str(os.getpid())).touch()
+            return None
+
+        cfg = rlr_grid_config()
+        with mock.patch.object(experiments, "_openblas", nothing):
+            assert experiments._pin_blas() is False
+            pooled = sweep_with_cpus(cfg, 2)
+        assert len(list(tmp_path.iterdir())) == 3  # this process and two workers
+        assert without_runtime(pooled) == without_runtime(sweep_with_cpus(cfg, 1))
+        assert multiprocessing.active_children() == []
 
     def test_spawned_workers_give_serial_table(self, tmp_path):
         # the worker function and its arguments must pickle for the spawn
