@@ -8,8 +8,11 @@ name carries the SHA-256 of the source and the flags, and Python's
 EXT_SUFFIX, so an edited source or another Python gets a build of its
 own. A build is written under a temporary name and published by
 os.replace, so processes that build at once (sweep workers) each load a
-whole library, and the builds of other sources are then removed from
-that directory. Without a usable compiler load() returns None, and the
+whole library. A directory keeps the _KEPT_BUILDS most recently used
+builds of this Python: load() refreshes the modification time of the
+build it uses, and a new build removes the oldest beyond that count, so
+checkouts with different sources that run in turn do not evict each
+other's builds. Without a usable compiler load() returns None, and the
 sampler runs its Python loop, which gives the same chain.
 
 heatbath.c copies two of numpy's draw steps, and NumPy does not promise
@@ -40,6 +43,8 @@ SOURCE = Path(__file__).with_name("heatbath.c")
 # does. Never -ffast-math or -march=native, which would change the chain.
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 LIBS = ("-lm",)
+# builds of this Python a cache directory keeps, the newest included
+_KEPT_BUILDS = 4
 
 
 def _compiler() -> list | None:
@@ -98,9 +103,10 @@ def _complete(path: Path) -> bool:
 
 
 def _build(cc: list, path: Path) -> None:
-    """Compile SOURCE to path, then remove the other heatbath-<key> builds
-    of this EXT_SUFFIX in its directory. Temporary files, which builds in
-    progress own, are left alone."""
+    """Compile SOURCE to path, then remove the heatbath-<key> builds of
+    this EXT_SUFFIX in its directory beyond the _KEPT_BUILDS most recently
+    modified, path included. Temporary files, which builds in progress
+    own, are left alone."""
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     os.close(fd)
     try:
@@ -110,11 +116,15 @@ def _build(cc: list, path: Path) -> None:
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
-    old = re.compile("heatbath-[0-9a-f]{16}" + re.escape(_suffix()))
+    build = re.compile("heatbath-[0-9a-f]{16}" + re.escape(_suffix()))
+    others = []
     for f in path.parent.iterdir():
-        if f.name != path.name and old.fullmatch(f.name):
+        if f.name != path.name and build.fullmatch(f.name):
             with contextlib.suppress(FileNotFoundError):
-                f.unlink()
+                others.append((f.stat().st_mtime_ns, f))
+    for _, f in sorted(others, reverse=True)[_KEPT_BUILDS - 1:]:
+        with contextlib.suppress(FileNotFoundError):
+            f.unlink()
 
 
 def _array(dtype):
@@ -156,8 +166,9 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
 def load(cache_dirs=None) -> ctypes.CDLL | None:
     """The compiled loop, from the first usable cache directory (by default
     _cache_dirs()) that holds or takes a build of this source; a cached file
-    that does not load is built once more. None when no compiler is usable
-    or no directory gives a library that loads."""
+    that does not load is built once more, and one that does is marked used
+    by its modification time. None when no compiler is usable or no
+    directory gives a library that loads."""
     cc = _compiler()
     if cc is None:
         return None
@@ -168,6 +179,7 @@ def load(cache_dirs=None) -> ctypes.CDLL | None:
         path = d / name
         with contextlib.suppress(OSError):  # missing, cut short or gone: build it
             if _complete(path):
+                os.utime(path)
                 return _bind(ctypes.CDLL(str(path)))
         try:
             _build(cc, path)

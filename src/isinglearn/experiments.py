@@ -190,12 +190,12 @@ def run_learner(
     theta: float,
     delta: int,
     lam: float | None = None,
-    warm: np.ndarray | None = None,
+    warm: RlrGraphResult | None = None,
 ) -> tuple[Graph, RlrGraphResult | None]:
     """Dispatch a configured learner on a sample set: (graph, the rlr
-    result, or None for the other learners). rlr needs `lam` and starts
-    from `warm`, a (p, p) coefficient matrix such as a nearby result's
-    `theta`; the other learners read neither."""
+    result, or None for the other learners). rlr needs `lam` and resumes
+    from `warm`, the rlr result of an earlier call on the same sample set
+    (rlr_graph refuses any other); the other learners read neither."""
     cfg = cfg.resolved(theta, delta)
     if cfg.alg == "thr":
         return thresholding(empirical_correlations(s), cfg.tau), None
@@ -247,7 +247,7 @@ def _trial(cfg: SweepConfig, i_t: int, i_n: int, trial: int) -> list:
         t_learn0 = time.perf_counter()
         lam = 2.0 * lam0 * theta * math.sqrt(log_p / n)
         learned, res = run_learner(cfg.learner, s, theta, g.max_degree or 1, lam, warm)
-        warm = None if res is None else res.theta
+        warm = res
         learn_ms = (time.perf_counter() - t_learn0) * 1000.0
         records.append((
             learned.edges == g.edges,

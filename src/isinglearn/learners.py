@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -299,9 +299,13 @@ def population_score(dist: ExactDistribution, r: int, U, delta: int, gamma: floa
     return _score(_population_tables(dist), dist.graph.p, r, U, delta, gamma)
 
 
-def _edges_from_neighborhoods(p: int, hoods: dict, rule: str) -> Graph:
+def _check_rule(rule: str) -> None:
     if rule not in ("or", "and"):
         raise ValueError(f"unknown edge rule {rule!r}")
+
+
+def _edges_from_neighborhoods(p: int, hoods: dict, rule: str) -> Graph:
+    _check_rule(rule)
     edges = {
         (min(r, j), max(r, j))
         for r, nb in hoods.items()
@@ -361,6 +365,7 @@ def _independence_test(tables, p, delta, eps, gamma, rule, pool_of):
     lexicographically smallest) whose every conditional shift over probe
     sets from the same pool exceeds eps/2; neighborhoods are combined into
     edges by `rule`."""
+    _check_rule(rule)
     if delta < 1:
         raise ValueError("delta must be >= 1")
     if not math.isfinite(eps):
@@ -491,10 +496,21 @@ class NeighborhoodEstimate:
 
 @dataclass(frozen=True)
 class RlrGraphResult:
+    """The rlr learner's graph and the solve behind it, on `samples`.
+
+    `estimates`, each root's NeighborhoodEstimate, is built when it is
+    first read; `graph` and `all_converged` come from the solve's arrays."""
+
     graph: Graph
-    estimates: dict
     all_converged: bool
     theta: np.ndarray  # (p, p) coefficients, column r-1 for root r
+    samples: SampleSet = field(repr=False)
+    solved: _Solved = field(repr=False)  # the _rlr_all_roots output
+    tol: float = field(repr=False)
+
+    @functools.cached_property
+    def estimates(self) -> dict:
+        return {r: _estimate(r, self.solved, self.tol) for r in range(1, self.samples.p + 1)}
 
 
 # Armijo's sufficient-decrease fraction; the most halvings a line search or
@@ -527,9 +543,12 @@ def _newton_directions(XT, curv, theta, free, sgn, v, ridge):
     (H_AA + ridge[c] I) d = -v_A over its working set A = free[:, c], with
     H = X^T diag(curv[c]) X and XT = X^T, and is zero outside A. A
     coefficient at zero whose direction points out of its orthant would only
-    be projected back, so it leaves A and the column is solved again. All
+    be projected back, so it leaves A and the column is solved again. The
     columns are solved in one np.linalg.solve on a stack padded with
-    identity rows to the largest working set. `curv` is overwritten."""
+    identity rows to the largest working set, and then only the columns
+    that lost a coefficient are solved again; the batched solve factors
+    each matrix on its own, so a column's direction does not depend on
+    which others share its stack. `curv` is overwritten."""
     p, k = free.shape
     size = free.sum(axis=0)
     a = int(size.max(initial=0))
@@ -552,20 +571,34 @@ def _newton_directions(XT, curv, theta, free, sgn, v, ridge):
     rhs = np.where(pad, 0.0, -v[cell])
     at_zero = ~pad & (theta[cell] == 0.0)
     orth = sgn[cell]
-    while True:
-        step = np.linalg.solve(hess, rhs[..., None])[..., 0]
-        out = at_zero & (step * orth <= 0.0)
-        if not out.any():
-            break
+    step = np.linalg.solve(hess, rhs[..., None])[..., 0]
+    out = at_zero & (step * orth <= 0.0)
+    rows = np.arange(k)  # the column of each row of `out`
+    while out.any():
         # drop the coefficient: its row and column become the identity's
         c, i = np.nonzero(out)
+        c = rows[c]
         hess[c, i, :] = 0.0
         hess[c, :, i] = 0.0
         hess[c, i, i] = 1.0
         rhs[c, i] = 0.0
         at_zero[c, i] = False
+        rows = rows[out.any(axis=1)]
+        step[rows] = again = np.linalg.solve(hess[rows], rhs[rows, :, None])[..., 0]
+        out = at_zero[rows] & (again * orth[rows] <= 0.0)
     d[pos, cell[1]] = step
     return d[:p]
+
+
+class _Solved(tuple):
+    """_rlr_all_roots' (Theta, objective, residual, iterations), which also
+    carries each column's smooth objective (`smooth`) and gradient
+    (`grad`) at Theta, as the solve last evaluated them."""
+
+    def __new__(cls, theta, objective, residual, iterations, smooth, grad):
+        out = super().__new__(cls, (theta, objective, residual, iterations))
+        out.smooth, out.grad = smooth, grad
+        return out
 
 
 def _rlr_all_roots(
@@ -574,9 +607,9 @@ def _rlr_all_roots(
     lam: float,
     tol: float,
     max_iter: int,
-    theta0: np.ndarray | None,
+    theta0: np.ndarray | _Solved | None,
     roots=None,
-):
+) -> _Solved:
     """Solve the l1 problem of every root at once, or of the 0-based
     columns in `roots`, over distinct sample rows `Xu` weighted by their
     frequencies `wgt` (an (m, 1) column, as SampleSet.distinct_rows gives).
@@ -595,6 +628,11 @@ def _rlr_all_roots(
     stops once its subgradient optimality residual drops below tol, or,
     unconverged, once neither step lowers its objective.
 
+    The start is zero, the (p, p) coefficients `theta0`, or the _Solved
+    output of an earlier solve of every column on the same rows (at any
+    lam), which resumes where it ended: its smooth objectives and
+    gradients are reused, not evaluated again.
+
     Returns (Theta, objective, residual, iterations) per column, NaN outside
     `roots`; a column's iteration count is the pass at which it left the
     active set, after that many steps less one (max_iter steps for a
@@ -610,11 +648,11 @@ def _rlr_all_roots(
     m, p = Xu.shape
 
     def f_and_g(th, cols, at):
-        """Penalized objectives and gradients of the columns at positions
-        `at` of the active set, whose coefficients are th."""
+        """Smooth and penalized objectives and gradients of the columns at
+        positions `at` of the active set, whose coefficients are th."""
         xc = Xc if len(at) == Xc.shape[1] else Xc[:, at]
         vals, G = _pl_kernel(Xu, xc, wgt, th, cols[at], work)
-        return vals + lam * np.abs(th).sum(axis=0), G
+        return vals, vals + lam * np.abs(th).sum(axis=0), G
 
     def residuals(th, G, cols):
         on = th != 0.0
@@ -624,9 +662,9 @@ def _rlr_all_roots(
         _pin_self(out, cols)
         return out.max(axis=0)
 
-    def accept(ok, at, th, f, g):
+    def accept(ok, at, th, sm, f, g):
         idx = at[ok]
-        theta[:, idx], f_cur[idx], G[:, idx] = th[:, ok], f[ok], g[:, ok]
+        theta[:, idx], s_cur[idx], f_cur[idx], G[:, idx] = th[:, ok], sm[ok], f[ok], g[:, ok]
         return at[~ok]
 
     def newton():
@@ -649,12 +687,12 @@ def _rlr_all_roots(
         for _ in range(_HALVINGS):
             th = theta[:, at] + alpha * d[:, at]
             th[th * sgn[:, at] < 0.0] = 0.0  # projection onto the orthant
-            f, g = f_and_g(th, cols, at)
+            sm, f, g = f_and_g(th, cols, at)
             slope = ((th - theta[:, at]) * v[:, at]).sum(axis=0)
             armijo = (f < f_cur[at]) & (f <= f_cur[at] + _ARMIJO * slope)
             # near the optimum the objective's rounding can hide the last
             # step's decrease; a step that reaches tol is taken regardless
-            at = accept(armijo | (residuals(th, g, cols[at]) < tol), at, th, f, g)
+            at = accept(armijo | (residuals(th, g, cols[at]) < tol), at, th, sm, f, g)
             if at.size == 0:
                 break
             alpha *= 0.5
@@ -674,21 +712,22 @@ def _rlr_all_roots(
             th = th0 - t * g0
             th = np.sign(th) * np.maximum(np.abs(th) - t * lam, 0.0)
             _pin_self(th, cols[at])
-            f, g = f_and_g(th, cols, at)
+            sm, f, g = f_and_g(th, cols, at)
             diff = th - th0
             smooth = f - lam * np.abs(th).sum(axis=0)
             bound = f_cur[at] - lam * np.abs(th0).sum(axis=0)
             bound += (g0 * diff).sum(axis=0) + (diff * diff).sum(axis=0) / (2.0 * t)
             ok = (smooth <= bound) & (f < f_cur[at])
-            at, t = accept(ok, at, th, f, g), 0.5 * t[~ok]
+            at, t = accept(ok, at, th, sm, f, g), 0.5 * t[~ok]
             if at.size == 0:
                 break
         return at
 
-    theta_full = np.zeros((p, p)) if theta0 is None else theta0.copy()
+    resume = isinstance(theta0, _Solved)
+    theta_full = np.zeros((p, p)) if theta0 is None else np.array(theta0[0] if resume else theta0)
     np.fill_diagonal(theta_full, 0.0)
-    f_full = np.full(p, np.nan)
-    res_full = np.full(p, np.nan)
+    f_full, s_full, res_full = np.full((3, p), np.nan)
+    g_full = np.zeros((p, p))
     iters = np.zeros(p, dtype=np.int64)
 
     # roots whose residual still exceeds tol; frozen columns are final
@@ -698,7 +737,11 @@ def _rlr_all_roots(
     XT = Xu.T.copy()  # rows of it build the Hessians
     work = np.empty((2, Xc.size))
     theta = theta_full[:, cols].copy()
-    f_cur, G = f_and_g(theta, cols, np.arange(len(cols)))
+    if resume:
+        s_cur, G = theta0.smooth[cols], theta0.grad[:, cols]
+        f_cur = s_cur + lam * np.abs(theta).sum(axis=0)
+    else:
+        s_cur, f_cur, G = f_and_g(theta, cols, np.arange(len(cols)))
     stuck = np.zeros(len(cols), dtype=bool)
     # the pass after the last step freezes the columns still active
     for it in range(1, max_iter + 2):
@@ -707,7 +750,8 @@ def _rlr_all_roots(
         if done.any():
             idx = cols[done]
             theta_full[:, idx] = theta[:, done]
-            f_full[idx] = f_cur[done]
+            f_full[idx], s_full[idx] = f_cur[done], s_cur[done]
+            g_full[:, idx] = G[:, done]
             res_full[idx] = res[done]
             iters[idx] = min(it, max_iter)
             keep = ~done
@@ -715,12 +759,12 @@ def _rlr_all_roots(
             if cols.size == 0:
                 break
             Xc = Xu[:, cols].copy()
-            theta, f_cur, G = theta[:, keep], f_cur[keep], G[:, keep]
+            theta, s_cur, f_cur, G = theta[:, keep], s_cur[keep], f_cur[keep], G[:, keep]
         failed, diag = newton()
         stuck = np.zeros(len(cols), dtype=bool)
         if failed.size:
             stuck[proximal(failed, diag[failed])] = True
-    return theta_full, f_full, res_full, iters
+    return _Solved(theta_full, f_full, res_full, iters, s_full, g_full)
 
 
 # the parameters each learner needs; LearnerConfig.resolved derives them when unset
@@ -750,7 +794,7 @@ class LearnerConfig:
             raise ValueError(f"unknown learner {self.alg!r}")
         if self.tau_rule not in ("tree", "degree"):
             raise ValueError(f"unknown tau_rule {self.tau_rule!r}")
-        _edges_from_neighborhoods(1, {}, self.rule)  # refuses an unknown edge rule
+        _check_rule(self.rule)
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be > 0 and finite, got {self.tol}")
         if self.max_iter < 1:
@@ -831,19 +875,26 @@ def rlr_graph(
     rule: str = "or",
     tol: float = LearnerConfig.tol,
     max_iter: int = LearnerConfig.max_iter,
-    warm: np.ndarray | None = None,
+    warm: RlrGraphResult | None = None,
 ) -> RlrGraphResult:
     """Regularized regression at every vertex, combined by the OR or AND
-    rule. `warm` is a (p, p) matrix of starting coefficients (column r-1
-    for root r), e.g. the `theta` of the result at a nearby regularization
-    level."""
-    solved = _rlr_all_roots(*s.distinct_rows, lam, tol, max_iter, warm)
-    estimates = {r: _estimate(r, solved, tol) for r in range(1, s.p + 1)}
-    hoods = {r: e.neighbors for r, e in estimates.items()}
-    g = _edges_from_neighborhoods(s.p, hoods, rule)
-    return RlrGraphResult(
-        g, estimates, all(e.converged for e in estimates.values()), solved[0]
-    )
+    rule. `warm` is the result of an earlier call on this same sample set,
+    e.g. at a nearby regularization level: the solve resumes where that
+    one ended, from its coefficients and the objectives and gradients it
+    last evaluated. A result of another sample set is refused, and so is
+    an unknown rule, both before solving."""
+    _check_rule(rule)
+    if warm is not None and getattr(warm, "samples", None) is not s:
+        raise ValueError("warm start must be an rlr_graph result on the same sample set")
+    start = None if warm is None else warm.solved
+    solved = _rlr_all_roots(*s.distinct_rows, lam, tol, max_iter, start)
+    theta, _, res, _ = solved
+    # chosen[v-1, r-1]: v is in root r's neighborhood
+    chosen = theta > _SELECTION_THRESHOLD
+    both = chosen & chosen.T if rule == "and" else chosen | chosen.T
+    i, j = np.nonzero(np.triu(both))
+    g = Graph(s.p, frozenset(zip((i + 1).tolist(), (j + 1).tolist())))
+    return RlrGraphResult(g, bool((res < tol).all()), theta, s, solved, tol)
 
 
 # ---------------------------------------------------------------------------

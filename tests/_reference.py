@@ -21,7 +21,11 @@ converts one line at a time, kept as the reference for the vectorised one;
 proximal gradient), kept as the reference for the orthant-wise Newton
 one: its objectives and gradients at the iterates come from the package's
 pseudo-likelihood kernel, its gradient at the extrapolated point from a
-line of its own; and
+line of its own;
+`reference_newton_directions`, the earlier orthant-wise Newton directions,
+which solve every column's system again whenever any column's working
+set loses a coefficient, kept as the reference for the directions that
+solve again only the columns whose working set changed; and
 `reference_population_rlr_gp`, the earlier population regression on
 the double-hub graph by alternating one-dimensional bisections over its
 two-parameter symmetric reduction, kept as the reference for the batched
@@ -234,6 +238,49 @@ def _pin_self_ref(mat, cols):
 
 def _soft_ref(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def reference_newton_directions(XT, curv, theta, free, sgn, v, ridge):
+    """The package's earlier orthant-wise Newton directions: column c
+    solves (H_AA + ridge[c] I) d = -v_A over A = free[:, c], H = X^T
+    diag(curv[c]) X, padded with identity rows to the largest working set;
+    while a coefficient at zero points out of its orthant, it leaves A and
+    the whole stack is solved again. `curv` is overwritten."""
+    p, k = free.shape
+    size = free.sum(axis=0)
+    a = int(size.max(initial=0))
+    d = np.zeros((p + 1, k))  # row p takes the padding
+    if a == 0:
+        return d[:p]
+    pos = np.full((k, a), p)
+    hess = np.zeros((k, a, a))
+    np.sqrt(curv, out=curv)
+    for c in np.flatnonzero(size):
+        A = np.flatnonzero(free[:, c])
+        pos[c, : len(A)] = A
+        Y = XT[A]
+        Y *= curv[c]
+        hess[c, : len(A), : len(A)] = Y @ Y.T
+    pad = pos == p
+    diag = np.arange(a)
+    hess[:, diag, diag] += np.where(pad, 1.0, ridge[:, None])
+    cell = (np.minimum(pos, p - 1), np.arange(k)[:, None])
+    rhs = np.where(pad, 0.0, -v[cell])
+    at_zero = ~pad & (theta[cell] == 0.0)
+    orth = sgn[cell]
+    while True:
+        step = np.linalg.solve(hess, rhs[..., None])[..., 0]
+        out = at_zero & (step * orth <= 0.0)
+        if not out.any():
+            break
+        c, i = np.nonzero(out)
+        hess[c, i, :] = 0.0
+        hess[c, :, i] = 0.0
+        hess[c, i, i] = 1.0
+        rhs[c, i] = 0.0
+        at_zero[c, i] = False
+    d[pos, cell[1]] = step
+    return d[:p]
 
 
 def reference_rlr_all_roots(Xu, wgt, lam, tol, max_iter, theta0, roots=None, history=None):

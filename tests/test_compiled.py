@@ -1,8 +1,8 @@
 """The compiled heat-bath sampler and its loader: build once per cache,
 rebuild a file that does not load, survive processes that build at once,
-remove old builds, replay numpy's draws exactly, run gibbs_sample's chain
-with the samples of numpy's draws, and fall back to the Python loop, with
-the same chain, where no compiler is usable."""
+keep the most recently used builds, replay numpy's draws exactly, run
+gibbs_sample's chain with the samples of numpy's draws, and fall back to
+the Python loop, with the same chain, where no compiler is usable."""
 import ctypes
 import os
 import subprocess
@@ -79,22 +79,49 @@ def test_processes_that_build_at_once_both_load(tmp_path):
     assert os.listdir(tmp_path) == [_compiled._library_name()]
 
 
-def test_old_builds_are_removed(tmp_path, monkeypatch):
-    # a build of an edited source replaces the old one; the temporary file
-    # of a build in progress, another Python's build and other files stay
-    first = _compiled._library_name()
-    assert _compiled.load([tmp_path]) is not None
-    kept = {f"{first}.x1y2z3.tmp", "heatbath-0123456789abcdef.cpython-399-other.so", "notes.txt"}
+def _edited_source(monkeypatch, path, tag):
+    """Make SOURCE a copy of heatbath.c at path with the comment tag
+    appended; the library name of that source."""
+    original = Path(_compiled.__file__).with_name("heatbath.c").read_text()
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(original + f"/* {tag} */\n")
+    monkeypatch.setattr(_compiled, "SOURCE", path)
+    return _compiled._library_name()
+
+
+def test_least_recently_used_builds_are_removed(tmp_path, monkeypatch, compiles):
+    # a new build leaves the _KEPT_BUILDS most recently used builds, itself
+    # included, and a load marks the build it uses; the temporary file of a
+    # build in progress, another Python's build and other files stay
+    cache, src = tmp_path / "cache", tmp_path / "src"
+    names = []
+    for k in range(_compiled._KEPT_BUILDS):
+        names.append(_edited_source(monkeypatch, src / f"{k}.c", k))
+        assert _compiled.load([cache]) is not None
+        os.utime(cache / names[-1], ns=(k * 10**9, k * 10**9))  # oldest first
+    kept = {f"{names[0]}.x1y2z3.tmp", "heatbath-0123456789abcdef.cpython-399-other.so", "notes.txt"}
     for name in kept:
-        (tmp_path / name).write_text("")
-    edited = tmp_path / "src" / "heatbath.c"
-    edited.parent.mkdir()
-    edited.write_text(_compiled.SOURCE.read_text() + "/* edited */\n")
-    monkeypatch.setattr(_compiled, "SOURCE", edited)
-    second = _compiled._library_name()
-    assert second != first
-    assert _compiled.load([tmp_path]) is not None
-    assert set(os.listdir(tmp_path)) == kept | {second, "src"}
+        (cache / name).write_text("")
+    # the oldest build is used again, so the second oldest is removed
+    assert _edited_source(monkeypatch, src / "0.c", 0) == names[0]
+    assert _compiled.load([cache]) is not None
+    newest = _edited_source(monkeypatch, src / "new.c", "new")
+    assert _compiled.load([cache]) is not None
+    assert len(compiles) == _compiled._KEPT_BUILDS + 1
+    assert set(os.listdir(cache)) == kept | {newest, names[0], *names[2:]}
+
+
+def test_alternating_sources_keep_both_builds(tmp_path, monkeypatch, compiles):
+    # two checkouts whose sources differ, run in turn on one cache (a
+    # parent and a change benchmarked side by side), compile once each
+    cache = tmp_path / "cache"
+    names = set()
+    for _ in range(3):
+        for tag in ("parent", "change"):
+            names.add(_edited_source(monkeypatch, tmp_path / f"{tag}.c", tag))
+            assert _compiled.load([cache]) is not None
+    assert len(compiles) == 2
+    assert set(os.listdir(cache)) == names and len(names) == 2
 
 
 def test_library_gone_before_load_is_built_again(tmp_path, compiles, monkeypatch):

@@ -323,7 +323,7 @@ class TestRunLearner:
         g = GraphFamilySpec(family="random-regular", p=10, delta=3)
         s = gibbs_sample(build_graph(g, seed=2), 0.4, n=600, burn_in=100, thin=3, seed=4)
         cfg = LearnerConfig(alg="rlr", rule="and", tol=1e-6, max_iter=50)
-        warm = rlr_graph(s, 0.2, tol=1e-6).theta
+        warm = rlr_graph(s, 0.2, tol=1e-6)
         learned, res = experiments.run_learner(cfg, s, 0.4, 3, 0.08, warm)
         want = rlr_graph(s, 0.08, rule="and", tol=1e-6, max_iter=50, warm=warm)
         assert learned == res.graph == want.graph
@@ -349,7 +349,7 @@ class TestRunLearner:
     def test_sweep_learns_once_per_trial_and_lambda0(self):
         # every solve of a sweep goes through run_learner and, for rlr,
         # through the rlr_graph that experiments imports, warm-started
-        # from the larger lambda0 of the same trial
+        # from the result at the larger lambda0 of the same trial
         cfg = rlr_grid_config()
         solved = []  # (warm start, result) of each solve
 
@@ -363,7 +363,7 @@ class TestRunLearner:
             sweep_with_cpus(cfg, 1)
         assert learn.call_count == len(solved) == 2 * 3 * 2  # theta, trials, lambda0
         for (cold, first), (warm, _) in zip(solved[::2], solved[1::2]):
-            assert cold is None and warm is first.theta
+            assert cold is None and warm is first
 
 
 def mixing_config(**kw):

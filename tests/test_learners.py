@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from isinglearn import experiments, learners
@@ -50,6 +50,7 @@ from _reference import (
     naive_pseudo_likelihood,
     reference_independence_test,
     reference_joint,
+    reference_newton_directions,
     reference_per_root_neighborhoods,
     reference_per_root_score,
     reference_population_rlr_gp,
@@ -512,6 +513,18 @@ def test_unknown_edge_rule_rejected_without_edges():
         local_independence_test(s, 2, 5.0, 0.01, rule="xor")
 
 
+def test_unknown_edge_rule_rejected_before_solving():
+    # the rule is checked before the solve or the search, not after it
+    s = gibbs_sample(make_tree(4, "path"), 0.5, n=200, burn_in=10, thin=1, seed=0)
+    never = AssertionError("ran before the rule was checked")
+    with mock.patch.object(learners, "_rlr_all_roots", side_effect=never):
+        with pytest.raises(ValueError, match="unknown edge rule 'xor'"):
+            rlr_graph(s, lam=0.1, rule="xor")
+    with mock.patch.object(learners, "_neighborhoods", side_effect=never):
+        with pytest.raises(ValueError, match="unknown edge rule 'xor'"):
+            local_independence_test(s, 2, 0.2, 0.01, rule="xor")
+
+
 def test_degree_bound_below_one_rejected():
     # every candidate set would be empty, so the graph would come back
     # empty where delta = 2 finds edges
@@ -823,7 +836,7 @@ class TestRlrNeighborhood:
 
 class TestRlrGraph:
     def test_theta_holds_every_estimate(self):
-        # the sweep warm-starts the next regularization level from theta
+        # the sweep resumes the next regularization level from the result
         g = make_tree(6, "path")
         s = gibbs_sample(g, 0.6, n=2000, burn_in=200, thin=2, seed=2)
         res = rlr_graph(s, lam=0.03, tol=1e-8)
@@ -832,7 +845,7 @@ class TestRlrGraph:
         for r, est in res.estimates.items():
             others = [v - 1 for v in est.labels]
             assert np.array_equal(res.theta[others, r - 1], est.theta)
-        again = rlr_graph(s, lam=0.03, tol=1e-8, warm=res.theta)
+        again = rlr_graph(s, lam=0.03, tol=1e-8, warm=res)
         assert all(e.iterations == 1 for e in again.estimates.values())
 
     def test_matches_single_vertex_solver(self):
@@ -1049,6 +1062,148 @@ class TestNewtonSolver:
         assert not theta.any()
         assert (res == 0.0).all()
         assert (iters == 2).all()
+
+
+    @pytest.mark.parametrize("name", ["sweep-weak", "sweep-strong", "learn-cli"])
+    def test_resumed_warm_start_matches_evaluated_start(self, regression_inputs, name):
+        # down a lambda path, a solve that resumes from the last result
+        # (its objectives and gradients reused) ends where a solve from
+        # the same coefficients, evaluated afresh, ends
+        s, lam = regression_inputs[name]
+        rows, thr = s.distinct_rows, learners._SELECTION_THRESHOLD
+        warm = None
+        for scale in (1.6, 1.2, 1.0, 0.8):
+            res = rlr_graph(s, scale * lam, rule="and", tol=1e-5, max_iter=4000, warm=warm)
+            if warm is not None:
+                theta, _, resid, _ = _rlr_all_roots(*rows, scale * lam, 1e-5, 4000, warm.theta)
+                assert np.array_equal(theta > thr, res.theta > thr)
+                assert np.array_equal(resid < 1e-5, [e.converged for e in res.estimates.values()])
+                assert np.abs(theta - res.theta).max() <= 1e-12
+            warm = res
+
+    def test_resume_evaluates_nothing_at_its_start(self):
+        # at the lambda it solved, a converged result is optimal already:
+        # resumed, the solve runs no kernel pass; from its coefficients
+        # alone, it runs one
+        s = gibbs_sample(make_tree(6, "path"), 0.6, n=2000, burn_in=200, thin=2, seed=2)
+        res = rlr_graph(s, 0.03, tol=1e-8)
+        kernel = mock.Mock(wraps=learners._pl_kernel)
+        with mock.patch.object(learners, "_pl_kernel", kernel):
+            again = rlr_graph(s, 0.03, tol=1e-8, warm=res)
+            assert kernel.call_count == 0
+            _rlr_all_roots(*s.distinct_rows, 0.03, 1e-8, 3000, res.theta)
+            assert kernel.call_count == 1
+        assert again.theta.tobytes() == res.theta.tobytes()
+        assert again.all_converged and again.graph == res.graph
+
+    def test_warm_start_of_another_sample_set_refused(self):
+        s = gibbs_sample(make_tree(5, "path"), 0.6, n=500, burn_in=50, thin=2, seed=1)
+        res = rlr_graph(s, 0.05)
+        copy = SampleSet(s.spins, s.seed, s.burn_in, s.thin)
+        never = AssertionError("solved from a refused warm start")
+        with mock.patch.object(learners, "_rlr_all_roots", side_effect=never):
+            for warm in (res.theta, res):
+                with pytest.raises(ValueError, match="same sample set"):
+                    rlr_graph(copy, 0.04, warm=warm)
+        assert rlr_graph(copy, 0.04).graph == rlr_graph(s, 0.04, warm=res).graph
+
+
+@st.composite
+def newton_cases(draw, exits):
+    """Inputs of _newton_directions, and the directions of its first
+    solve, where coefficients at zero leave their orthant in `exits` of
+    the k columns ("none", "one", "several" or "all"): in each of those,
+    one or more coefficients at zero point out of their orthant at the
+    first solve and the others into it; every column holds a coefficient
+    at zero."""
+    p, k = draw(st.integers(3, 9)), draw(st.integers(3, 7))
+    m = draw(st.integers(p, 4 * p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    XT = rng.choice([-1.0, 1.0], size=(m, p)).T.copy()
+    curv = rng.uniform(0.01, 1.0, size=(k, m)) / m
+    free = rng.random((p, k)) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    zero = free & (rng.random((p, k)) < 0.5)
+    some = (rng.integers(0, p, size=k), np.arange(k))
+    free[some] = zero[some] = True
+    theta = np.where(zero, 0.0, rng.normal(size=(p, k)))
+    v = rng.normal(size=(p, k))
+    ridge = learners._RIDGE * curv.sum(axis=1)
+    sgn = np.sign(theta)
+    # no coefficient at zero: the first solve's directions, kept whole
+    first = reference_newton_directions(
+        XT, curv.copy(), np.where(zero, 1.0, theta), free, sgn, v, ridge
+    )
+    assume((first[zero] != 0.0).all())
+    count = {"none": 0, "one": 1, "several": draw(st.integers(2, k - 1)), "all": k}[exits]
+    leave = rng.permutation(k)[:count]
+    out = np.zeros_like(zero)
+    for c in leave:
+        at = np.flatnonzero(zero[:, c])
+        out[rng.choice(at, size=draw(st.integers(1, len(at))), replace=False), c] = True
+    sgn = np.where(zero, np.where(out, -1.0, 1.0) * np.sign(first), sgn)
+    return (XT, curv, theta, free, sgn, v, ridge), first, set(leave.tolist())
+
+
+@pytest.mark.parametrize("exits", ["none", "one", "several", "all"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_newton_directions_match_reference(exits, data):
+    # only the columns that lost a coefficient are solved again; numpy's
+    # batched solve factors each matrix on its own, so the directions are
+    # those of solving the whole stack again, bit for bit
+    (XT, curv, *rest), first, leave = data.draw(newton_cases(exits))
+    want = reference_newton_directions(XT, curv.copy(), *rest)
+    got = learners._newton_directions(XT, curv.copy(), *rest)
+    assert got.tobytes() == want.tobytes()
+    # the drawn columns, and only they, changed after the first solve
+    assert set(np.flatnonzero((want != first).any(axis=0)).tolist()) == leave
+
+
+class TestLazyEstimates:
+    P, TOL = 5, 1e-5
+
+    def _solved(self, residual):
+        """A hand-made solve of 5 roots: ties at the selection threshold,
+        one-sided and two-sided selections and a negative coefficient."""
+        thr = learners._SELECTION_THRESHOLD
+        theta = np.zeros((self.P, self.P))
+        theta[1, 0], theta[0, 1] = thr, np.nextafter(thr, 1.0)  # 1 in 2's only
+        theta[2, 0], theta[0, 2] = 0.5, thr  # 3 in 1's only
+        theta[4, 3], theta[3, 4] = 0.3, 0.2  # both ways
+        theta[2, 3] = -0.4
+        theta[3, 2] = thr
+        objective = np.linspace(0.5, 0.7, self.P)
+        iters = np.arange(2, 2 + self.P)
+        return learners._Solved(theta, objective, np.array(residual), iters,
+                                objective - 0.01, np.zeros((self.P, self.P)))
+
+    @pytest.mark.parametrize("rule", ["or", "and"])
+    @pytest.mark.parametrize(
+        "residual",
+        [[0.0, 1e-6, 9.9e-6, 2e-6, 0.0], [0.0, TOL, 1e-6, 3e-5, 0.0]],
+        ids=["converged", "two-unconverged"],
+    )
+    def test_lazy_estimates_match_eager_ones(self, rule, residual):
+        s = gibbs_sample(make_tree(self.P, "path"), 0.5, n=100, burn_in=10, thin=1, seed=0)
+        solved = self._solved(residual)
+        with mock.patch.object(learners, "_rlr_all_roots", return_value=solved):
+            res = rlr_graph(s, 0.1, rule=rule, tol=self.TOL)
+        assert "estimates" not in vars(res)  # nothing built yet
+        # the eager construction the result replaces
+        eager = {r: learners._estimate(r, solved, self.TOL) for r in range(1, self.P + 1)}
+        hoods = {r: e.neighbors for r, e in eager.items()}
+        assert res.graph == learners._edges_from_neighborhoods(self.P, hoods, rule)
+        assert res.all_converged == all(e.converged for e in eager.values())
+        assert res.all_converged == (residual[1] < self.TOL)
+        assert res.graph.edges == ({(4, 5)} if rule == "and" else {(1, 2), (1, 3), (4, 5)})
+        assert list(res.estimates) == list(eager)
+        for r, e in res.estimates.items():
+            want = eager[r]
+            assert e.theta.tobytes() == want.theta.tobytes()
+            assert (e.root, e.labels, e.neighbors, e.converged, e.iterations, e.objective,
+                    e.residual) == (want.root, want.labels, want.neighbors, want.converged,
+                                    want.iterations, want.objective, want.residual)
+        assert res.estimates is res.estimates  # built once
 
 
 class TestRunLearner:
