@@ -150,15 +150,17 @@ def _array(dtype):
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """Declare the library's functions. Every array is an ndpointer of its
     dtype and C order, so a wrong array raises instead of being misread."""
-    i64, f64, i8 = (_array(t) for t in (np.int64, np.float64, np.int8))
+    i64, f64, i8, i32 = (_array(t) for t in (np.int64, np.float64, np.int8, np.int32))
     graph = ctypes.c_char_p  # a buffer of graph_size() bytes
     lib.graph_size.argtypes, lib.graph_size.restype = [], ctypes.c_size_t
     lib.graph_init.argtypes, lib.graph_init.restype = [graph, ctypes.c_int64, i64, i64, f64], None
-    for fn in (lib.table_updates, lib.field_updates):
-        fn.argtypes, fn.restype = [graph, ctypes.c_int64, i64, f64, i8], ctypes.c_int64
+    # the table loop's last array is its p counts of +1 neighbors
+    lib.table_updates.argtypes = [graph, ctypes.c_int64, i64, f64, i8, i32]
+    lib.field_updates.argtypes = [graph, ctypes.c_int64, i64, f64, i8]
+    lib.table_updates.restype = lib.field_updates.restype = ctypes.c_int64
     bitgen, n = ctypes.c_void_p, ctypes.c_int64  # a Generator's bitgen_t
     lib.draws.argtypes, lib.draws.restype = [bitgen, n, n, i64, f64], ctypes.c_int
-    lib.chain.argtypes = [graph, ctypes.c_int, bitgen, n, n, n, n, i8, i8, i64, f64, n]
+    lib.chain.argtypes = [graph, ctypes.c_int, bitgen, n, n, n, n, i8, i8, i64, f64, n, i32]
     lib.chain.restype = ctypes.c_int
     return lib
 

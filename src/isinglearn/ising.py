@@ -550,6 +550,16 @@ class _Glauber:
     arithmetic in Python, so the chain is the same either way. sample()
     runs a whole chain in one call of heatbath.c's chain, which draws as
     chunks() does, where that copy of numpy's draws matches this numpy.
+
+    In the ordered phase few draws flip, and the compiled table loop keeps
+    each site's count of +1 neighbors in _counts (int32, one per site),
+    moving the counts of a flipped site's neighbors by +-1, so a draw that
+    flips nothing reads no neighbor. Where many draws flip it counts the
+    +1 neighbors afresh at each draw instead. It picks the mode for each
+    block of 256 draws by the last block's share of flips (1/8 switches
+    it), and builds the counts from x on the way into the kept-count
+    mode. A draw reads the same table entry either way, so the chain is
+    unchanged.
     """
 
     _CHUNK = 128  # sweeps of randomness drawn per batch
@@ -571,7 +581,7 @@ class _Glauber:
         else:
             rows = ths
         lib = _loop()
-        self._chain = None
+        self._table, self._chain, self._counts = table, None, None
         if lib is None:
             self._graph = nbrs, rows
             self._updates = _table_updates if table else _field_updates
@@ -584,22 +594,33 @@ class _Glauber:
         self._graph = ctypes.create_string_buffer(lib.graph_size())
         lib.graph_init(self._graph, self.p, *self._arrays)
         self._updates = lib.table_updates if table else lib.field_updates
+        # the table loop's counts of +1 neighbors; chain takes them in either mode
+        self._counts = np.empty(self.p, dtype=np.int32)
         if _draws_in_c():
-            self._table = table
             self._chain = lib.chain
 
     def run(self, x: np.ndarray, sites, us) -> int:
         """Apply the draws (numpy arrays of sites and uniforms) in order to
         the int8 spins x, in place; returns the magnetization sum(x). The
         compiled loop reads through pointers, so arrays of other lengths
-        raise, and so does a site outside 0..p-1 there."""
+        raise (its counts too), and so does a site outside 0..p-1 there."""
         if len(x) != self.p or len(sites) != len(us):
             raise ValueError(f"{len(x)} spins and {len(sites)} sites for {len(us)} "
                              f"uniforms, where p = {self.p}")
-        m = self._updates(self._graph, len(us), sites, us, x)
+        if self._table and self._counts is not None:
+            m = self._updates(self._graph, len(us), sites, us, x, self._checked_counts())
+        else:
+            m = self._updates(self._graph, len(us), sites, us, x)
         if m < -self.p:
             raise IndexError(f"a site is outside 0..{self.p - 1}")
         return m
+
+    def _checked_counts(self) -> np.ndarray:
+        """The compiled loops' counts buffer, which they write through a
+        pointer: one of another length raises."""
+        if len(self._counts) != self.p:
+            raise ValueError(f"{len(self._counts)} neighbor counts, where p = {self.p}")
+        return self._counts
 
     def initial_state(self, rng) -> list:
         return (rng.integers(0, 2, self.p) * 2 - 1).tolist()
@@ -640,11 +661,11 @@ class _Glauber:
             return
         # the chunk buffers are numpy's, so a size beyond memory raises here
         k = min(self._CHUNK, max(burn_in, thin)) * self.p
-        sites, us = np.empty(k, dtype=np.int64), np.empty(k)
+        sites, us, counts = np.empty(k, dtype=np.int64), np.empty(k), self._checked_counts()
         bitgen = rng.bit_generator
         with bitgen.lock:
             err = self._chain(self._graph, self._table, bitgen.ctypes.bit_generator, self._CHUNK,
-                              burn_in, thin, len(out), x, out, sites, us, k)
+                              burn_in, thin, len(out), x, out, sites, us, k, counts)
         if err == -1:
             raise ValueError(f"heatbath.c draws no sites for p = {self.p}")
         if err:
@@ -835,18 +856,28 @@ def saw_correlation_bound(delta: int, theta: float, dist: int) -> float:
     return delta ** (dist - 1) * t**dist / (1.0 - delta * t)
 
 
+# Bytes read and parsed per block by read_samples, and written per block by
+# write_samples; bounds their temporaries whatever the file size (a longer
+# line is read or written whole).
+_READ_BLOCK_BYTES = 1 << 16
+_WRITE_BLOCK_BYTES = 1 << 16
+_SPIN_TOKENS = (b"+1", b"-1", b"1")
+# the three bytes of a -1 and of a +1 spin, each with the space after it
+_SPIN_BYTES = np.frombuffer(b"-1 +1 ", dtype=np.uint8).reshape(2, 3)
+
+
 def write_samples(s: SampleSet, path) -> None:
-    """Header `n p seed burn_in thin`, then one +/-1 row per sample."""
+    """Header `n p seed burn_in thin`, then one +/-1 row per sample, its
+    spins separated by single spaces. The rows are written a block at a
+    time, each row the spins' tokens with the last space made a line
+    end."""
+    rows = max(1, _WRITE_BLOCK_BYTES // (3 * s.p))
     with open(path, "w") as fh:
         fh.write(f"{s.n} {s.p} {s.seed} {s.burn_in} {s.thin}\n")
-        for row in s.spins:
-            fh.write(" ".join("+1" if v > 0 else "-1" for v in row) + "\n")
-
-
-# Bytes read and parsed per block by read_samples; bounds its temporaries
-# whatever the file size (a longer line is read whole).
-_READ_BLOCK_BYTES = 1 << 16
-_SPIN_TOKENS = (b"+1", b"-1", b"1")
+        for r in range(0, s.n, rows):
+            text = _SPIN_BYTES[(s.spins[r:r + rows] > 0).view(np.uint8)].reshape(-1, 3 * s.p)
+            text[:, -1] = ord("\n")
+            fh.write(text.tobytes().decode("ascii"))
 
 
 def read_samples(path) -> SampleSet:

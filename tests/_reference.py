@@ -17,6 +17,8 @@ time on the package's tables, with its twin-gathering kernel, kept as the
 reference for the driver that batches every root by candidate size;
 `reference_read_samples`, the earlier sample-file reader that splits and
 converts one line at a time, kept as the reference for the vectorised one;
+`reference_write_samples`, the earlier sample-file writer that joins one
+token per spin, kept as the reference for the block writer;
 `reference_rlr_all_roots`, the earlier batched l1 solver (accelerated
 proximal gradient), kept as the reference for the orthant-wise Newton
 one: its objectives and gradients at the iterates come from the package's
@@ -699,6 +701,15 @@ def reference_read_samples(path):
                 raise ValueError(f"sample row {ell} has {len(row)} tokens, wanted {p}")
             spins[ell] = [int(v) for v in row]
     return SampleSet(spins, seed=seed, burn_in=burn_in, thin=thin)
+
+
+def reference_write_samples(s, path):
+    """The sample-file writer the block writer replaced: one " ".join of
+    "+1" and "-1" tokens per row."""
+    with open(path, "w") as fh:
+        fh.write(f"{s.n} {s.p} {s.seed} {s.burn_in} {s.thin}\n")
+        for row in s.spins:
+            fh.write(" ".join("+1" if v > 0 else "-1" for v in row) + "\n")
 
 
 def chi2_sf(x, k):

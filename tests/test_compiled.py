@@ -1,10 +1,12 @@
 """The compiled heat-bath sampler and its loader: build once per cache,
 rebuild a file that does not load, survive processes that build at once,
 keep the most recently used builds, replay numpy's draws exactly, run
-gibbs_sample's chain with the samples of numpy's draws, and fall back to
-the Python loop, with the same chain, where no compiler is usable."""
+gibbs_sample's chain with the samples of numpy's draws, give the Python
+twin's chains in both modes of the table loop, and fall back to the
+Python loop, with the same chain, where no compiler is usable."""
 import ctypes
 import os
+import re
 import subprocess
 import sys
 import types
@@ -14,8 +16,8 @@ import numpy as np
 import pytest
 
 from isinglearn import _compiled, ising
-from isinglearn.graphs import Graph, make_random_regular
-from isinglearn.ising import CouplingField, gibbs_sample
+from isinglearn.graphs import Graph, make_random_regular, make_star
+from isinglearn.ising import CouplingField, estimate_mixing, gibbs_sample
 
 pytestmark = pytest.mark.skipif(_compiled._compiler() is None, reason="no usable C compiler")
 
@@ -250,6 +252,133 @@ def test_chain_gives_the_samples_of_numpy_draws(case, monkeypatch):
         assert s == ref and s.spins.tobytes() == ref.spins.tobytes(), (b, t)
 
 
+# heatbath.c's table loop picks its mode for each block of MODE_DRAWS
+# draws, by the flips of the last block or of its first PROBE_DRAWS draws
+_MODE_DRAWS, _PROBE_DRAWS = (
+    int(re.search(rf"#define {name} (\d+)", _compiled.SOURCE.read_text())[1])
+    for name in ("MODE_DRAWS", "PROBE_DRAWS"))
+_G30_ALIGNED = np.ones(30, dtype=np.int8)
+# (graph, theta, _CHUNK or None, start): start None draws it as gibbs_sample does
+_COUNTED_CASES = {
+    "theta 0.02": (_G30, 0.02, None, None),
+    "theta 0.15": (_G30, 0.15, None, None),
+    "theta 0.65": (_G30, 0.65, None, None),
+    "theta 3.0": (_G30, 3.0, None, None),
+    "theta -0.65": (_G30, -0.65, None, None),
+    # from all +1 at theta = 0.35 about 6% of the first draws flip, and
+    # more once the chain loses its order: the share crosses 1/8 mid-chain
+    "aligned theta 0.35": (_G30, 0.35, None, _G30_ALIGNED),
+    "star, hub degree 29": (make_star(30, 29), 0.3, None, None),
+    "isolated vertices": (make_star(12, 5), 0.8, None, None),
+    "p=1": (Graph(1, set()), 0.4, None, None),
+    "chunk 1": (_G30, 0.65, 1, None),
+    "chunk 127 aligned": (_G30, 0.35, 127, _G30_ALIGNED),
+}
+
+
+@pytest.fixture
+def twin(monkeypatch):
+    """Runs a function with a loader that finds no compiler, so the
+    sampler runs its Python twin, and restores the loader after."""
+    def run(fn, *args, **kwargs):
+        with monkeypatch.context() as mp:
+            mp.setattr(_compiled, "loop", lambda: None)
+            assert ising.sampler_loop() == "python"
+            return fn(*args, **kwargs)
+    return run
+
+
+def _modes(kern, x, sizes, rng) -> list:
+    """The mode of each block of the table loop's chain through
+    kern.blocks(x, sizes, rng), True where it keeps counts, as heatbath.c's
+    chain picks them: blocks of _MODE_DRAWS draws from the start of each
+    chunk, the first recounted, and each next one counted where under 1/8
+    of the draws that chose it flipped, which are a counted block's draws
+    and a recounted block's first _PROBE_DRAWS. kern is a kernel of the
+    Python twin, run one draw at a time."""
+    s = np.array(x, dtype=np.int8)
+    modes, counted = [], False
+    for size in sizes:
+        for sites, us in kern.chunks(size, rng):
+            for k in range(0, len(us), _MODE_DRAWS):
+                modes.append(counted)
+                block = sites[k:k + _MODE_DRAWS], us[k:k + _MODE_DRAWS]
+                seen = len(block[1]) if counted else min(len(block[1]), _PROBE_DRAWS)
+                flips = 0
+                for j, (i, u) in enumerate(zip(*block)):
+                    before = s[i]
+                    kern.run(s, block[0][j:j + 1], block[1][j:j + 1])
+                    flips += int(j < seen and s[i] != before)
+                counted = 8 * flips < seen
+    return modes
+
+
+@pytest.mark.parametrize("case", list(_COUNTED_CASES))
+def test_counted_loop_gives_the_twins_chains(case, monkeypatch, twin):
+    # the table loop on kept counts, in either mode, against the Python
+    # twin, which counts the +1 neighbors at every draw: gibbs_sample's
+    # samples (burn-in and thin fixed and from the mixing estimate), the
+    # chain from a given start, runs of kern.blocks and estimate_mixing
+    if ising.sampler_loop() != "compiled":
+        pytest.skip("heatbath.c does not draw here")
+    g, theta, chunk, start = _COUNTED_CASES[case]
+    if chunk is not None:
+        monkeypatch.setattr(ising._Glauber, "_CHUNK", chunk)
+    fld = ising._as_field(g, theta)
+    settings = [(300, 3, 200), (130, 129, 3), (None, None, 20)]
+
+    def samples():
+        return [gibbs_sample(g, theta, n=n, burn_in=b, thin=t, seed=5) for b, t, n in settings]
+
+    def chain(x):
+        kern, rng = ising._Glauber(fld), np.random.default_rng(6)
+        x = np.array(x if x is not None else kern.initial_state(rng), dtype=np.int8)
+        out = np.empty((150, g.p), dtype=np.int8)
+        kern.sample(x, 40, 2, out, rng)
+        return out.tobytes(), x.tobytes(), rng.bit_generator.state
+
+    sizes = (1, 127, 128, 129, 300)
+
+    def blocks(x):
+        kern, rng = ising._Glauber(fld), np.random.default_rng(7)
+        x = np.array(x if x is not None else kern.initial_state(rng), dtype=np.int8)
+        ms = [int(s.sum()) for s in kern.blocks(x, sizes, rng)]
+        return ms, x.tobytes(), rng.bit_generator.state
+
+    def mixing():
+        return [estimate_mixing(g, fld, seed, max_sweeps=cap)
+                for seed, cap in ((1, 1), (2, 127), (3, 300))]
+
+    for fn, args in ((samples, ()), (chain, (start,)), (blocks, (start,)), (mixing, ())):
+        got, want = fn(*args), twin(fn, *args)
+        if fn is samples:
+            assert [s.spins.tobytes() for s in got] == [s.spins.tobytes() for s in want]
+        assert got == want, fn.__name__
+
+
+def test_counted_cases_cover_both_modes(twin):
+    # the modes of the chains above, from the twin's flips: the aligned
+    # chains keep counts from their second block and then change mode both
+    # ways, and so do the antiferromagnet's and p = 1's; the random start
+    # at 0.65 keeps counts once it has ordered; 0.15 never does
+    modes = {}
+    for case, (g, theta, chunk, start) in _COUNTED_CASES.items():
+        def chain_modes():
+            kern = ising._Glauber(ising._as_field(g, theta))
+            if chunk is not None:
+                kern._CHUNK = chunk
+            rng = np.random.default_rng(6)
+            x = start if start is not None else kern.initial_state(rng)
+            return _modes(kern, x, (40,) + (2,) * 150, rng)
+        modes[case] = twin(chain_modes)
+    for case in ("aligned theta 0.35", "chunk 127 aligned", "theta -0.65", "p=1"):
+        steps = set(zip(modes[case], modes[case][1:]))
+        assert {(True, False), (False, True)} <= steps, case
+    assert modes["aligned theta 0.35"][1] and modes["chunk 127 aligned"][1]
+    assert not modes["theta 0.65"][0] and all(modes["theta 0.65"][-100:])
+    assert not any(modes["theta 0.15"]) and all(modes["theta 3.0"][2:])
+
+
 def test_wrong_arrays_and_sites_raise():
     if ising.sampler_loop() == "python":
         pytest.skip("no usable cache directory")
@@ -267,6 +396,16 @@ def test_wrong_arrays_and_sites_raise():
     for bad in (8, -1):
         with pytest.raises(IndexError):
             kern.run(x, np.array([0, bad, 1]), np.zeros(3))
+    # the table loop's counts buffer: another dtype, order or length raises
+    counts = kern._counts
+    for bad, error in ((counts.astype(np.int64), ctypes.ArgumentError),
+                       (np.zeros(16, dtype=np.int32)[::2], ctypes.ArgumentError),
+                       (counts[:7], ValueError), (np.zeros(9, dtype=np.int32), ValueError)):
+        kern._counts = bad
+        with pytest.raises(error):
+            kern.run(x, sites, us)
+    kern._counts = counts
+    assert kern.run(x, sites, us) == 8
 
 
 def test_chain_refuses_wrong_arrays():
@@ -283,6 +422,15 @@ def test_chain_refuses_wrong_arrays():
     for args in ((x.astype(np.int64), out), (x, out.astype(np.int64)), (x, out.T.copy().T)):
         with pytest.raises(ctypes.ArgumentError):
             kern.sample(args[0], 2, 1, args[1], rng)
+    counts, state = kern._counts, rng.bit_generator.state
+    for bad, error in ((counts.astype(np.int64), ctypes.ArgumentError),
+                       (np.zeros(16, dtype=np.int32)[::2], ctypes.ArgumentError),
+                       (counts[:7], ValueError), (np.zeros(9, dtype=np.int32), ValueError)):
+        kern._counts = bad
+        with pytest.raises(error):
+            kern.sample(x, 2, 1, out, rng)
+    assert rng.bit_generator.state == state and x.tolist() == [1] * 8 and not out.any()
+    kern._counts = counts
     kern.sample(x, 2, 1, out, rng)
     assert out[-1].tolist() == x.tolist()
 
@@ -303,14 +451,15 @@ def test_chain_refuses_to_overrun_its_buffers(monkeypatch):
     def chain(cap):
         with bitgen.lock:
             return _compiled.loop().chain(kern._graph, kern._table, bitgen.ctypes.bit_generator,
-                                          128, 5, 2, len(out), x, out, sites, us, cap)
+                                          128, 5, 2, len(out), x, out, sites, us, cap,
+                                          kern._counts)
 
     assert chain(cap - 1) == -2
     assert bitgen.state == state and x.tolist() == [1] * 8 and not out.any()
     assert chain(cap) == 0
     assert out[-1].tolist() == x.tolist()
     real = kern._chain
-    monkeypatch.setattr(kern, "_chain", lambda *args: real(*args[:-1], args[-1] - 1))
+    monkeypatch.setattr(kern, "_chain", lambda *args: real(*args[:-2], args[-2] - 1, args[-1]))
     with pytest.raises(RuntimeError, match="past its 40 buffered draws"):
         kern.sample(x, 5, 2, out, rng)
 

@@ -46,6 +46,7 @@ from _reference import (
     reference_field_run,
     reference_glauber_run,
     reference_read_samples,
+    reference_write_samples,
 )
 from _strategies import SPLIT_LAYOUTS, ising_instances, split_layout
 
@@ -1365,6 +1366,23 @@ def test_read_samples_matches_reference_reader(tmp_path_factory, text, block):
                 read_samples(path)
         else:
             assert read_samples(path) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 40), p=st.integers(1, 70), block=st.integers(1, 400),
+       seed=st.integers(0, 2**32 - 1), fill=st.sampled_from(("random", "+1", "-1")))
+def test_write_samples_matches_reference_writer(tmp_path_factory, n, p, block, seed, fill):
+    """The block writer's bytes equal the earlier writer's, with blocks of
+    one row (block < 3p), of several and of all rows."""
+    rng = np.random.default_rng(seed)
+    spins = {"random": rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, p)),
+             "+1": np.ones((n, p), dtype=np.int8), "-1": -np.ones((n, p), dtype=np.int8)}[fill]
+    s = SampleSet(spins, seed=seed, burn_in=n, thin=p)
+    base = tmp_path_factory.getbasetemp()
+    reference_write_samples(s, base / "reference.samples")
+    with mock.patch.object(ising, "_WRITE_BLOCK_BYTES", block):
+        write_samples(s, base / "block.samples")
+    assert (base / "block.samples").read_bytes() == (base / "reference.samples").read_bytes()
 
 
 @settings(max_examples=25, deadline=None)
