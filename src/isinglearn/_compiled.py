@@ -18,7 +18,7 @@ sampler runs its Python loop, which gives the same chain.
 heatbath.c copies two of numpy's draw steps, and NumPy does not promise
 that these stay the same across versions (NEP 19). draws_match() compares
 the copy with this numpy once per process; where they differ, the
-sampler feeds the compiled loop numpy's own draws.
+sampler feeds the compiled chain numpy's own draws, a chunk per call.
 """
 from __future__ import annotations
 
@@ -131,9 +131,9 @@ def _array(dtype):
     """numpy's ndpointer argtype for C-ordered arrays of dtype, passing a
     writable array by the address of its buffer. numpy's from_param builds
     an ndarray.ctypes object per argument, and three of those took 10 of a
-    loop call's 15 us (one call runs a block of a few hundred draws). Any
-    other argument goes to numpy's from_param, which raises for a wrong
-    dtype or order."""
+    loop call's 15 us on a few hundred draws (the numpy-draws path makes
+    one call per chunk of draws). Any other argument goes to numpy's
+    from_param, which raises for a wrong dtype or order."""
     base = np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
 
     class Array(base):
@@ -154,14 +154,12 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     graph = ctypes.c_char_p  # a buffer of graph_size() bytes
     lib.graph_size.argtypes, lib.graph_size.restype = [], ctypes.c_size_t
     lib.graph_init.argtypes, lib.graph_init.restype = [graph, ctypes.c_int64, i64, i64, f64], None
-    # the table loop's last array is its p counts of +1 neighbors
-    lib.table_updates.argtypes = [graph, ctypes.c_int64, i64, f64, i8, i32]
-    lib.field_updates.argtypes = [graph, ctypes.c_int64, i64, f64, i8]
-    lib.table_updates.restype = lib.field_updates.restype = ctypes.c_int64
-    bitgen, n = ctypes.c_void_p, ctypes.c_int64  # a Generator's bitgen_t
+    bitgen, n = ctypes.c_void_p, ctypes.c_int64  # a Generator's bitgen_t, or None
     lib.draws.argtypes, lib.draws.restype = [bitgen, n, n, i64, f64], ctypes.c_int
-    lib.chain.argtypes = [graph, ctypes.c_int, bitgen, n, n, n, n, i8, i8, i64, f64, n, i32]
-    lib.chain.restype = ctypes.c_int
+    # chain's last array is the table loop's mode and then its p counts
+    lib.chain.argtypes = [graph, ctypes.c_int, bitgen, n, n, n, n, ctypes.c_int, i8, i8, i64, f64,
+                          n, i32]
+    lib.chain.restype = n
     return lib
 
 

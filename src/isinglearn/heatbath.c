@@ -1,5 +1,6 @@
 /* The heat-bath sampler of isinglearn (ising._Glauber): its update loops,
- * its copy of numpy's draws, and the whole chain of gibbs_sample.
+ * its copy of numpy's draws, and chain, the one entry that advances a
+ * chain, for gibbs_sample and the mixing estimate alike.
  *
  * Draw k sets x[sites[k]] to +1 when us[k] < P(+1) at that site given the
  * current spins of its neighbors, and to -1 otherwise. _compiled.py builds
@@ -25,6 +26,14 @@ struct graph {
     /* table rows: P(+1) at site i with c neighbors +1 is w[start[i] + i + c];
      * per-edge couplings: the coupling to nbr[e] is w[e] */
     const double *w;
+};
+
+/* The table loop's mode and, in the counted mode, each site's count of +1
+ * neighbors: p + 1 int32 values, which the caller zeroes for each chain,
+ * since counts are valid only for the spins they were built from. */
+struct mode {
+    int32_t counted;
+    int32_t cnt[];
 };
 
 /* numpy's bitgen_t (numpy/random/bitgen.h), the struct that
@@ -59,13 +68,13 @@ static int64_t magnetization(const struct graph *g, const int8_t *x)
     return m;
 }
 
-/* The index of the first of the n sites outside 0 .. p - 1, or n. */
-static int64_t valid_prefix(const struct graph *g, int64_t n, const int64_t *sites)
+/* Whether the n sites all lie in 0 .. p - 1. */
+static int in_range(const struct graph *g, int64_t n, const int64_t *sites)
 {
     for (int64_t k = 0; k < n; k++)
         if ((uint64_t)sites[k] >= (uint64_t)g->p)
-            return k;
-    return n;
+            return 0;
+    return 1;
 }
 
 /* The per-edge loop: the n draws in order, at sites in 0 .. p - 1. h is
@@ -150,48 +159,35 @@ static int64_t recounted_flips(const struct graph *g, int64_t n, int64_t probe,
 #define PROBE_DRAWS 32
 
 /* The n draws of the table loop, MODE_DRAWS at a time. A block runs
- * counted (*rare set) where under 1/8 of the draws that chose its mode
- * flipped, and recounted elsewhere and first: on 4-regular graphs 1.5% of
- * draws flip at theta = 0.65, where a flip's branch predicts well, and
- * 45% at 0.15, where it does not and moving counts at every draw cost
- * more than counting. The counts are built from x on entering the counted
- * mode. *rare holds the mode, and cnt the counts, from one call to the
- * next. The mode changes only the speed. */
-static void table_loop(const struct graph *g, int *rare, int64_t n, const int64_t *sites,
-                       const double *us, int8_t *x, int32_t *cnt)
+ * counted (st->counted set) where under 1/8 of the draws that chose its
+ * mode flipped, and recounted elsewhere and first: on 4-regular graphs
+ * 1.5% of draws flip at theta = 0.65, where a flip's branch predicts
+ * well, and 45% at 0.15, where it does not and moving counts at every
+ * draw cost more than counting. The counts are built from x on entering
+ * the counted mode. The mode changes only the speed. */
+static void table_loop(const struct graph *g, struct mode *st, int64_t n, const int64_t *sites,
+                       const double *us, int8_t *x)
 {
     for (int64_t k = 0; k < n; k += MODE_DRAWS) {
         const int64_t m = n - k < MODE_DRAWS ? n - k : MODE_DRAWS;
-        if (*rare) {
-            *rare = 8 * counted_flips(g, m, sites + k, us + k, x, cnt) < m;
+        if (st->counted) {
+            st->counted = 8 * counted_flips(g, m, sites + k, us + k, x, st->cnt) < m;
         } else {
             const int64_t probe = m < PROBE_DRAWS ? m : PROBE_DRAWS;
-            *rare = 8 * recounted_flips(g, m, probe, sites + k, us + k, x) < probe;
-            if (*rare)
-                count_plus(g, x, cnt);
+            st->counted = 8 * recounted_flips(g, m, probe, sites + k, us + k, x) < probe;
+            if (st->counted)
+                count_plus(g, x, st->cnt);
         }
     }
 }
 
-/* Both loops apply the n draws in order and return the magnetization
- * after them, or INT64_MIN at the first site outside 0 .. p - 1, with
- * the draws before it applied. The table loop takes p counts in cnt. */
-
-int64_t table_updates(const struct graph *g, int64_t n, const int64_t *sites,
-                      const double *us, int8_t *x, int32_t *cnt)
+static void updates(const struct graph *g, int table, struct mode *st, int64_t n,
+                    const int64_t *sites, const double *us, int8_t *x)
 {
-    const int64_t ok = valid_prefix(g, n, sites);
-    int rare = 0;
-    table_loop(g, &rare, ok, sites, us, x, cnt);
-    return ok < n ? INT64_MIN : magnetization(g, x);
-}
-
-int64_t field_updates(const struct graph *g, int64_t n, const int64_t *sites,
-                      const double *us, int8_t *x)
-{
-    const int64_t ok = valid_prefix(g, n, sites);
-    field_loop(g, ok, sites, us, x);
-    return ok < n ? INT64_MIN : magnetization(g, x);
+    if (table)
+        table_loop(g, st, n, sites, us, x);
+    else
+        field_loop(g, n, sites, us, x);
 }
 
 /* numpy's buffered_bounded_lemire_uint32: a value in 0 .. rng, for
@@ -230,37 +226,48 @@ int draws(struct bitgen *bg, int64_t p, int64_t n, int64_t *sites, double *us)
     return 0;
 }
 
-/* The chain of gibbs_sample: burn_in sweeps, then n blocks of thin sweeps,
- * with x copied into row l of out (n rows of p) after block l. Each block
- * draws its randomness in chunks of at most chunk sweeps, a chunk's sites
- * and then its uniforms, into sites and us (cap values each), as
- * _Glauber.blocks does. The table loop keeps its mode and its p counts in
- * cnt from chunk to chunk. Returns 0; -1 where
- * draws refuses p; -2, before drawing it, at the first chunk of more than
- * cap draws, with the chunks before it applied. */
-int chain(const struct graph *g, int table, struct bitgen *bg, int64_t chunk, int64_t burn_in,
-          int64_t thin, int64_t n, int8_t *x, int8_t *out, int64_t *sites, double *us,
-          int64_t cap, int32_t *cnt)
+/* The chain of _Glauber.sample: burn_in sweeps, then n blocks of thin
+ * sweeps, with x copied into row l of out (n rows of p) after block l.
+ * Each block's draws come in chunks of at most chunk sweeps, a chunk's
+ * sites and then its uniforms, as _Glauber.chunks draws them, into sites
+ * and us (cap values each). With bg NULL nothing is drawn: the chain is
+ * one chunk whose draws the caller put in sites and us, so burn_in is at
+ * most chunk and n is 0. With stop set the burn-in, and the chain, ends
+ * after the first sweep that leaves the magnetization negative (the
+ * mixing estimate's rule, read between sweeps only there). The table
+ * loop keeps its mode and counts in *st from chunk to chunk and from call
+ * to call. Returns the number of burn-in sweeps run; -1 where draws
+ * refuses p; -2, before drawing it, at the first chunk of more than cap
+ * draws, with the chunks before it applied; -3, before applying any, where
+ * a site the caller put in sites lies outside 0 .. p - 1. */
+int64_t chain(const struct graph *g, int table, struct bitgen *bg, int64_t chunk, int64_t burn_in,
+              int64_t thin, int64_t n, int stop, int8_t *x, int8_t *out, int64_t *sites,
+              double *us, int64_t cap, struct mode *st)
 {
     const int64_t p = g->p;
-    int rare = 0;
     for (int64_t l = -1; l < n; l++) {
-        const int64_t sweeps = l < 0 ? burn_in : thin;
-        for (int64_t done = 0; done < sweeps; done += chunk) {
-            const int64_t k = (sweeps - done < chunk ? sweeps - done : chunk) * p;
-            if (k > cap)
+        for (int64_t left = l < 0 ? burn_in : thin; left > 0;) {
+            const int64_t s = left < chunk ? left : chunk;
+            if (s * p > cap)
                 return -2;
-            if (draws(bg, p, k, sites, us))
+            if (bg && draws(bg, p, s * p, sites, us))
                 return -1;
-            /* sites from draws lie in 0 .. p - 1 */
-            if (table)
-                table_loop(g, &rare, k, sites, us, x, cnt);
-            else
-                field_loop(g, k, sites, us, x);
+            if (!bg && !in_range(g, s * p, sites))
+                return -3;
+            if (stop && l < 0) {
+                for (int64_t j = 0; j < s; j++) {
+                    updates(g, table, st, p, sites + j * p, us + j * p, x);
+                    if (magnetization(g, x) < 0)
+                        return burn_in - left + j + 1;
+                }
+            } else {
+                updates(g, table, st, s * p, sites, us, x);
+            }
+            left -= s;
         }
         if (l >= 0)
             for (int64_t i = 0; i < p; i++)
                 out[l * p + i] = x[i];
     }
-    return 0;
+    return burn_in;
 }

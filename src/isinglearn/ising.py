@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
@@ -537,6 +536,10 @@ class SampleSet:
         return self.spins.shape[1]
 
 
+# the most sweeps heatbath.c's int64 arguments carry (numpy refuses more rows)
+_MAX_COUNT = 2**63 - 1
+
+
 class _Glauber:
     """Single-site heat-bath dynamics with uniformly random scan order.
 
@@ -545,21 +548,25 @@ class _Glauber:
     coupling on every edge (or none) P(+1) is read from a row indexed by
     the count of +1 neighbors; with per-edge couplings it is
     1 / (1 + exp(-2h)), with h summed from 0.0 in neighbor_data order.
-    The updates run in the compiled loop of heatbath.c or, where no C
-    compiler is usable, in _table_updates or _field_updates, the same
-    arithmetic in Python, so the chain is the same either way. sample()
-    runs a whole chain in one call of heatbath.c's chain, which draws as
-    chunks() does, where that copy of numpy's draws matches this numpy.
+
+    sample() is the one method that advances a chain, for gibbs_sample and
+    estimate_mixing alike, on the draws of chunks(). Where heatbath.c's
+    copy of numpy's draws matches this numpy, the whole chain is one call
+    of its chain, which draws too. Elsewhere sample() draws each chunk in
+    numpy and hands it to chain, or, where no C compiler is usable, to
+    _table_updates or _field_updates, the same arithmetic in Python. So
+    the chain is the same on every path.
 
     In the ordered phase few draws flip, and the compiled table loop keeps
-    each site's count of +1 neighbors in _counts (int32, one per site),
-    moving the counts of a flipped site's neighbors by +-1, so a draw that
-    flips nothing reads no neighbor. Where many draws flip it counts the
-    +1 neighbors afresh at each draw instead. It picks the mode for each
-    block of 256 draws by the last block's share of flips (1/8 switches
-    it), and builds the counts from x on the way into the kept-count
-    mode. A draw reads the same table entry either way, so the chain is
-    unchanged.
+    each site's count of +1 neighbors, moving the counts of a flipped
+    site's neighbors by +-1, so a draw that flips nothing reads no
+    neighbor. Where many draws flip it counts the +1 neighbors afresh at
+    each draw instead. It picks the mode for each block of 256 draws by
+    the last block's share of flips (1/8 switches it), and builds the
+    counts from x on the way into the kept-count mode. The mode and the
+    counts last one sample() call, since counts are valid only for the
+    spins they were built from. A draw reads the same table entry either
+    way, so the chain is unchanged.
     """
 
     _CHUNK = 128  # sweeps of randomness drawn per batch
@@ -581,7 +588,7 @@ class _Glauber:
         else:
             rows = ths
         lib = _loop()
-        self._table, self._chain, self._counts = table, None, None
+        self._table, self._chain, self._draws = table, None, False
         if lib is None:
             self._graph = nbrs, rows
             self._updates = _table_updates if table else _field_updates
@@ -593,34 +600,7 @@ class _Glauber:
                         np.array([v for r in rows for v in r], dtype=np.float64))
         self._graph = ctypes.create_string_buffer(lib.graph_size())
         lib.graph_init(self._graph, self.p, *self._arrays)
-        self._updates = lib.table_updates if table else lib.field_updates
-        # the table loop's counts of +1 neighbors; chain takes them in either mode
-        self._counts = np.empty(self.p, dtype=np.int32)
-        if _draws_in_c():
-            self._chain = lib.chain
-
-    def run(self, x: np.ndarray, sites, us) -> int:
-        """Apply the draws (numpy arrays of sites and uniforms) in order to
-        the int8 spins x, in place; returns the magnetization sum(x). The
-        compiled loop reads through pointers, so arrays of other lengths
-        raise (its counts too), and so does a site outside 0..p-1 there."""
-        if len(x) != self.p or len(sites) != len(us):
-            raise ValueError(f"{len(x)} spins and {len(sites)} sites for {len(us)} "
-                             f"uniforms, where p = {self.p}")
-        if self._table and self._counts is not None:
-            m = self._updates(self._graph, len(us), sites, us, x, self._checked_counts())
-        else:
-            m = self._updates(self._graph, len(us), sites, us, x)
-        if m < -self.p:
-            raise IndexError(f"a site is outside 0..{self.p - 1}")
-        return m
-
-    def _checked_counts(self) -> np.ndarray:
-        """The compiled loops' counts buffer, which they write through a
-        pointer: one of another length raises."""
-        if len(self._counts) != self.p:
-            raise ValueError(f"{len(self._counts)} neighbor counts, where p = {self.p}")
-        return self._counts
+        self._chain, self._draws = lib.chain, _draws_in_c()
 
     def initial_state(self, rng) -> list:
         return (rng.integers(0, 2, self.p) * 2 - 1).tolist()
@@ -632,49 +612,69 @@ class _Glauber:
             k = min(self._CHUNK, nsweeps - done)
             yield rng.integers(0, self.p, size=k * self.p), rng.random(k * self.p)
 
-    def blocks(self, x, sizes, rng):
-        """Advance the chain through blocks of sizes[0], sizes[1], ... sweeps,
-        one run per chunk of draws, yielding its int8 spin array after each
-        block. x is that array, or a list of +-1 brought up to date at each
-        yield; it must not be changed in between."""
-        s = x if isinstance(x, np.ndarray) else np.array(x, dtype=np.int8)
-        for nsweeps in sizes:
-            for sites, us in self.chunks(nsweeps, rng):
-                self.run(s, sites, us)
-            if s is not x:
-                x[:] = s.tolist()
-            yield s
-
-    def sample(self, x: np.ndarray, burn_in: int, thin: int, out: np.ndarray, rng) -> None:
+    def sample(self, x: np.ndarray, burn_in: int, thin: int, out: np.ndarray, rng,
+               stop: bool = False) -> int:
         """Advance the int8 spins x through burn_in sweeps and then len(out)
-        blocks of thin sweeps, copying x into out[l] after block l: the
-        chain of blocks(), run in one call of heatbath.c's chain where it
-        can draw, and through blocks() elsewhere."""
+        blocks of thin sweeps, copying x into out[l] after block l; returns
+        the burn-in sweeps run. With stop the burn-in, and the call, ends
+        after the first sweep that leaves sum(x) < 0, the mixing estimate's
+        rule. The draws are those of chunks(), made by heatbath.c where its
+        copy matches numpy and rng is a Generator, and by rng elsewhere."""
         if len(x) != self.p or out.shape[1:] != (self.p,):
             raise ValueError(f"{len(x)} spins and rows of shape {out.shape[1:]}, "
                              f"where p = {self.p}")
-        if self._chain is None:
-            blocks = self.blocks(x, itertools.chain((burn_in,), itertools.repeat(thin)), rng)
-            next(blocks)
-            for row, _ in zip(out, blocks):
-                row[:] = x
-            return
-        # the chunk buffers are numpy's, so a size beyond memory raises here
-        k = min(self._CHUNK, max(burn_in, thin)) * self.p
-        sites, us, counts = np.empty(k, dtype=np.int64), np.empty(k), self._checked_counts()
-        bitgen = rng.bit_generator
-        with bitgen.lock:
-            err = self._chain(self._graph, self._table, bitgen.ctypes.bit_generator, self._CHUNK,
-                              burn_in, thin, len(out), x, out, sites, us, k, counts)
-        if err == -1:
-            raise ValueError(f"heatbath.c draws no sites for p = {self.p}")
-        if err:
-            raise RuntimeError(f"heatbath.c's chain would draw a chunk past its {k} "
-                               f"buffered draws")
+        for name, v in (("max_sweeps" if stop else "burn_in", burn_in), ("thin", thin)):
+            if not 0 <= v <= _MAX_COUNT:
+                raise ValueError(f"{name} = {v}: the sampler counts sweeps from 0 to 2**63 - 1")
+        state = np.zeros(self.p + 1, dtype=np.int32)  # the table loop's mode, then its counts
+        if self._draws and isinstance(rng, np.random.Generator):
+            # the chunk buffers are numpy's, so a size beyond memory raises here
+            k = min(self._CHUNK, max(burn_in, thin)) * self.p
+            sites, us, bitgen = np.empty(k, dtype=np.int64), np.empty(k), rng.bit_generator
+            with bitgen.lock:
+                ran = self._chain(self._graph, self._table, bitgen.ctypes.bit_generator,
+                                  self._CHUNK, burn_in, thin, len(out), stop, x, out, sites, us,
+                                  k, state)
+            if ran == -1:
+                raise ValueError(f"heatbath.c draws no sites for p = {self.p}")
+            if ran < 0:
+                raise RuntimeError(f"heatbath.c's chain would draw a chunk past its {k} "
+                                   f"buffered draws")
+            return ran
+        ran = 0
+        for sites, us in self.chunks(burn_in, rng):
+            ran += self._apply(x, sites, us, stop, state)
+            if stop and x.sum() < 0:
+                return ran
+        for row in out:
+            for sites, us in self.chunks(thin, rng):
+                self._apply(x, sites, us, False, state)
+            row[:] = x
+        return ran
+
+    def _apply(self, x, sites, us, stop, state) -> int:
+        """Apply one chunk of draws to x in order; returns the sweeps run,
+        fewer than the chunk's only where stop ended it. The compiled loop
+        reads through pointers, so draws of other lengths raise, and there a
+        site outside 0..p-1 does too, before any draw is applied."""
+        k = len(us) // self.p
+        if len(sites) != len(us) or len(us) != k * self.p:
+            raise ValueError(f"{len(sites)} sites and {len(us)} uniforms, where p = {self.p}")
+        if self._chain is not None:  # no generator: a burn-in of this chunk, and no rows
+            ran = self._chain(self._graph, self._table, None, k, k, 0, 0, stop, x, x, sites, us,
+                              len(us), state)
+            if ran < 0:
+                raise IndexError(f"a site is outside 0..{self.p - 1}")
+            return ran
+        step = self.p if stop else len(us)  # the stop rule reads sum(x) after each sweep
+        for j in range(0, len(us), step):
+            if self._updates(self._graph, step, sites[j:j + step], us[j:j + step], x) < 0 and stop:
+                return (j + step) // self.p
+        return k
 
 
 def _table_updates(graph, n, sites, us, x) -> int:
-    """heatbath.c's table_updates in Python, on graph = (neighbor lists,
+    """heatbath.c's table loop in Python, on graph = (neighbor lists,
     rows): P(+1) at i is rows[i][c], c the count of +1 neighbors."""
     nbrs, rows = graph
     xs = x.tolist()
@@ -688,7 +688,7 @@ def _table_updates(graph, n, sites, us, x) -> int:
 
 
 def _field_updates(graph, n, sites, us, x) -> int:
-    """heatbath.c's field_updates in Python, on graph = (neighbor lists,
+    """heatbath.c's per-edge loop in Python, on graph = (neighbor lists,
     coupling lists): h summed from 0.0 in neighbor order, and
     P(+1) = 1 / (1 + exp(-2h)), 0.0 where exp overflows."""
     nbrs, ths = graph
@@ -724,11 +724,12 @@ def _draws_in_c() -> bool:
 
 
 def sampler_loop() -> str:
-    """Which heat-bath loop the sampler runs: "compiled", where gibbs_sample
-    runs its whole chain in C, draws too; "numpy-draws", the compiled loop
-    fed numpy's draws, where heatbath.c's copy of them does not give this
-    numpy's stream; or "python" where no C compiler is usable. Each gives
-    the same chain, the last several times slower."""
+    """Which heat-bath loop the sampler runs: "compiled", where each chain
+    (gibbs_sample's and the mixing estimate's) is one call of heatbath.c's
+    chain, draws too; "numpy-draws", that chain fed numpy's draws a chunk
+    at a time, where heatbath.c's copy of them does not give this numpy's
+    stream; or "python" where no C compiler is usable. Each gives the same
+    chain, the last several times slower."""
     if _loop() is None:
         return "python"
     return "compiled" if _draws_in_c() else "numpy-draws"
@@ -741,33 +742,23 @@ class MixingEstimate:
 
 
 def estimate_mixing(g: Graph, theta, seed: int, max_sweeps: int = 10_000) -> MixingEstimate:
-    """Sweeps until the magnetization first goes negative, started all-(+1).
+    """Sweeps until the magnetization M = sum(x) first goes negative,
+    started all-(+1): one chain, stopped after the first sweep that leaves
+    M < 0, or saturated after max_sweeps without one.
 
-    A conservative relaxation-time proxy; saturates at max_sweeps.
+    A conservative relaxation-time proxy that measures an odd observable:
+    M changes sign under x -> -x, so this is the time the chain takes to
+    change phase, which in the ordered phase saturates at max_sweeps. The
+    learners read only even statistics of the samples (pair moments, and
+    a pseudo-likelihood even under x -> -x), which this does not measure.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     kern = _Glauber(_as_field(g, theta))
-    return _sweeps_to_negative_mag(kern, [1] * g.p, max_sweeps, np.random.default_rng(seed))
-
-
-def _sweeps_to_negative_mag(kern: _Glauber, x: list, max_sweeps: int, rng) -> MixingEstimate:
-    """Advance the chain x (a list of +-1) in place, one run per sweep, and
-    stop after the first sweep that leaves the magnetization negative, or
-    after max_sweeps; saturated when no sweep did. The draws are those of
-    kern.blocks, so the chain is the same."""
-    p = kern.p
-    s = np.array(x, dtype=np.int8)
-    sweeps = ((sites[k:k + p], us[k:k + p])
-              for sites, us in kern.chunks(max_sweeps, rng) for k in range(0, len(us), p))
-    done, negative = 0, False
-    for sites, us in sweeps:
-        done += 1
-        negative = kern.run(s, sites, us) < 0
-        if negative:
-            break
-    x[:] = s.tolist()
-    return MixingEstimate(done, not negative)
+    x = np.ones(g.p, dtype=np.int8)
+    sweeps = kern.sample(x, max_sweeps, 0, np.empty((0, g.p), dtype=np.int8),
+                         np.random.default_rng(seed), stop=True)
+    return MixingEstimate(sweeps, bool(x.sum() >= 0))
 
 
 # How a mixing estimate of t sweeps becomes burn-in and thin.

@@ -197,6 +197,25 @@ def test_learn_reports_impossible_sample_header(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--burn-in", "9223372036854775809", "--thin", "18446744073709551617"],
+     "burn_in = 9223372036854775809"),
+    (["--thin", "18446744073709551617", "--mixing-cap", "3"], "thin = 18446744073709551617"),
+    (["--burn-in", "5", "--mixing-cap", "9223372036854775808"],
+     "max_sweeps = 9223372036854775808"),
+])
+def test_sample_refuses_counts_past_int64(tmp_path, capsys, tree_graph_file, flags, message):
+    # the compiled chain would run such counts wrapped (no burn-in,
+    # one-sweep thin blocks) under a file header stating them
+    out = tmp_path / "s.txt"
+    argv = ["sample", "--graph", str(tree_graph_file), "--theta", "0.5", "--n", "5",
+            "--out", str(out)] + flags
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"isinglearn: error: {message}: the sampler counts sweeps from 0 to 2**63 - 1\n")
+    assert not out.exists()
+
+
 @pytest.fixture
 def path_samples(tmp_path, tree_graph_file):
     samples = tmp_path / "s.txt"

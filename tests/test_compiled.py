@@ -14,9 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from isinglearn import _compiled, ising
 from isinglearn.graphs import Graph, make_random_regular, make_star
+from isinglearn.analysis import theta_thr
 from isinglearn.ising import CouplingField, estimate_mixing, gibbs_sample
 
 pytestmark = pytest.mark.skipif(_compiled._compiler() is None, reason="no usable C compiler")
@@ -246,7 +249,7 @@ def test_chain_gives_the_samples_of_numpy_draws(case, monkeypatch):
     chained = [gibbs_sample(g, theta, n=n, burn_in=b, thin=t, seed=9) for b, t, n in settings]
     monkeypatch.setattr(_compiled, "draws_match", lambda: False)
     assert ising.sampler_loop() == "numpy-draws"
-    assert ising._Glauber(ising._as_field(g, theta))._chain is None
+    assert not ising._Glauber(ising._as_field(g, theta))._draws
     for s, (b, t, n) in zip(chained, settings):
         ref = gibbs_sample(g, theta, n=n, burn_in=b, thin=t, seed=9)
         assert s == ref and s.spins.tobytes() == ref.spins.tobytes(), (b, t)
@@ -289,8 +292,8 @@ def twin(monkeypatch):
 
 
 def _modes(kern, x, sizes, rng) -> list:
-    """The mode of each block of the table loop's chain through
-    kern.blocks(x, sizes, rng), True where it keeps counts, as heatbath.c's
+    """The mode of each block of the table loop's chain through blocks of
+    sizes[0], sizes[1], ... sweeps, True where it keeps counts, as heatbath.c's
     chain picks them: blocks of _MODE_DRAWS draws from the start of each
     chunk, the first recounted, and each next one counted where under 1/8
     of the draws that chose it flipped, which are a counted block's draws
@@ -307,7 +310,7 @@ def _modes(kern, x, sizes, rng) -> list:
                 flips = 0
                 for j, (i, u) in enumerate(zip(*block)):
                     before = s[i]
-                    kern.run(s, block[0][j:j + 1], block[1][j:j + 1])
+                    kern._updates(kern._graph, 1, block[0][j:j + 1], block[1][j:j + 1], s)
                     flips += int(j < seen and s[i] != before)
                 counted = 8 * flips < seen
     return modes
@@ -318,7 +321,8 @@ def test_counted_loop_gives_the_twins_chains(case, monkeypatch, twin):
     # the table loop on kept counts, in either mode, against the Python
     # twin, which counts the +1 neighbors at every draw: gibbs_sample's
     # samples (burn-in and thin fixed and from the mixing estimate), the
-    # chain from a given start, runs of kern.blocks and estimate_mixing
+    # chain from a given start, runs of sample() fed numpy's draws a chunk
+    # at a time, and estimate_mixing
     if ising.sampler_loop() != "compiled":
         pytest.skip("heatbath.c does not draw here")
     g, theta, chunk, start = _COUNTED_CASES[case]
@@ -342,7 +346,10 @@ def test_counted_loop_gives_the_twins_chains(case, monkeypatch, twin):
     def blocks(x):
         kern, rng = ising._Glauber(fld), np.random.default_rng(7)
         x = np.array(x if x is not None else kern.initial_state(rng), dtype=np.int8)
-        ms = [int(s.sum()) for s in kern.blocks(x, sizes, rng)]
+        fed, ms = types.SimpleNamespace(integers=rng.integers, random=rng.random), []
+        for size in sizes:
+            kern.sample(x, size, 1, np.empty((0, g.p), dtype=np.int8), fed)
+            ms.append(int(x.sum()))
         return ms, x.tobytes(), rng.bit_generator.state
 
     def mixing():
@@ -354,6 +361,43 @@ def test_counted_loop_gives_the_twins_chains(case, monkeypatch, twin):
         if fn is samples:
             assert [s.spins.tobytes() for s in got] == [s.spins.tobytes() for s in want]
         assert got == want, fn.__name__
+
+
+def _mixing(g, theta, seed, cap):
+    """estimate_mixing, and its chain by hand: the spins and the generator
+    state after it."""
+    est = estimate_mixing(g, theta, seed, max_sweeps=cap)
+    kern, rng = ising._Glauber(ising._as_field(g, theta)), np.random.default_rng(seed)
+    x = np.ones(g.p, dtype=np.int8)
+    ran = kern.sample(x, cap, 0, np.empty((0, g.p), dtype=np.int8), rng, stop=True)
+    assert (ran, x.sum() >= 0) == (est.sweeps, est.saturated)
+    return est, x.tobytes(), rng.bit_generator.state
+
+
+_THR4 = theta_thr(4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(5, 30), graph_seed=st.integers(0, 99),
+       theta=st.sampled_from([0.05, 0.15, 0.35, 0.45, 0.65, 1.2]) | st.floats(0.0, 1.5),
+       cap=st.sampled_from([1, 2, 127, 128, 129]) | st.integers(1, 400),
+       seed=st.integers(0, 2**32 - 1))
+@example(p=30, graph_seed=7, theta=0.65, cap=1000, seed=1)  # saturates
+@example(p=30, graph_seed=7, theta=0.15, cap=300, seed=2)  # stops
+@example(p=30, graph_seed=7, theta=_THR4, cap=300, seed=3)
+@example(p=6, graph_seed=0, theta=1.2, cap=1, seed=4)
+def test_mixing_estimate_gives_the_twins(p, graph_seed, theta, cap, seed):
+    # estimate_mixing in one call of heatbath.c's chain against the Python
+    # loop, on 4-regular graphs with theta on both sides of theta_thr(4)
+    # and caps from 1 up: the estimate, the spins and the generator state
+    if ising.sampler_loop() != "compiled":
+        pytest.skip("heatbath.c does not draw here")
+    g = make_random_regular(p + p % 2, 4, seed=graph_seed)
+    got = _mixing(g, theta, seed, cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_compiled, "loop", lambda: None)
+        assert ising.sampler_loop() == "python"
+        assert _mixing(g, theta, seed, cap) == got
 
 
 def test_counted_cases_cover_both_modes(twin):
@@ -379,33 +423,35 @@ def test_counted_cases_cover_both_modes(twin):
     assert not any(modes["theta 0.15"]) and all(modes["theta 3.0"][2:])
 
 
-def test_wrong_arrays_and_sites_raise():
+def test_fed_chain_refuses_wrong_draws():
+    # where heatbath.c does not draw, sample() hands it each chunk of the
+    # rng's draws, which it reads through pointers: draws of another dtype,
+    # order or length raise, and so does a site outside 0..p-1, before any
+    # draw is applied
     if ising.sampler_loop() == "python":
         pytest.skip("no usable cache directory")
     kern = ising._Glauber(CouplingField.homogeneous(make_random_regular(8, 3, seed=1), 0.4))
-    x = np.ones(8, dtype=np.int8)
+    x, none = np.ones(8, dtype=np.int8), np.empty((0, 8), dtype=np.int8)
     sites, us = np.arange(8), np.full(8, 0.5)
-    assert kern.run(x, sites, us) == 8
-    for args in ((x.astype(np.int64), sites, us), (x, sites.astype(np.int32), us),
-                 (x, sites, us.astype(np.float32)), (x, sites[::2], us[::2])):
+
+    def sample(sites, us):
+        fed = types.SimpleNamespace(integers=lambda low, high, size: sites,
+                                    random=lambda size: us)
+        return kern.sample(x, 1, 1, none, fed)
+
+    assert sample(sites, us) == 1 and x.tolist() == [1] * 8
+    for args in ((sites.astype(np.int32), us), (sites, us.astype(np.float32)),
+                 (np.arange(8).repeat(2)[::2], us)):
         with pytest.raises(ctypes.ArgumentError):
-            kern.run(*args)
-    for args in ((x[:7], sites, us), (x, sites[:7], us)):
+            sample(*args)
+    for args in ((sites[:7], us), (sites, us[:7]), (sites[:7], us[:7])):
         with pytest.raises(ValueError):
-            kern.run(*args)
+            sample(*args)
     for bad in (8, -1):
         with pytest.raises(IndexError):
-            kern.run(x, np.array([0, bad, 1]), np.zeros(3))
-    # the table loop's counts buffer: another dtype, order or length raises
-    counts = kern._counts
-    for bad, error in ((counts.astype(np.int64), ctypes.ArgumentError),
-                       (np.zeros(16, dtype=np.int32)[::2], ctypes.ArgumentError),
-                       (counts[:7], ValueError), (np.zeros(9, dtype=np.int32), ValueError)):
-        kern._counts = bad
-        with pytest.raises(error):
-            kern.run(x, sites, us)
-    kern._counts = counts
-    assert kern.run(x, sites, us) == 8
+            sample(np.array([0, bad, 1, 2, 3, 4, 5, 6]), np.zeros(8))
+    assert x.tolist() == [1] * 8
+    assert sample(sites, us) == 1 and x.tolist() == [1] * 8
 
 
 def test_chain_refuses_wrong_arrays():
@@ -419,18 +465,11 @@ def test_chain_refuses_wrong_arrays():
     for args in ((x[:7], out), (x, out[:, :7]), (x, out[0])):
         with pytest.raises(ValueError):
             kern.sample(args[0], 2, 1, args[1], rng)
+    state = rng.bit_generator.state
     for args in ((x.astype(np.int64), out), (x, out.astype(np.int64)), (x, out.T.copy().T)):
         with pytest.raises(ctypes.ArgumentError):
             kern.sample(args[0], 2, 1, args[1], rng)
-    counts, state = kern._counts, rng.bit_generator.state
-    for bad, error in ((counts.astype(np.int64), ctypes.ArgumentError),
-                       (np.zeros(16, dtype=np.int32)[::2], ctypes.ArgumentError),
-                       (counts[:7], ValueError), (np.zeros(9, dtype=np.int32), ValueError)):
-        kern._counts = bad
-        with pytest.raises(error):
-            kern.sample(x, 2, 1, out, rng)
     assert rng.bit_generator.state == state and x.tolist() == [1] * 8 and not out.any()
-    kern._counts = counts
     kern.sample(x, 2, 1, out, rng)
     assert out[-1].tolist() == x.tolist()
 
@@ -451,12 +490,12 @@ def test_chain_refuses_to_overrun_its_buffers(monkeypatch):
     def chain(cap):
         with bitgen.lock:
             return _compiled.loop().chain(kern._graph, kern._table, bitgen.ctypes.bit_generator,
-                                          128, 5, 2, len(out), x, out, sites, us, cap,
-                                          kern._counts)
+                                          128, 5, 2, len(out), 0, x, out, sites, us, cap,
+                                          np.zeros(9, dtype=np.int32))
 
     assert chain(cap - 1) == -2
     assert bitgen.state == state and x.tolist() == [1] * 8 and not out.any()
-    assert chain(cap) == 0
+    assert chain(cap) == 5
     assert out[-1].tolist() == x.tolist()
     real = kern._chain
     monkeypatch.setattr(kern, "_chain", lambda *args: real(*args[:-2], args[-2] - 1, args[-1]))

@@ -5,6 +5,7 @@ import pickle
 import re
 import time
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -581,19 +582,23 @@ def _compared_blocks(nsweeps):
     return (nsweeps,) + (10,) * (nsweeps // 10) + ((nsweeps % 10,) if nsweeps % 10 else ())
 
 
+def _run(kern, x, nsweeps, rng, stop=False):
+    """(sweeps_run, stopped_early) of one kern.sample call of nsweeps
+    burn-in sweeps and no rows, as the reference runs report it, on the
+    list of spins x, brought up to date."""
+    s = np.array(x, dtype=np.int8)
+    ran = kern.sample(s, nsweeps, 0, np.empty((0, kern.p), dtype=np.int8), rng, stop)
+    x[:] = s.tolist()
+    return ran, stop and int(s.sum()) < 0
+
+
 def _kernel_runs(kern, x, sizes, rng, stop):
-    """(sweeps_run, stopped_early) after each block of `sizes` sweeps, as
-    the reference runs report it. Without stop the blocks are those of one
-    kern.blocks chain; with it each block is one run of the mixing
-    estimate's stop rule, and the first run that stops is the last."""
-    if not stop:
-        for size, _ in zip(sizes, kern.blocks(x, sizes, rng)):
-            yield size, False
-        return
+    """_run after each block of `sizes` sweeps, one kern.sample call each;
+    with stop the first run that stops is the last."""
     for size in sizes:
-        est = ising._sweeps_to_negative_mag(kern, x, size, rng)
-        yield est.sweeps, not est.saturated
-        if not est.saturated:
+        out = _run(kern, x, size, rng, stop)
+        yield out
+        if out[1]:
             return
 
 
@@ -733,7 +738,7 @@ _FIELD_EXAMPLES = (
 def _check_table_case(case):
     p, edges, theta, nsweeps, stop, start, seed = case
     kern = ising._Glauber(CouplingField.homogeneous(Graph(p, set(edges)), theta))
-    assert kern._updates.__name__.lstrip("_") == "table_updates"
+    assert kern._table
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     if start == "random":
         x, x_ref = kern.initial_state(rng), kern.initial_state(ref_rng)
@@ -751,7 +756,7 @@ def _check_field_case(case):
     p, couplings, nsweeps, stop, start, seed = case
     fld = CouplingField.from_dict(p, couplings)
     kern = ising._Glauber(fld)
-    assert kern._updates.__name__.lstrip("_") == "field_updates"
+    assert not kern._table
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     if start == "random":
         x, x_ref = kern.initial_state(rng), kern.initial_state(ref_rng)
@@ -767,14 +772,19 @@ def _check_field_case(case):
 
 @pytest.fixture(scope="class")
 def heat_bath_loop(request):
-    """Runs a test class on the heat-bath loop named by its `loop`: the
-    compiled one, skipped where no C compiler is usable, or the Python one,
-    forced by a loader that finds no compiler."""
+    """Runs a test class on the sampler path named by its `loop`: the
+    compiled one, skipped where no C compiler is usable; "numpy-draws", the
+    compiled chain fed numpy's draws a chunk at a time, forced by a draw
+    check that fails; or the Python loop, forced by a loader that finds no
+    compiler."""
     with pytest.MonkeyPatch.context() as mp:
         if request.cls.loop == "python":
             mp.setattr(_compiled, "loop", lambda: None)
         elif ising.sampler_loop() == "python":
             pytest.skip("no usable C compiler")
+        elif request.cls.loop == "numpy-draws":
+            mp.setattr(_compiled, "draws_match", lambda: False)
+        assert ising.sampler_loop() == request.cls.loop
         yield
 
 
@@ -808,7 +818,7 @@ class TestHeatBathKernel:
                         for w, k in zip(nb, idx):
                             x[w - 1] = 1 - 2 * k
                         before = list(x)
-                        next(kern.blocks(x, (1,), _FixedDraws(p, v - 1, u)))
+                        _run(kern, x, 1, _FixedDraws(p, v - 1, u))
                         before[v - 1] = want
                         assert x == before, (v, idx, u, start)
 
@@ -838,7 +848,7 @@ class TestHeatBathKernel:
                     got = []
                     for u in (0.0, float(np.nextafter(1.0, 0.0))):
                         y = list(x)
-                        next(kern.blocks(y, (1,), _FixedDraws(3, v - 1, u)))
+                        _run(kern, y, 1, _FixedDraws(3, v - 1, u))
                         got.append(y[v - 1])
                     if abs(h) > 100.0:
                         assert got == [1 if h > 0 else -1] * 2, (v, spins)
@@ -909,16 +919,21 @@ class TestHeatBathKernel:
     def test_windowed_walks_match_reference_runs(self, theta, per_edge, window):
         # blocks of 25 sweeps, compared block by block, because chains that
         # share their draws meet again soon after a wrong draw in this phase;
-        # windows of one draw (window = 1) split every run of the loop into
-        # runs of one draw, so the spins pass from call to call at every draw
+        # windows of one sweep (window = 1) split every chunk of draws into
+        # calls of one sweep, so the spins and the table loop's mode and
+        # counts pass from call to call at every sweep
         g = Graph(30, set(_REG30))
         fld = ising._as_field(g, CouplingField.from_dict(30, _ferro(theta)) if per_edge else theta)
         kern = ising._Glauber(fld)
-        run = kern.run
+        apply = kern._apply
 
-        def windowed(s, sites, us):
-            return [run(s, sites[k:k + window], us[k:k + window])
-                    for k in range(0, len(us), window)][-1]
+        def windowed(s, sites, us, stop, state):
+            ran = 0
+            for k in range(0, len(us), 30 * window):
+                ran += apply(s, sites[k:k + 30 * window], us[k:k + 30 * window], stop, state)
+                if stop and s.sum() < 0:
+                    break
+            return ran
         for k, (start, stop) in enumerate(itertools.product(("plus", "minus", "random"),
                                                             (False, True))):
             rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
@@ -927,8 +942,12 @@ class TestHeatBathKernel:
             else:
                 x = [1 if start == "plus" else -1] * 30
                 x_ref = list(x)
-            with mock.patch.object(kern, "run", windowed if window else run):
-                for out in _kernel_runs(kern, x, (25,) * 12, rng, stop):
+            with mock.patch.object(kern, "_apply", windowed if window else apply):
+                # a Generator's draws, but no Generator: sample() applies them
+                # chunk by chunk even where heatbath.c could draw them itself
+                draws = types.SimpleNamespace(integers=rng.integers, random=rng.random)
+                draws = draws if window else rng
+                for out in _kernel_runs(kern, x, (25,) * 12, draws, stop):
                     if per_edge:
                         ref = reference_field_run(fld, x_ref, 25, ref_rng, stop)
                     else:
@@ -954,17 +973,18 @@ class TestHeatBathKernel:
             else:
                 x = [1 if start == "plus" else -1] * 30
                 x_ref = list(x)
-            est = ising._sweeps_to_negative_mag(kern, x, max_sweeps, rng)
+            out = _run(kern, x, max_sweeps, rng, stop=True)
             if per_edge:
                 ref = reference_field_run(fld, x_ref, max_sweeps, ref_rng, stop_on_negative_mag=True)
             else:
                 ref = reference_glauber_run(30, _REG30, theta, x_ref, max_sweeps, ref_rng,
                                             stop_on_negative_mag=True)
-            assert (est.sweeps, not est.saturated) == ref and x == x_ref, start
+            assert out == ref and x == x_ref, start
             assert rng.bit_generator.state == ref_rng.bit_generator.state, start
             if start == "plus":
-                assert estimate_mixing(g, fld, k, max_sweeps=max_sweeps) == est
-            saturated.add(est.saturated)
+                assert estimate_mixing(g, fld, k, max_sweeps=max_sweeps) == MixingEstimate(
+                    out[0], not out[1])
+            saturated.add(not out[1])
         assert theta != 1.5 or saturated == {True, False}
 
     @pytest.mark.parametrize("per_edge", [False, True])
@@ -981,18 +1001,18 @@ class TestHeatBathKernel:
         us = [0.999, 0.999, 0.5, 0.5] + [0.0, 0.5, 0.5, 0.5] + [0.5] * 4
         x, x_ref = [1, 1, -1, -1], [1, 1, -1, -1]
         draws, ref_draws = _ScriptedDraws(sites, us), _ScriptedDraws(sites, us)
-        est = ising._sweeps_to_negative_mag(kern, x, 3, draws)
+        out = _run(kern, x, 3, draws, stop=True)
         if per_edge:
             ref = reference_field_run(fld, x_ref, 3, ref_draws, stop_on_negative_mag=True)
         else:
             ref = reference_glauber_run(4, edges, 3.0, x_ref, 3, ref_draws,
                                         stop_on_negative_mag=True)
-        assert ref == (1, True) and est == MixingEstimate(1, False)
+        assert ref == out == (1, True)
         assert x == x_ref == [-1] * 4
         assert draws.sites == ref_draws.sites == [] and draws.us == ref_draws.us == []
         # without the stop the chain leaves all -1 at sweep 2's first draw
         x = [1, 1, -1, -1]
-        next(kern.blocks(x, (2,), _ScriptedDraws(sites[:8], us[:8])))
+        _run(kern, x, 2, _ScriptedDraws(sites[:8], us[:8]))
         assert x == [1, -1, -1, -1]
 
     def test_per_edge_chain_memory_is_bounded(self):
@@ -1007,11 +1027,83 @@ class TestHeatBathKernel:
         x = kern.initial_state(rng)
         tracemalloc.start()
         try:
-            next(kern.blocks(x, (3000,), rng))
+            _run(kern, x, 3000, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+    def test_kernel_keeps_no_counts_across_calls(self):
+        # the table loop's kept counts are valid only for the spins they were
+        # built from: a kernel reused after a stop-rule run that ends on kept
+        # counts (theta = 0.65 from all +1 saturates), and then from other
+        # starts, gives the chains of fresh kernels
+        fld = ising._as_field(Graph(30, set(_REG30)), 0.65)
+        kern = ising._Glauber(fld)
+        assert _run(kern, [1] * 30, 300, np.random.default_rng(0), stop=True) == (300, False)
+        for k, start in enumerate(("minus", "random", "plus", "minus")):
+            rng, fresh_rng = np.random.default_rng(k), np.random.default_rng(k)
+            x = (np.array(kern.initial_state(rng)) if start == "random"
+                 else np.full(30, 1 if start == "plus" else -1)).astype(np.int8)
+            y = x.copy()
+            fresh_rng.bit_generator.state = rng.bit_generator.state
+            # no burn-in: chains that share their draws meet again soon
+            out, want = np.empty((40, 30), dtype=np.int8), np.empty((40, 30), dtype=np.int8)
+            kern.sample(x, 0, 1, out, rng)
+            ising._Glauber(fld).sample(y, 0, 1, want, fresh_rng)
+            assert out.tobytes() == want.tobytes() and x.tobytes() == y.tobytes(), start
+            assert rng.bit_generator.state == fresh_rng.bit_generator.state, start
+
+    def test_counts_past_int64_are_refused(self):
+        # heatbath.c's chain takes sweep counts as int64, where a burn-in of
+        # 2**63 + 1 would wrap to a negative count (no burn-in) and a thin of
+        # 2**64 + 1 to 1, while the Python loops would keep on sweeping: every
+        # path refuses them, and the mixing estimate's cap, before any sweep
+        g = Graph(3, {(1, 2), (2, 3)})
+        refusal = r"the sampler counts sweeps from 0 to 2\*\*63 - 1"
+        for burn_in, thin in ((2**63, 1), (2**63 + 1, 1), (1, 2**64 + 1), (1, 2**63)):
+            with pytest.raises(ValueError, match=refusal):
+                gibbs_sample(g, 0.3, n=2, burn_in=burn_in, thin=thin, seed=0)
+        with pytest.raises(ValueError, match=r"max_sweeps = 9223372036854775808: the sampler"):
+            estimate_mixing(g, 0.3, 0, max_sweeps=2**63)
+        with pytest.raises(ValueError, match=r"thin = 18446744073709551617: the sampler"):
+            gibbs_sample(g, 0.3, n=2, thin=2**64 + 1, seed=0, mixing_cap=3)
+        # a mixing estimate whose cap gives a burn-in of 10 * 2**62 sweeps
+        with mock.patch.object(ising, "estimate_mixing", return_value=MixingEstimate(2**62, True)):
+            with pytest.raises(ValueError, match=r"burn_in = 46116860184273879040: the"):
+                gibbs_sample(g, 0.3, n=2, seed=0)
+        # rows past int64 are refused by numpy before any sweep
+        with pytest.raises(ValueError):
+            gibbs_sample(g, 0.3, n=2**63 + 1, burn_in=1, thin=1, seed=0)
+        kern, x = ising._Glauber(ising._as_field(g, 0.3)), np.ones(3, dtype=np.int8)
+        with pytest.raises(ValueError, match="burn_in = -1"):
+            kern.sample(x, -1, 1, np.empty((0, 3), dtype=np.int8), np.random.default_rng(0))
+
+
+class TestHeatBathKernelNumpyDraws(TestHeatBathKernel):
+    """Every kernel test again with heatbath.c's chain fed numpy's draws a
+    chunk at a time, which runs where its copy of numpy's draws does not
+    match this numpy."""
+
+    loop = "numpy-draws"
+
+    # Hypothesis tests run from one class each, so these are tests of their own
+    @settings(max_examples=80, deadline=None)
+    @given(case=glauber_cases())
+    @_examples(_TABLE_EXAMPLES)
+    def test_matches_reference_loop(self, case):
+        _check_table_case(case)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=field_cases())
+    @_examples(_FIELD_EXAMPLES)
+    def test_field_matches_reference_loop(self, case):
+        _check_field_case(case)
+
+    def test_feeds_the_compiled_chain(self):
+        kern = ising._Glauber(CouplingField.homogeneous(make_star(4, 3), 0.5))
+        assert kern._chain is not None and not kern._draws
 
 
 class TestHeatBathKernelPythonLoop(TestHeatBathKernel):
